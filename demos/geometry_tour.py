@@ -14,7 +14,6 @@ from manisweep import (
     SphereBackend,
     distance,
     exp_map,
-    geometry_budget,
     log_map,
     parallel_transport,
 )
@@ -30,7 +29,7 @@ backends = {
 
 for label, (backend, origin) in backends.items():
     x0 = backend.point(origin)
-    budget = geometry_budget(backend)
+    budget = backend.budget()
     print(f"\n== {label}")
     print(
         f"   working radius rho = {budget.rho:.4g}, |K| <= {budget.curvature_bound:.4g}"

@@ -19,7 +19,6 @@ from .geometry import (
     Tangent,
     distance,
     exp_map,
-    geometry_budget,
     grad_sq_distance,
     log_map,
     make_backend,
@@ -36,7 +35,6 @@ from .sweep import (
     expression_perturbation,
     gronwall_separation,
     inclusion_residual,
-    interpolate,
     zero_perturbation,
 )
 

@@ -14,16 +14,14 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .errors import DomainError, NumericsError, StructuralError
+from .errors import DomainError, ExpressionError, NumericsError, StructuralError
 from .geometry import Region
 from .regularity import (
     check_log_monotonicity,
     probe_projection_uniqueness,
     sample_hypomonotonicity,
 )
-from .scenario import load_scenario
+from .scenario import dumps_document, load_scenario
 from .studies import certify_scenario, run_rate_study
 from .sweep import admissible_step, catching_up
 
@@ -129,7 +127,12 @@ def _cmd_diagnose(args):
         warnings.append(f"hypomonotonicity: {err}")
     try:
         reports["projection_uniqueness"] = probe_projection_uniqueness(
-            scn.moving_set, 0.0, region, n_points=3, seed=seed
+            scn.moving_set,
+            0.0,
+            region,
+            n_points=3,
+            agree_tol=scn.tolerances.uniqueness,
+            seed=seed,
         ).to_dict()
     except StructuralError as err:
         warnings.append(f"projection_uniqueness: {err}")
@@ -169,8 +172,6 @@ def _cmd_certify(args):
 def _cmd_validate(args):
     scn = load_scenario(args.scenario)
     if args.echo:
-        from .scenario import dumps_document
-
         sys.stdout.write(dumps_document(scn.document))
     else:
         print(f"ok: {scn.name} (hash {scn.hash[:16]})")
@@ -191,7 +192,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (StructuralError, DomainError, NumericsError, FileNotFoundError) as err:
+    except (
+        StructuralError, DomainError, NumericsError, ExpressionError, FileNotFoundError
+    ) as err:
         if args.json_errors:
             doc = {
                 "error": type(err).__name__,

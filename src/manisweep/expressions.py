@@ -368,7 +368,3 @@ def compile_many(trees, arg_names):
     exec(src, ns)  # noqa: S102
     return ns["_f"]
 
-
-def gradient_trees(tree, var_names):
-    """Forward-mode partial derivatives of ``tree`` for each variable."""
-    return [tree.diff(v) for v in var_names]

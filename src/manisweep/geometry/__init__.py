@@ -5,6 +5,7 @@ backend, so call sites can read ``exp_map(x, v)`` instead of
 ``x.backend.exp_map(x, v)``.
 """
 
+from ..errors import StructuralError
 from .base import (
     GeometryBudget,
     ManifoldBackend,
@@ -20,48 +21,46 @@ from .implicit import ImplicitBackend
 from .sphere import SphereBackend
 
 
+#: manifold kind in a scenario -> backend class
+BACKENDS = {
+    "euclidean": EuclideanBackend,
+    "sphere": SphereBackend,
+    "hyperbolic": HyperbolicBackend,
+    "implicit": ImplicitBackend,
+}
+
+
 def distance(x: Point, y: Point) -> float:
     return x.backend.distance(x, y)
 
 
-def exp_map(x: Point, v: Tangent, budget: GeometryBudget | None = None) -> Point:
-    return x.backend.exp_map(x, v, budget)
+def exp_map(x: Point, v: Tangent) -> Point:
+    return x.backend.exp_map(x, v)
 
 
-def log_map(x: Point, y: Point, budget: GeometryBudget | None = None) -> Tangent:
-    return x.backend.log_map(x, y, budget)
+def log_map(x: Point, y: Point) -> Tangent:
+    return x.backend.log_map(x, y)
 
 
-def parallel_transport(
-    x: Point, y: Point, v: Tangent, budget: GeometryBudget | None = None
-) -> Tangent:
-    return x.backend.parallel_transport(x, y, v, budget)
+def parallel_transport(x: Point, y: Point, v: Tangent) -> Tangent:
+    return x.backend.parallel_transport(x, y, v)
 
 
-def grad_sq_distance(x: Point, y: Point, budget: GeometryBudget | None = None) -> Tangent:
-    return x.backend.grad_sq_distance(x, y, budget)
+def grad_sq_distance(x: Point, y: Point) -> Tangent:
+    return x.backend.grad_sq_distance(x, y)
 
 
-def geometry_budget(backend: ManifoldBackend, region: Region | None = None) -> GeometryBudget:
-    return backend.budget(region)
-
-
-def make_backend(kind: str, dim: int, equalities=None, **options) -> ManifoldBackend:
+def make_backend(kind: str, dim: int, equalities=None) -> ManifoldBackend:
     """Construct a backend from a scenario-style descriptor."""
-    if kind == "euclidean":
-        return EuclideanBackend(dim, **options)
-    if kind == "sphere":
-        return SphereBackend(dim, **options)
-    if kind == "hyperbolic":
-        return HyperbolicBackend(dim, **options)
+    if kind not in BACKENDS:
+        raise StructuralError(f"unknown manifold kind {kind!r}")
     if kind == "implicit":
-        if not equalities:
-            raise ValueError("implicit backend needs at least one equality")
-        return ImplicitBackend(dim, equalities, **options)
-    raise ValueError(f"unknown manifold kind {kind!r}")
+        return ImplicitBackend(dim, equalities or ())
+    return BACKENDS[kind](dim)
 
 
 __all__ = [
+    "BACKENDS",
     "EuclideanBackend",
     "GeometryBudget",
     "HyperbolicBackend",
@@ -75,7 +74,6 @@ __all__ = [
     "check_same_base",
     "distance",
     "exp_map",
-    "geometry_budget",
     "grad_sq_distance",
     "log_map",
     "make_backend",

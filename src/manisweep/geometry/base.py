@@ -11,7 +11,7 @@ silently.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,8 +146,9 @@ def check_same_base(v: Tangent, x: Point):
 class ManifoldBackend(abc.ABC):
     """Metric operations of one concrete finite-dimensional manifold.
 
-    All values are immutable after construction and every operation is
-    a pure function of its inputs, safe to call concurrently.
+    Every operation is a pure function of its inputs.  Backends are not
+    thread-safe: the implicit backend fills its log-map and budget caches
+    as it runs.
     """
 
     #: hashable identifier; two backends with equal keys are interchangeable
@@ -159,8 +160,9 @@ class ManifoldBackend(abc.ABC):
     #: ambient coordinate dimension
     ambient_dim: int
 
-    #: |constraint residual| below this counts as on-manifold
-    feasibility_tol: float
+    #: |constraint residual| below this counts as on-manifold; also the
+    #: scenario's default ``tolerances.feasibility``
+    feasibility_tol: float = 1e-10
 
     # -- required primitive operations ---------------------------------
 
@@ -234,9 +236,9 @@ class ManifoldBackend(abc.ABC):
         check_same_backend(x, y)
         return self._distance(x.coords, y.coords)
 
-    def exp_map(self, x: Point, v: Tangent, budget: GeometryBudget | None = None) -> Point:
+    def exp_map(self, x: Point, v: Tangent) -> Point:
         check_same_base(v, x)
-        b = budget if budget is not None else self.budget()
+        b = self.budget()
         speed = v.norm()
         if not b.admits_radius(speed):
             raise DomainError(
@@ -246,9 +248,9 @@ class ManifoldBackend(abc.ABC):
             return x
         return Point(self, self._exp(x.coords, v.components))
 
-    def log_map(self, x: Point, y: Point, budget: GeometryBudget | None = None) -> Tangent:
+    def log_map(self, x: Point, y: Point) -> Tangent:
         check_same_backend(x, y)
-        b = budget if budget is not None else self.budget()
+        b = self.budget()
         d = self._distance(x.coords, y.coords)
         if not b.admits_radius(d):
             raise DomainError(
@@ -258,12 +260,10 @@ class ManifoldBackend(abc.ABC):
             return Tangent(x, np.zeros(self.ambient_dim))
         return Tangent(x, self._log(x.coords, y.coords))
 
-    def parallel_transport(
-        self, x: Point, y: Point, v: Tangent, budget: GeometryBudget | None = None
-    ) -> Tangent:
+    def parallel_transport(self, x: Point, y: Point, v: Tangent) -> Tangent:
         check_same_base(v, x)
         check_same_backend(x, y)
-        b = budget if budget is not None else self.budget()
+        b = self.budget()
         d = self._distance(x.coords, y.coords)
         if not b.admits_radius(d):
             raise DomainError(
@@ -273,9 +273,9 @@ class ManifoldBackend(abc.ABC):
             return Tangent(y, v.components.copy())
         return Tangent(y, self._transport(x.coords, y.coords, v.components))
 
-    def grad_sq_distance(self, x: Point, y: Point, budget: GeometryBudget | None = None) -> Tangent:
+    def grad_sq_distance(self, x: Point, y: Point) -> Tangent:
         """Riemannian gradient at x of p -> d(p, y)^2, equal to -2 log_x(y)."""
-        return self.log_map(x, y, budget).scaled(-2.0)
+        return self.log_map(x, y).scaled(-2.0)
 
     # -- sampling helpers (seeded, for tests and diagnostics) -------------
 

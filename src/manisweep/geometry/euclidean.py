@@ -4,20 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import StructuralError
 from .base import GeometryBudget, ManifoldBackend, Point, Region
 
 #: stand-in for the infinite flat working radius, so preconditions stay checkable
-DEFAULT_RADIUS_CEILING = 1e6
+RADIUS_CEILING = 1e6
 
 
 class EuclideanBackend(ManifoldBackend):
-    def __init__(self, dim: int, *, radius_ceiling: float = DEFAULT_RADIUS_CEILING):
+    def __init__(self, dim: int):
         if dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise StructuralError("dim must be >= 1")
         self.dim = dim
         self.ambient_dim = dim
-        self.feasibility_tol = 1e-10
-        self.radius_ceiling = float(radius_ceiling)
         self.key = ("euclidean", dim)
 
     def _distance(self, xc, yc):
@@ -45,10 +44,10 @@ class EuclideanBackend(ManifoldBackend):
         return 0.0
 
     def budget(self, region: Region | None = None) -> GeometryBudget:
-        # curvature 0; rho would be infinite, capped at the configured ceiling
+        # curvature 0; rho would be infinite, capped at the fixed ceiling
         return GeometryBudget(
             region=region,
-            rho=self.radius_ceiling,
+            rho=RADIUS_CEILING,
             curvature_bound=0.0,
             hessian_bound=2.0,
             exp_smoothness=1.0,

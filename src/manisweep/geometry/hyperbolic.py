@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from ..errors import DomainError, StructuralError
 from .base import GeometryBudget, ManifoldBackend, Point, Region
 
 _EPS_ANGLE = 1e-12
@@ -25,10 +26,9 @@ class HyperbolicBackend(ManifoldBackend):
 
     def __init__(self, dim: int):
         if dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise StructuralError("dim must be >= 1")
         self.dim = dim
         self.ambient_dim = dim + 1
-        self.feasibility_tol = 1e-10
         self.key = ("hyperbolic", dim)
 
     def inner(self, x: Point, u, v):
@@ -73,7 +73,7 @@ class HyperbolicBackend(ManifoldBackend):
         amb = np.asarray(amb, dtype=float)
         q = -mink(amb, amb)
         if q <= 0.0:
-            raise ValueError("ambient vector is not timelike; cannot normalize")
+            raise DomainError("ambient vector is not timelike; cannot normalize")
         out = amb / math.sqrt(q)
         if out[0] < 0:
             out = -out

@@ -11,9 +11,9 @@ the endpoint residual; parallel transport integrates the transport
 equation jointly with its geodesic.
 
 The kernels are generated as scalar Python source specialized to the
-constraint trees (one or two constraints; more fall back to a slower
-numpy path), which keeps a geodesic integration well under a
-millisecond.
+constraint trees, which keeps a geodesic integration well under a
+millisecond.  Only one or two equality constraints are supported; more
+are rejected with a structural error.
 """
 
 from __future__ import annotations
@@ -235,19 +235,25 @@ def _emit_kernels(g_trees, d):
 class ImplicitBackend(ManifoldBackend):
     """Level-set manifold in R^d defined by expression-grammar equalities."""
 
-    def __init__(self, ambient_dim: int, equalities, *, feasibility_tol: float = 1e-8):
+    feasibility_tol = 1e-8
+
+    def __init__(self, ambient_dim: int, equalities):
         if ambient_dim < 2:
-            raise ValueError("ambient dimension must be >= 2")
+            raise StructuralError("ambient dimension must be >= 2")
         exprs = tuple(str(s) for s in equalities)
         m = len(exprs)
         if m < 1:
-            raise ValueError("at least one equality constraint required")
+            raise StructuralError("at least one equality constraint required")
         if m >= ambient_dim:
-            raise ValueError("constraints leave no tangent direction")
+            raise StructuralError("constraints leave no tangent direction")
+        if m > 2:
+            raise StructuralError(
+                "more than two equality constraints are not supported by the "
+                "generated kernels"
+            )
         self.ambient_dim = ambient_dim
         self.dim = ambient_dim - m
         self.n_constraints = m
-        self.feasibility_tol = float(feasibility_tol)
         self.key = ("implicit", ambient_dim, exprs)
 
         names = [f"x{i}" for i in range(1, ambient_dim + 1)]
@@ -261,21 +267,13 @@ class ImplicitBackend(ManifoldBackend):
         ]
         self._jac_fn = ex.compile_many(jac_trees, [f"x{i}" for i in range(ambient_dim)])
 
-        if m <= 2:
-            src = _emit_kernels(self._g_trees, ambient_dim)
-            ns = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "exp": math.exp}
-            exec(src, ns)  # noqa: S102 - source emitted from our own AST
-            self._k_acc = ns["acc"]
-            self._k_proj_x = ns["proj_x"]
-            self._k_proj_t = ns["proj_t"]
-            self._k_rk4_geo = ns["rk4_geo"]
-            self._k_rk4_par = ns["rk4_par"]
-            self._kernel_source = src
-        else:
-            raise NotImplementedError(
-                "more than two equality constraints are not supported by the "
-                "scalar kernels yet"
-            )
+        ns = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "exp": math.exp}
+        exec(_emit_kernels(self._g_trees, ambient_dim), ns)  # noqa: S102 - our own AST
+        self._k_acc = ns["acc"]
+        self._k_proj_x = ns["proj_x"]
+        self._k_proj_t = ns["proj_t"]
+        self._k_rk4_geo = ns["rk4_geo"]
+        self._k_rk4_par = ns["rk4_par"]
 
         self._log_cache: OrderedDict = OrderedDict()
         self._budget_cache: dict = {}
@@ -348,7 +346,7 @@ class ImplicitBackend(ManifoldBackend):
         hit = self._log_cache.get(key)
         if hit is not None:
             return hit.copy()
-        basis = np.asarray(self._tangent_basis_raw(xc))
+        basis = self.tangent_basis(Point(self, xc))
         c = basis @ (yc - xc)  # seed: ambient chord projected onto T_x
         scale = 1.0 + float(np.linalg.norm(yc))
 
@@ -413,11 +411,6 @@ class ImplicitBackend(ManifoldBackend):
             self._log_cache.popitem(last=False)
         self._log_cache[key] = v.copy()
         return v
-
-    def _tangent_basis_raw(self, xc):
-        J = self.constraint_jacobian(xc)
-        _, _, vt = np.linalg.svd(J, full_matrices=True)
-        return vt[self.n_constraints :]
 
     def _distance(self, xc, yc):
         if np.array_equal(xc, yc):
@@ -494,7 +487,7 @@ class ImplicitBackend(ManifoldBackend):
                     continue
             else:
                 p = self._project_point(pt)
-            basis = self._tangent_basis_raw(p)
+            basis = self.tangent_basis(Point(self, p))
             u = rng.standard_normal(self.dim)
             u = u / np.linalg.norm(u)
             vec = u @ basis

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from ..errors import DomainError, StructuralError
 from .base import GeometryBudget, ManifoldBackend, Point, Region
 
 _EPS_ANGLE = 1e-12
@@ -20,10 +21,9 @@ class SphereBackend(ManifoldBackend):
 
     def __init__(self, dim: int):
         if dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise StructuralError("dim must be >= 1")
         self.dim = dim
         self.ambient_dim = dim + 1
-        self.feasibility_tol = 1e-10
         self.key = ("sphere", dim)
 
     def _distance(self, xc, yc):
@@ -48,7 +48,7 @@ class SphereBackend(ManifoldBackend):
         w = yc - np.dot(xc, yc) * xc
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
-            raise ValueError("log map undefined for antipodal points")
+            raise DomainError("log map undefined for antipodal points")
         return (theta / nw) * w
 
     def _transport(self, xc, yc, vc):
@@ -64,7 +64,7 @@ class SphereBackend(ManifoldBackend):
         amb = np.asarray(amb, dtype=float)
         n = np.linalg.norm(amb)
         if n == 0.0:
-            raise ValueError("cannot project the origin onto the sphere")
+            raise DomainError("cannot project the origin onto the sphere")
         return amb / n
 
     def _project_tangent(self, xc, amb):

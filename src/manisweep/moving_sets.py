@@ -14,7 +14,7 @@ else and powers multi-start uniqueness probes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,8 +37,26 @@ ACTIVITY_TOL = 1e-7
 #: gradients smaller than this violate the qualification assumption
 QUALIFICATION_TOL = 1e-8
 
-PROJECTOR_STEP_TOL = 1e-10
-PROJECTOR_KKT_TOL = 1e-9
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The scenario's ``tolerances`` block, read by the solvers it names.
+
+    ``feasibility`` is the constraint slack of membership tests,
+    ``projector_step`` and ``projector_kkt`` stop the iterative projector,
+    ``uniqueness`` is the multi-start agreement distance of the projection
+    uniqueness probe, and ``velocity_margin`` is the slack on the discrete
+    velocity bound 2||f|| + K_L.
+    """
+
+    feasibility: float
+    projector_step: float = 1e-10
+    projector_kkt: float = 1e-9
+    uniqueness: float = 1e-6
+    velocity_margin: float = 1e-6
+
+    def to_dict(self):
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -71,7 +89,7 @@ class MovingSet:
         lipschitz_const: float = 0.0,
         prox_radius_hint: float = 1.0,
         closed_project: Optional[Callable[[float, Point], tuple]] = None,
-        feasibility_tol: Optional[float] = None,
+        tolerances: Optional[Tolerances] = None,
         descriptor: Optional[dict] = None,
     ):
         if lipschitz_const < 0:
@@ -83,9 +101,7 @@ class MovingSet:
         self.lipschitz_const = float(lipschitz_const)
         self.prox_radius_hint = float(prox_radius_hint)
         self.closed_project = closed_project
-        self.feasibility_tol = (
-            backend.feasibility_tol if feasibility_tol is None else float(feasibility_tol)
-        )
+        self.tolerances = tolerances or Tolerances(feasibility=backend.feasibility_tol)
         self.descriptor = descriptor or {}
 
     # -- pointwise queries -------------------------------------------------
@@ -94,7 +110,7 @@ class MovingSet:
         return np.array([c.value(t, x.coords) for c in self.constraints])
 
     def member(self, t: float, x: Point) -> bool:
-        return bool(np.all(self.constraint_values(t, x) >= -self.feasibility_tol))
+        return bool(np.all(self.constraint_values(t, x) >= -self.tolerances.feasibility))
 
     def active_set(self, t: float, x: Point) -> tuple:
         vals = self.constraint_values(t, x)
@@ -130,8 +146,6 @@ class MovingSet:
         method: str = "auto",
         initial: Optional[Point] = None,
         max_iter: int = 500,
-        step_tol: float = PROJECTOR_STEP_TOL,
-        kkt_tol: float = PROJECTOR_KKT_TOL,
     ) -> ProjectionResult:
         if method not in ("auto", "closed", "iterative"):
             raise StructuralError(f"unknown projection method {method!r}")
@@ -144,9 +158,7 @@ class MovingSet:
             return ProjectionResult(point, d, self.active_set(t, point), 0, True, warning)
         if method == "closed":
             raise StructuralError("this set carries no closed-form projection")
-        return self._project_iterative(
-            t, y, initial, max_iter=max_iter, step_tol=step_tol, kkt_tol=kkt_tol
-        )
+        return self._project_iterative(t, y, initial, max_iter)
 
     def dist_to_set(self, t: float, y: Point) -> float:
         if self.member(t, y):
@@ -163,12 +175,11 @@ class MovingSet:
             )
         return None
 
-    def _project_iterative(self, t, y, initial, *, max_iter, step_tol, kkt_tol):
-        backend = self.backend
-        rho = backend.budget().rho
+    def _project_iterative(self, t, y, initial, max_iter):
+        tol = self.tolerances
+        rho = self.backend.budget().rho
         c = self.restore_feasibility(t, initial if initial is not None else y)
         iterations = 0
-        warning = None
         for iterations in range(1, max_iter + 1):
             try:
                 grad = grad_sq_distance(c, y)
@@ -178,7 +189,7 @@ class MovingSet:
                     best=c,
                 )
             kkt = self._kkt_residual(t, c, grad)
-            if kkt <= kkt_tol:
+            if kkt <= tol.projector_kkt:
                 break
             descent = grad.scaled(-1.0)
             dn = descent.norm()
@@ -200,7 +211,7 @@ class MovingSet:
                 break  # no feasible descent: stationary within line-search resolution
             step = distance(c, moved)
             c = moved
-            if step <= step_tol:
+            if step <= tol.projector_step:
                 break
         else:
             d = distance(y, c)
@@ -210,8 +221,9 @@ class MovingSet:
                 best=ProjectionResult(c, d, self.active_set(t, c), max_iter, False),
             )
         d = distance(y, c)
-        warning = warning or self._radius_warning(d)
-        return ProjectionResult(c, d, self.active_set(t, c), iterations, True, warning)
+        return ProjectionResult(
+            c, d, self.active_set(t, c), iterations, True, self._radius_warning(d)
+        )
 
     def _kkt_residual(self, t, c, grad):
         """min over nonnegative multipliers of |grad F - sum mu_i grad g_i|."""
@@ -236,13 +248,12 @@ class MovingSet:
         polished back onto their boundary so the projector's alternating
         iteration has a clean fixed point.
         """
-        backend = self.backend
-        rho = backend.budget().rho
+        rho = self.backend.budget().rho
         c = x
         touched: set = set()
         for _ in range(max_iter):
             vals = self.constraint_values(t, c)
-            viol = np.flatnonzero(vals < -0.1 * self.feasibility_tol)
+            viol = np.flatnonzero(vals < -0.1 * self.tolerances.feasibility)
             if viol.size == 0:
                 break
             touched.update(int(i) for i in viol)
@@ -271,7 +282,7 @@ class MovingSet:
             if not improved:
                 break
         vals = self.constraint_values(t, c)
-        if not np.all(vals >= -self.feasibility_tol):
+        if not np.all(vals >= -self.tolerances.feasibility):
             raise NumericsError(
                 "could not restore feasibility; the set may be empty near this point",
                 residual=float(-np.min(vals)),

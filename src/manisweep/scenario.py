@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import fields
 from importlib import resources
 
 import numpy as np
 
 from .errors import StructuralError
-from .geometry import ManifoldBackend, Point, make_backend
-from .moving_sets import MovingSet, make_moving_set
+from .geometry import BACKENDS, ManifoldBackend, Point, make_backend
+from .moving_sets import MovingSet, Tolerances, make_moving_set
 from .sweep import Perturbation, expression_perturbation, zero_perturbation
 
 SCHEMA_VERSION = 1
@@ -55,31 +56,7 @@ _PERTURBATION_KEYS = {
     "expression": {"kind", "components", "sup_norm", "lipschitz"},
 }
 _CONSTANT_KEYS = {"lipschitz_const", "prox_radius_hint"}
-_TOLERANCE_KEYS = {
-    "feasibility",
-    "projector_step",
-    "projector_kkt",
-    "uniqueness",
-    "velocity_margin",
-}
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    feasibility: float
-    projector_step: float = 1e-10
-    projector_kkt: float = 1e-9
-    uniqueness: float = 1e-6
-    velocity_margin: float = 1e-6
-
-    def to_dict(self):
-        return {
-            "feasibility": self.feasibility,
-            "projector_step": self.projector_step,
-            "projector_kkt": self.projector_kkt,
-            "uniqueness": self.uniqueness,
-            "velocity_margin": self.velocity_margin,
-        }
+_TOLERANCE_KEYS = {f.name for f in fields(Tolerances)}
 
 
 def _reject_unknown(block: dict, allowed: set, where: str):
@@ -99,15 +76,14 @@ class Scenario:
         self.backend: ManifoldBackend = make_backend(
             man["kind"], man["dim"], man.get("equalities")
         )
-        tol = self.document["tolerances"]
-        self.tolerances = Tolerances(**tol)
+        self.tolerances = Tolerances(**self.document["tolerances"])
         consts = self.document["constants"]
         self.moving_set: MovingSet = make_moving_set(
             self.backend,
             self.document["set"],
             lipschitz_const=consts["lipschitz_const"],
             prox_radius_hint=consts["prox_radius_hint"],
-            feasibility_tol=self.tolerances.feasibility,
+            tolerances=self.tolerances,
         )
         self.perturbation: Perturbation = _build_perturbation(
             self.backend, self.document["perturbation"]
@@ -131,9 +107,6 @@ class Scenario:
     @property
     def hash(self) -> str:
         return document_hash(self.document)
-
-    def tolerances_dict(self):
-        return self.tolerances.to_dict()
 
     def analytic_solution(self):
         """Closed-form solution t -> Point when one is known, else None.
@@ -236,11 +209,11 @@ def normalize_document(doc: dict) -> dict:
 
     tols = dict(doc.get("tolerances", {}))
     _reject_unknown(tols, _TOLERANCE_KEYS, "tolerances")
-    tols.setdefault("feasibility", 1e-8 if kind == "implicit" else 1e-10)
-    tols.setdefault("projector_step", 1e-10)
-    tols.setdefault("projector_kkt", 1e-9)
-    tols.setdefault("uniqueness", 1e-6)
-    tols.setdefault("velocity_margin", 1e-6)
+    for key, value in tols.items():
+        if not isinstance(value, (int, float)) or not (math.isfinite(value) and value > 0):
+            raise StructuralError(f"tolerances.{key} must be a positive finite number")
+    tols.setdefault("feasibility", BACKENDS[kind].feasibility_tol)
+    tols = Tolerances(**{k: float(v) for k, v in tols.items()}).to_dict()
 
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
@@ -256,7 +229,7 @@ def normalize_document(doc: dict) -> dict:
         "horizon": float(horizon),
         "initial_point": [float(v) for v in x0],
         "constants": {k: float(v) for k, v in consts.items()},
-        "tolerances": {k: float(v) for k, v in tols.items()},
+        "tolerances": tols,
     }
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NumericsError, StructuralError
-from .geometry import Point, Region, distance
+from .geometry import Region, distance
 from .regularity import (
     probe_projection_uniqueness,
     sample_hypomonotonicity,
@@ -325,6 +325,7 @@ def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport
                 n_points=2,
                 distances=probe_distances,
                 restarts=8,
+                agree_tol=scenario.tolerances.uniqueness,
                 seed=seed,
             )
             empirical_ell = rep.empirical_radius

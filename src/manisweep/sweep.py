@@ -15,11 +15,12 @@ from the normal-cone inclusion the scheme approximates.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,8 +30,8 @@ from .moving_sets import MovingSet
 
 logger = logging.getLogger(__name__)
 
-#: slack on the discrete velocity bound 2||f|| + K_L
-VELOCITY_MARGIN = 1e-6
+#: stand-in for an unbounded admissible step, so reports stay finite
+STEP_CEILING = 1e6
 
 
 class Perturbation:
@@ -41,13 +42,12 @@ class Perturbation:
     raised.
     """
 
-    def __init__(self, func, sup_norm: float, lipschitz: float, descriptor=None):
+    def __init__(self, func, sup_norm: float, lipschitz: float):
         if sup_norm < 0 or lipschitz < 0:
             raise StructuralError("perturbation constants must be nonnegative")
         self._func = func
         self.sup_norm = float(sup_norm)
         self.lipschitz = float(lipschitz)
-        self.descriptor = descriptor or {}
         self.bound_violations = 0
 
     def __call__(self, t: float, x: Point) -> Tangent:
@@ -70,7 +70,7 @@ def zero_perturbation() -> Perturbation:
     def f(t, x):
         return Tangent(x, np.zeros(x.backend.ambient_dim))
 
-    return Perturbation(f, 0.0, 0.0, {"kind": "zero"})
+    return Perturbation(f, 0.0, 0.0)
 
 
 def expression_perturbation(backend, components, sup_norm, lipschitz) -> Perturbation:
@@ -92,13 +92,7 @@ def expression_perturbation(backend, components, sup_norm, lipschitz) -> Perturb
         amb = np.array([fn(t, *x.coords) for fn in fns])
         return Tangent(x, backend._project_tangent(x.coords, amb))
 
-    return Perturbation(
-        f,
-        sup_norm,
-        lipschitz,
-        {"kind": "expression", "components": list(components),
-         "sup_norm": sup_norm, "lipschitz": lipschitz},
-    )
+    return Perturbation(f, sup_norm, lipschitz)
 
 
 @dataclass
@@ -114,15 +108,16 @@ def admissible_step(
     horizon: float,
     x0: Point,
     empirical_uniqueness_radius: Optional[float] = None,
-    ceiling: float = 1e6,
 ) -> AdmissibleStep:
     """Largest step (and sub-horizon, if needed) for a certified run.
 
     Enforces h ||f|| <= rho/2 on the reachable ball, keeps each drifted
     point within the projection working radius, and shortens the horizon
-    so that 2 T ||f|| + K_L T stays below min(eta/2, ell); integration
-    then chains sub-horizons seamlessly.  With no empirical estimate the
-    working radius ell falls back to eta/2.
+    so that 2 T ||f|| + K_L T stays below min(eta/2, ell).  The
+    shortened horizon is only reported: ``catching_up`` records it in
+    the metadata as ``sub_horizons`` but integrates the whole horizon in
+    one run.  With no empirical estimate the working radius ell falls
+    back to eta/2.
     """
     F = perturbation.sup_norm
     KL = set_.lipschitz_const
@@ -137,7 +132,7 @@ def admissible_step(
     )
     h_rho = (rho / 2.0) / F if F > 0 else math.inf
     h_proj = ell / (F + KL) if F + KL > 0 else math.inf
-    h_max = min(h_rho, h_proj, ceiling)
+    h_max = min(h_rho, h_proj, STEP_CEILING)
     denom = 2.0 * F + KL
     tbar = min(eta / 2.0, ell) / denom * (1.0 - 1e-9) if denom > 0 else math.inf
     sub_horizon = tbar if tbar < horizon else None
@@ -251,12 +246,13 @@ class Trajectory:
         }
 
 
-def catching_up(scenario, h: float, *, strict_velocity: bool = False) -> Trajectory:
+def catching_up(scenario, h: float) -> Trajectory:
     """Integrate the sweeping process over the scenario horizon.
 
-    ``scenario`` provides moving_set, perturbation, x0, horizon,
-    tolerances, seed and hash.  Oversized steps are allowed (rate studies
-    probe them) but drop the certification flag via projection warnings.
+    ``scenario`` is a :class:`~manisweep.scenario.Scenario`; its
+    ``velocity_margin`` tolerance is the slack on the discrete velocity
+    bound 2||f|| + K_L.  Oversized steps are allowed (rate studies probe
+    them) but drop the certification flag via projection warnings.
     """
     set_: MovingSet = scenario.moving_set
     pert: Perturbation = scenario.perturbation
@@ -312,17 +308,14 @@ def catching_up(scenario, h: float, *, strict_velocity: bool = False) -> Traject
         nodes.append(res.point)
         velocities[i] = distance(nodes[i], nodes[i + 1]) / hi
 
-    bound = 2.0 * pert.sup_norm + set_.lipschitz_const + VELOCITY_MARGIN
+    bound = 2.0 * pert.sup_norm + set_.lipschitz_const + scenario.tolerances.velocity_margin
     vmax = float(np.max(velocities)) if n else 0.0
     if vmax > bound:
-        msg = (
+        certified = False
+        warnings.append(
             f"discrete velocity {vmax:.6g} exceeds the bound "
             f"2||f|| + K_L = {bound:.6g}"
         )
-        if strict_velocity:
-            raise NumericsError(msg)
-        certified = False
-        warnings.append(msg)
 
     return Trajectory(
         set_,
@@ -339,19 +332,15 @@ def catching_up(scenario, h: float, *, strict_velocity: bool = False) -> Traject
 
 def _metadata(scenario, h, adm, projector_iterations):
     return {
-        "scenario": getattr(scenario, "name", ""),
-        "scenario_hash": getattr(scenario, "hash", ""),
-        "seed": getattr(scenario, "seed", 0),
+        "scenario": scenario.name,
+        "scenario_hash": scenario.hash,
+        "seed": scenario.seed,
         "h": h,
         "admissible_h": adm.h_max,
         "sub_horizons": adm.sub_horizon,
         "projector_iterations": projector_iterations,
-        "tolerances": getattr(scenario, "tolerances_dict", lambda: {})(),
+        "tolerances": scenario.tolerances.to_dict(),
     }
-
-
-def interpolate(traj: Trajectory, t: float) -> Point:
-    return traj.interpolate(t)
 
 
 @dataclass
@@ -366,7 +355,6 @@ def inclusion_residual(
     t: float,
     fitted_E: float,
     n_members: int = 150,
-    sample_radius: Optional[float] = None,
     seed: int = 0,
 ) -> ResidualSample:
     """Empirical defect of the discrete normal-cone inclusion at time t.
@@ -387,11 +375,7 @@ def inclusion_residual(
     w = traj.perturbation(t, p) - xdot
     wn = w.norm()
     rho = backend.budget().rho
-    radius = (
-        sample_radius
-        if sample_radius is not None
-        else min(0.3 * rho, 0.5 * set_.prox_radius_hint)
-    )
+    radius = min(0.3 * rho, 0.5 * set_.prox_radius_hint)
     rng = np.random.default_rng([seed, int(round(t * 1e9)) & 0x7FFFFFFF])
     worst = 0.0
     found = 0
@@ -431,7 +415,9 @@ def gronwall_separation(scenario, x0_prime: Point, h: float) -> SeparationCurve:
     time, for comparison against the stability bound 2 (E F + L_f).
     """
     base = catching_up(scenario, h)
-    other = catching_up(_Restarted(scenario, x0_prime), h)
+    restarted = copy.copy(scenario)
+    restarted.x0 = x0_prime
+    other = catching_up(restarted, h)
     sep = np.array([distance(a, b) for a, b in zip(base.nodes, other.nodes)])
     mask = sep > 1e-14
     rate = None
@@ -439,14 +425,3 @@ def gronwall_separation(scenario, x0_prime: Point, h: float) -> SeparationCurve:
         tt = base.times[mask]
         rate = float(np.polyfit(tt, np.log(sep[mask]), 1)[0])
     return SeparationCurve(base.times, sep, rate)
-
-
-class _Restarted:
-    """Scenario view with a replaced initial point."""
-
-    def __init__(self, scenario, x0):
-        self._scenario = scenario
-        self.x0 = x0
-
-    def __getattr__(self, name):
-        return getattr(self._scenario, name)

@@ -76,9 +76,3 @@ def test_compile_many_returns_tuple():
     f = ex.compile_many(trees, ["x1", "x2"])
     assert f(3.0, 1.0) == (4.0, 2.0)
 
-
-def test_gradient_trees():
-    t = ex.parse("x1^2 + 3*x2")
-    gx, gy = ex.gradient_trees(t, ["x1", "x2"])
-    assert gx.evaluate({"x1": 2.0, "x2": 0.0}) == pytest.approx(4.0)
-    assert gy.evaluate({"x1": 2.0, "x2": 0.0}) == pytest.approx(3.0)

@@ -12,7 +12,6 @@ from manisweep import (
     SphereBackend,
     distance,
     exp_map,
-    geometry_budget,
     grad_sq_distance,
     log_map,
     parallel_transport,
@@ -188,23 +187,23 @@ def test_grad_sq_distance_finite_differences(backend):
 
 def test_budget_values():
     S = SphereBackend(2)
-    bs = geometry_budget(S)
+    bs = S.budget()
     assert bs.rho == pytest.approx(math.pi / 2)
     assert bs.curvature_bound == 1.0
     assert not bs.is_estimate
 
     E = EuclideanBackend(2)
-    be = geometry_budget(E)
+    be = E.budget()
     assert be.curvature_bound == 0.0
     assert be.rho == pytest.approx(1e6)
 
     H = HyperbolicBackend(2)
-    bh = geometry_budget(H)
+    bh = H.budget()
     assert bh.curvature_bound == 1.0
     assert bh.rho == pytest.approx(math.pi / 2)
 
     region = Region(S.point([0, 0, 1]), 0.5)
-    assert geometry_budget(S, region).region is region
+    assert S.budget(region).region is region
 
 
 def test_backend_mismatch_is_structural_error():

@@ -11,7 +11,6 @@ from manisweep import (
     Region,
     distance,
     exp_map,
-    geometry_budget,
     grad_sq_distance,
     log_map,
     parallel_transport,
@@ -119,7 +118,7 @@ def test_feasibility_of_exp_results(circle):
 
 
 def test_circle_budget_is_flagged_estimate(circle):
-    bud = geometry_budget(circle)
+    bud = circle.budget()
     assert bud.is_estimate
     assert bud.curvature_bound == pytest.approx(1.0, rel=1e-6)
     assert bud.rho == pytest.approx(math.pi / 2, rel=1e-6)
@@ -129,7 +128,7 @@ def test_ellipse_curvature_estimate_matches_analytic(ellipse):
     # curve curvature of x^2/4 + y^2 = 1 at parameter t:
     # kappa(t) = 2 / (4 sin^2 t + cos^2 t)^(3/2); max 2 at (2, 0)
     region = Region(ellipse.point([2.0, 0.0]), 0.4)
-    bud = geometry_budget(ellipse, region)
+    bud = ellipse.budget(region)
     assert bud.is_estimate
     thetas = np.linspace(-0.25, 0.25, 101)
     analytic_max = max(2.0 / (4 * np.sin(t) ** 2 + np.cos(t) ** 2) ** 1.5 for t in thetas)

@@ -14,6 +14,7 @@ from manisweep.moving_sets import (
     make_moving_set,
     sphere_cap,
 )
+from manisweep.scenario import Scenario
 
 
 @pytest.fixture(scope="module")
@@ -223,3 +224,22 @@ def test_projection_warning_beyond_working_radius(disk):
     far = disk.backend.point([9.0, 0.0])
     res = disk.project(0.0, far)
     assert res.warning is not None
+
+
+@pytest.mark.parametrize("field", ["projector_kkt", "projector_step"])
+def test_scenario_projector_tolerances_stop_the_iterative_projector(field):
+    # a curved constraint on the sphere: no closed form, several iterations
+    doc = {
+        "schema": 1,
+        "name": "bent_cap",
+        "manifold": {"kind": "sphere", "dim": 2},
+        "set": {"kind": "inequalities", "exprs": ["x3 - 0.5*x1^2"]},
+        "horizon": 1.0,
+        "initial_point": [0.0, 0.0, 1.0],
+    }
+    default = Scenario(doc)
+    loose = Scenario(dict(doc, tolerances={field: 0.5}))
+    assert getattr(loose.moving_set.tolerances, field) == 0.5
+    y = default.backend.point([0.8, 0.36, -0.48])
+    assert loose.moving_set.project(0.0, y).iterations == 1
+    assert default.moving_set.project(0.0, y).iterations > 1

@@ -58,6 +58,13 @@ def test_unknown_fields_rejected(tmp_path):
     doc3 = dict(MINIMAL_HALFLINE, tolerances={"feasibility": 1e-9, "bogus": 1})
     with pytest.raises(StructuralError, match="bogus"):
         load_scenario(write(tmp_path, doc3))
+    # the tolerances are read by the solvers, so bad values are rejected too
+    for field, value in [("uniqueness", 0.0), ("projector_kkt", -1e-9),
+                         ("projector_step", math.inf), ("velocity_margin", math.nan),
+                         ("feasibility", "tight")]:
+        doc4 = dict(MINIMAL_HALFLINE, tolerances={field: value})
+        with pytest.raises(StructuralError, match=f"tolerances.{field}"):
+            load_scenario(write(tmp_path, doc4))
 
 
 def test_schema_version_enforced(tmp_path):
@@ -155,6 +162,30 @@ def test_cli_json_errors(tmp_path, capsys):
     assert code == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "StructuralError"
+
+
+@pytest.mark.parametrize(
+    "manifold, set_, x0, error",
+    [
+        # as many equalities as coordinates: no tangent direction left
+        ({"kind": "implicit", "dim": 2, "equalities": ["x1", "x2"]},
+         {"kind": "inequalities", "exprs": ["1"]}, [0.0, 0.0], "StructuralError"),
+        # three equalities exceed what the generated kernels support
+        ({"kind": "implicit", "dim": 4, "equalities": ["x1", "x2", "x3"]},
+         {"kind": "inequalities", "exprs": ["1"]}, [0.0, 0.0, 0.0, 1.0], "StructuralError"),
+        # malformed set expression
+        ({"kind": "euclidean", "dim": 1},
+         {"kind": "inequalities", "exprs": ["x1 +"]}, [0.0], "ExpressionError"),
+    ],
+    ids=["no_tangent_direction", "three_equalities", "bad_expression"],
+)
+def test_cli_json_errors_are_typed(tmp_path, capsys, manifold, set_, x0, error):
+    doc = dict(MINIMAL_HALFLINE, manifold=manifold, set=set_, initial_point=x0)
+    code = main(["--json-errors", "validate", "--scenario", str(write(tmp_path, doc))])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
 
 
 def test_cli_rates_report(tmp_path):

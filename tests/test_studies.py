@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from manisweep import certify_scenario, run_rate_study
+from manisweep import certify_scenario, run_rate_study, studies
 from manisweep.errors import StructuralError
 from manisweep.scenario import Scenario, bundled_scenario
 
@@ -139,3 +139,18 @@ def test_rate_study_seed_stability():
         study = run_rate_study(Scenario(doc), [2.0**-k for k in range(4, 9)])
         orders.append(study.fitted_order)
     assert max(orders) - min(orders) < 0.05
+
+
+def test_certify_passes_the_uniqueness_tolerance_to_the_probe(monkeypatch):
+    seen = []
+
+    def probe(*args, **kwargs):
+        seen.append(kwargs.get("agree_tol"))
+        raise StructuralError("probe skipped")
+
+    monkeypatch.setattr(studies, "probe_projection_uniqueness", probe)
+    doc = dict(bundled_scenario("halfline").document)
+    doc["tolerances"] = dict(doc["tolerances"], uniqueness=1e-3)
+    rep = certify_scenario(Scenario(doc))
+    assert seen == [1e-3]
+    assert ("projection_uniqueness", "warn", "probe skipped") in rep.checks

@@ -82,10 +82,10 @@ def test_infeasible_initial_point_is_structural_error():
 
 
 def test_admissible_step_examples():
-    # zero field on a static set: only the configured ceiling binds
+    # zero field on a static set: only the fixed step ceiling binds
     E = EuclideanBackend(1)
     static = halfline(E, offset=0.0, speed=0.0, lipschitz_const=0.0)
-    adm = admissible_step(static, zero_perturbation(), 1.0, E.point([0.5]), ceiling=1e6)
+    adm = admissible_step(static, zero_perturbation(), 1.0, E.point([0.5]))
     assert adm.h_max == pytest.approx(1e6)
     assert adm.sub_horizon is None
 
@@ -266,3 +266,19 @@ def test_scheme_matches_definition_on_sphere():
     drift = exp_map(x, f.scaled(h))
     res = scn.moving_set.project(float(traj.times[i + 1]), drift)
     assert distance(res.point, traj.nodes[i + 1]) < 1e-12
+
+
+def test_velocity_margin_comes_from_the_scenario():
+    # the boundary moves at speed 1 but K_L is declared as 0.95; the
+    # scenario's margin of 0.1 covers the gap, so the run certifies
+    scn = make_scenario(
+        constants={"lipschitz_const": 0.95, "prox_radius_hint": 1.0},
+        tolerances={"velocity_margin": 0.1},
+    )
+    traj = catching_up(scn, 0.01)
+    assert traj.max_velocity() == pytest.approx(1.0)
+    assert traj.certified, traj.warnings
+    assert traj.metadata["tolerances"]["velocity_margin"] == 0.1
+    tight = catching_up(make_scenario(constants=scn.document["constants"]), 0.01)
+    assert not tight.certified
+    assert any("discrete velocity" in w for w in tight.warnings)
