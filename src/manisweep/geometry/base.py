@@ -100,17 +100,13 @@ class GeometryBudget:
     ``rho`` is the safe radius within which exp/log/transport are
     single-valued and the curvature-dependent estimates hold:
     min(injectivity radius, convexity radius, pi/(2*sqrt(|K|))).
-    The remaining bounds (Hessian of the squared distance, smoothness
-    of exp, Lipschitz modulus of log) are existence constants; for
-    sampled backends they are estimates and flagged as such.
+    ``curvature_bound`` bounds |K| on the region; on sampled backends
+    both are estimates, and ``is_estimate`` says so.
     """
 
     region: Region | None
     rho: float
     curvature_bound: float
-    hessian_bound: float
-    exp_smoothness: float
-    log_lipschitz: float
     is_estimate: bool = False
 
     def __post_init__(self):
@@ -118,9 +114,6 @@ class GeometryBudget:
             raise StructuralError("budget rho must be positive")
         if self.curvature_bound < 0:
             raise StructuralError("curvature bound must be nonnegative")
-        for name in ("hessian_bound", "exp_smoothness", "log_lipschitz"):
-            if not getattr(self, name) > 0:
-                raise StructuralError(f"{name} must be strictly positive")
 
     def admits_radius(self, r: float) -> bool:
         return r <= self.rho * _RADIUS_SLACK

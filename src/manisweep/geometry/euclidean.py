@@ -45,11 +45,4 @@ class EuclideanBackend(ManifoldBackend):
 
     def budget(self, region: Region | None = None) -> GeometryBudget:
         # curvature 0; rho would be infinite, capped at the fixed ceiling
-        return GeometryBudget(
-            region=region,
-            rho=RADIUS_CEILING,
-            curvature_bound=0.0,
-            hessian_bound=2.0,
-            exp_smoothness=1.0,
-            log_lipschitz=1.0,
-        )
+        return GeometryBudget(region=region, rho=RADIUS_CEILING, curvature_bound=0.0)

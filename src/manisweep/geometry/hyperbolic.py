@@ -107,20 +107,5 @@ class HyperbolicBackend(ManifoldBackend):
         return abs(mink(coords, coords) + 1.0)
 
     def budget(self, region: Region | None = None) -> GeometryBudget:
-        # i = c = +inf; the |K| = 1 term caps rho at pi/2.  The exp
-        # smoothness and log Lipschitz constants grow with the region;
-        # documented estimates for a ball of the stated radius.
-        r = region.radius if region is not None else math.pi / 2.0
-        reach = r
-        if region is not None:
-            origin = np.zeros(self.ambient_dim)
-            origin[0] = 1.0
-            reach += self._distance(region.center.coords, origin)
-        return GeometryBudget(
-            region=region,
-            rho=math.pi / 2.0,
-            curvature_bound=1.0,
-            hessian_bound=2.0 * max(1.0, (math.pi / 2.0) / math.tanh(math.pi / 2.0)),
-            exp_smoothness=math.cosh(min(reach, 50.0)),
-            log_lipschitz=1.0,
-        )
+        # i = c = +inf; the |K| = 1 term caps rho at pi/2
+        return GeometryBudget(region=region, rho=math.pi / 2.0, curvature_bound=1.0)

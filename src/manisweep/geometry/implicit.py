@@ -451,15 +451,7 @@ class ImplicitBackend(ManifoldBackend):
             return hit
         kappa = self._sample_extrinsic_curvature(center, radius)
         rho = math.pi / (2.0 * math.sqrt(kappa)) if kappa > 0 else 1e6
-        b = GeometryBudget(
-            region=region,
-            rho=rho,
-            curvature_bound=kappa,
-            hessian_bound=2.0 * (1.0 + kappa * rho),
-            exp_smoothness=max(1.0, kappa),
-            log_lipschitz=2.0,
-            is_estimate=True,
-        )
+        b = GeometryBudget(region=region, rho=rho, curvature_bound=kappa, is_estimate=True)
         self._budget_cache[ck] = b
         return b
 

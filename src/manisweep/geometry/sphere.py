@@ -88,11 +88,4 @@ class SphereBackend(ManifoldBackend):
 
     def budget(self, region: Region | None = None) -> GeometryBudget:
         # min(i, c, pi/(2 sqrt|K|)) = min(pi, pi/2, pi/2)
-        return GeometryBudget(
-            region=region,
-            rho=math.pi / 2.0,
-            curvature_bound=1.0,
-            hessian_bound=2.0,
-            exp_smoothness=1.0,
-            log_lipschitz=math.pi / 2.0,
-        )
+        return GeometryBudget(region=region, rho=math.pi / 2.0, curvature_bound=1.0)

@@ -90,7 +90,6 @@ class MovingSet:
         prox_radius_hint: float = 1.0,
         closed_project: Optional[Callable[[float, Point], tuple]] = None,
         tolerances: Optional[Tolerances] = None,
-        descriptor: Optional[dict] = None,
     ):
         if lipschitz_const < 0:
             raise StructuralError("lipschitz_const must be nonnegative")
@@ -102,7 +101,6 @@ class MovingSet:
         self.prox_radius_hint = float(prox_radius_hint)
         self.closed_project = closed_project
         self.tolerances = tolerances or Tolerances(feasibility=backend.feasibility_tol)
-        self.descriptor = descriptor or {}
 
     # -- pointwise queries -------------------------------------------------
 
@@ -382,13 +380,7 @@ def halfline(backend, offset=0.0, speed=0.0, **kw):
         return backend.point([max(y.coords[0], bound(t))]), None
 
     kw.setdefault("lipschitz_const", abs(speed))
-    return MovingSet(
-        backend,
-        [con],
-        closed_project=proj,
-        descriptor={"kind": "halfline", "offset": offset, "speed": speed},
-        **kw,
-    )
+    return MovingSet(backend, [con], closed_project=proj, **kw)
 
 
 def ball(backend, center, radius, velocity=None, **kw):
@@ -418,18 +410,8 @@ def ball(backend, center, radius, velocity=None, **kw):
         return exp_map(c, gam.scaled(radius / gam.norm())), None
 
     kw.setdefault("lipschitz_const", float(np.linalg.norm(vel)))
-    return MovingSet(
-        backend,
-        [Constraint(value, amb_grad, "inside geodesic ball")],
-        closed_project=proj,
-        descriptor={
-            "kind": "ball",
-            "center": center.tolist(),
-            "radius": radius,
-            **({"velocity": vel.tolist()} if velocity is not None else {}),
-        },
-        **kw,
-    )
+    con = Constraint(value, amb_grad, "inside geodesic ball")
+    return MovingSet(backend, [con], closed_project=proj, **kw)
 
 
 def ball_complement(backend, center, radius, **kw):
@@ -456,13 +438,8 @@ def ball_complement(backend, center, radius, **kw):
         gam = log_map(center_pt, y)
         return exp_map(center_pt, gam.scaled(radius / gam.norm())), None
 
-    return MovingSet(
-        backend,
-        [Constraint(value, amb_grad, "outside geodesic ball")],
-        closed_project=proj,
-        descriptor={"kind": "ball_complement", "center": list(center), "radius": radius},
-        **kw,
-    )
+    con = Constraint(value, amb_grad, "outside geodesic ball")
+    return MovingSet(backend, [con], closed_project=proj, **kw)
 
 
 def half_space(backend, normal, offset=0.0, speed=0.0, **kw):
@@ -482,24 +459,10 @@ def half_space(backend, normal, offset=0.0, speed=0.0, **kw):
         return backend.point(y.coords + (gap / na2) * a), None
 
     kw.setdefault("lipschitz_const", abs(speed) / math.sqrt(na2))
-    return MovingSet(
-        backend,
-        [
-            Constraint(
-                lambda t, x: float(np.dot(a, x) - bound(t)),
-                lambda t, x: a.copy(),
-                "half-space",
-            )
-        ],
-        closed_project=proj,
-        descriptor={
-            "kind": "half_space",
-            "normal": a.tolist(),
-            "offset": offset,
-            "speed": speed,
-        },
-        **kw,
+    con = Constraint(
+        lambda t, x: float(np.dot(a, x) - bound(t)), lambda t, x: a.copy(), "half-space"
     )
+    return MovingSet(backend, [con], closed_project=proj, **kw)
 
 
 def sphere_cap(backend, axis, height=0.0, omega=0.0, rotation_axis=(0.0, 1.0, 0.0), **kw):
@@ -544,19 +507,8 @@ def sphere_cap(backend, axis, height=0.0, omega=0.0, rotation_axis=(0.0, 1.0, 0.
         return backend.point(height * a + sin_cap * (perp / n)), None
 
     kw.setdefault("lipschitz_const", abs(omega))
-    return MovingSet(
-        backend,
-        [Constraint(value, amb_grad, "spherical cap")],
-        closed_project=proj,
-        descriptor={
-            "kind": "sphere_cap",
-            "axis": axis0.tolist(),
-            "height": height,
-            "omega": omega,
-            "rotation_axis": list(rotation_axis),
-        },
-        **kw,
-    )
+    con = Constraint(value, amb_grad, "spherical cap")
+    return MovingSet(backend, [con], closed_project=proj, **kw)
 
 
 def inequalities(backend, exprs, **kw):
@@ -577,12 +529,7 @@ def inequalities(backend, exprs, **kw):
             return np.array([g(t, *xc) for g in grads])
 
         cons.append(Constraint(value, amb_grad, s))
-    return MovingSet(
-        backend,
-        cons,
-        descriptor={"kind": "inequalities", "exprs": list(exprs)},
-        **kw,
-    )
+    return MovingSet(backend, cons, **kw)
 
 
 CATALOG = {
@@ -595,9 +542,9 @@ CATALOG = {
 }
 
 
-def make_moving_set(backend, descriptor: dict, **kw) -> MovingSet:
-    """Construct a moving set from a scenario-style descriptor."""
-    spec = dict(descriptor)
+def make_moving_set(backend, block: dict, **kw) -> MovingSet:
+    """Construct a moving set from a scenario ``set`` block: a kind plus its builder's fields."""
+    spec = dict(block)
     kind = spec.pop("kind", None)
     if kind not in CATALOG:
         raise StructuralError(

@@ -11,6 +11,7 @@ artifacts can cite the exact inputs that produced them.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import fields
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .geometry import BACKENDS, ManifoldBackend, Point, make_backend
-from .moving_sets import MovingSet, Tolerances, make_moving_set
+from .moving_sets import CATALOG, MovingSet, Tolerances, make_moving_set
 from .sweep import Perturbation, expression_perturbation, zero_perturbation
 
 SCHEMA_VERSION = 1
@@ -43,28 +44,57 @@ _MANIFOLD_KEYS = {
     "hyperbolic": {"kind", "dim"},
     "implicit": {"kind", "dim", "equalities"},
 }
-_SET_KEYS = {
-    "halfline": {"kind", "offset", "speed"},
-    "ball": {"kind", "center", "radius", "velocity"},
-    "ball_complement": {"kind", "center", "radius"},
-    "half_space": {"kind", "normal", "offset", "speed"},
-    "sphere_cap": {"kind", "axis", "height", "omega", "rotation_axis"},
-    "inequalities": {"kind", "exprs"},
+#: perturbation kind -> builder; like the set ``CATALOG``, the builder's
+#: parameters after the backend are the fields its block takes
+PERTURBATIONS = {
+    "zero": lambda backend: zero_perturbation(),
+    "expression": expression_perturbation,
 }
-_PERTURBATION_KEYS = {
-    "zero": {"kind"},
-    "expression": {"kind", "components", "sup_norm", "lipschitz"},
-}
-_CONSTANT_KEYS = {"lipschitz_const", "prox_radius_hint"}
+_CONSTANT_KEYS = ("lipschitz_const", "prox_radius_hint")
 _TOLERANCE_KEYS = {f.name for f in fields(Tolerances)}
+#: block fields holding expression strings; every other field holds numbers
+_STRING_LIST_KEYS = {"exprs", "components"}
 
 
 def _reject_unknown(block: dict, allowed: set, where: str):
-    extra = set(block) - allowed
+    extra = set(block).difference(allowed)
     if extra:
         raise StructuralError(
             f"unknown field(s) {sorted(extra)} in {where}; allowed: {sorted(allowed)}"
         )
+
+
+def _check_builder_fields(block: dict, builders: dict, where: str):
+    """Check a ``kind`` block against the parameters of the builder it names."""
+    kind = block.get("kind")
+    if kind not in builders:
+        raise StructuralError(f"unknown {where} kind {kind!r}; known: {sorted(builders)}")
+    params = [
+        p for p in list(inspect.signature(builders[kind]).parameters.values())[1:]
+        if p.kind is not p.VAR_KEYWORD
+    ]
+    _reject_unknown(block, {"kind"} | {p.name for p in params}, f"{where} ({kind})")
+    missing = [p.name for p in params if p.default is p.empty and p.name not in block]
+    if missing:
+        raise StructuralError(f"{where} ({kind}) is missing required field(s) {missing}")
+    _check_values(block, where)
+
+
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return math.isfinite(value)
+
+
+def _check_values(block: dict, where: str):
+    for key, value in block.items():
+        if key in _STRING_LIST_KEYS:
+            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                raise StructuralError(f"{where}.{key} must be a list of expression strings")
+        elif key != "kind" and not (
+            _is_number(value) or (isinstance(value, list) and all(map(_is_number, value)))
+        ):
+            raise StructuralError(f"{where}.{key} must be a finite number or a list of them")
 
 
 class Scenario:
@@ -77,17 +107,16 @@ class Scenario:
             man["kind"], man["dim"], man.get("equalities")
         )
         self.tolerances = Tolerances(**self.document["tolerances"])
-        consts = self.document["constants"]
         self.moving_set: MovingSet = make_moving_set(
             self.backend,
             self.document["set"],
-            lipschitz_const=consts["lipschitz_const"],
-            prox_radius_hint=consts["prox_radius_hint"],
             tolerances=self.tolerances,
+            **self.document["constants"],
         )
-        self.perturbation: Perturbation = _build_perturbation(
-            self.backend, self.document["perturbation"]
-        )
+        # omitted constants take the defaults of the set that was built
+        self.document["constants"] = {k: getattr(self.moving_set, k) for k in _CONSTANT_KEYS}
+        pert = dict(self.document["perturbation"])
+        self.perturbation: Perturbation = PERTURBATIONS[pert.pop("kind")](self.backend, **pert)
         self.horizon: float = self.document["horizon"]
         self.seed: int = self.document["seed"]
         self.name: str = self.document["name"]
@@ -112,17 +141,18 @@ class Scenario:
         """Closed-form solution t -> Point when one is known, else None.
 
         The half-line sweep with zero perturbation follows
-        x(t) = max(x0, max_{s<=t} bound(s)).
+        x(t) = max(x0, max_{s<=t} bound(s)); the bound is linear in t, so
+        the running maximum is max(bound(0), bound(t)).
         """
-        sd = self.document["set"]
-        pd = self.document["perturbation"]
-        if sd["kind"] == "halfline" and pd["kind"] == "zero":
+        kinds = (self.document["set"]["kind"], self.document["perturbation"]["kind"])
+        if kinds == ("halfline", "zero"):
             x0 = float(self.document["initial_point"][0])
-            offset, speed = sd["offset"], sd["speed"]
+            g = self.moving_set.constraints[0].value  # g(t, x) = x1 - bound(t)
+            origin = np.zeros(1)
             backend = self.backend
 
             def solution(t):
-                running_max = offset + max(0.0, speed * t)
+                running_max = max(-g(0.0, origin), -g(t, origin))
                 return backend.point([max(x0, running_max)])
 
             return solution
@@ -136,16 +166,12 @@ class Scenario:
         return f"Scenario({self.name!r}, hash={self.hash[:12]})"
 
 
-def _build_perturbation(backend, block):
-    if block["kind"] == "zero":
-        return zero_perturbation()
-    return expression_perturbation(
-        backend, block["components"], block["sup_norm"], block["lipschitz"]
-    )
-
-
 def normalize_document(doc: dict) -> dict:
-    """Validate and fill defaults; raises structural errors naming fields."""
+    """Validate and fill the tolerance defaults; raises structural errors naming fields.
+
+    Omitted ``constants`` stay omitted here: ``Scenario`` fills them from
+    the moving set it builds, whose constructor holds the defaults.
+    """
     if not isinstance(doc, dict):
         raise StructuralError("scenario document must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "scenario")
@@ -173,22 +199,9 @@ def normalize_document(doc: dict) -> dict:
         man["equalities"] = list(eqs)
 
     st = dict(doc["set"])
-    skind = st.get("kind")
-    if skind not in _SET_KEYS:
-        raise StructuralError(f"unknown set kind {skind!r}; known: {sorted(_SET_KEYS)}")
-    _reject_unknown(st, _SET_KEYS[skind], f"set ({skind})")
-
+    _check_builder_fields(st, CATALOG, "set")
     pert = dict(doc.get("perturbation", {"kind": "zero"}))
-    pkind = pert.get("kind")
-    if pkind not in _PERTURBATION_KEYS:
-        raise StructuralError(
-            f"unknown perturbation kind {pkind!r}; known: {sorted(_PERTURBATION_KEYS)}"
-        )
-    _reject_unknown(pert, _PERTURBATION_KEYS[pkind], f"perturbation ({pkind})")
-    if pkind == "expression":
-        for key in ("components", "sup_norm", "lipschitz"):
-            if key not in pert:
-                raise StructuralError(f"expression perturbation is missing {key!r}")
+    _check_builder_fields(pert, PERTURBATIONS, "perturbation")
 
     horizon = doc["horizon"]
     if not isinstance(horizon, (int, float)) or not horizon > 0:
@@ -200,17 +213,14 @@ def normalize_document(doc: dict) -> dict:
 
     consts = dict(doc.get("constants", {}))
     _reject_unknown(consts, _CONSTANT_KEYS, "constants")
-    consts.setdefault("lipschitz_const", _default_lipschitz(st))
-    consts.setdefault("prox_radius_hint", 1.0)
-    if consts["lipschitz_const"] < 0:
-        raise StructuralError("lipschitz_const must be nonnegative")
-    if not consts["prox_radius_hint"] > 0:
-        raise StructuralError("prox_radius_hint must be positive")
+    for key, value in consts.items():
+        if not _is_number(value):
+            raise StructuralError(f"constants.{key} must be a finite number")
 
     tols = dict(doc.get("tolerances", {}))
     _reject_unknown(tols, _TOLERANCE_KEYS, "tolerances")
     for key, value in tols.items():
-        if not isinstance(value, (int, float)) or not (math.isfinite(value) and value > 0):
+        if not (_is_number(value) and value > 0):
             raise StructuralError(f"tolerances.{key} must be a positive finite number")
     tols.setdefault("feasibility", BACKENDS[kind].feasibility_tol)
     tols = Tolerances(**{k: float(v) for k, v in tols.items()}).to_dict()
@@ -231,18 +241,6 @@ def normalize_document(doc: dict) -> dict:
         "constants": {k: float(v) for k, v in consts.items()},
         "tolerances": tols,
     }
-
-
-def _default_lipschitz(set_block):
-    kind = set_block["kind"]
-    if kind in ("halfline", "half_space"):
-        return abs(set_block.get("speed", 0.0))
-    if kind == "ball":
-        vel = set_block.get("velocity")
-        return float(np.linalg.norm(vel)) if vel is not None else 0.0
-    if kind == "sphere_cap":
-        return abs(set_block.get("omega", 0.0))
-    return 0.0
 
 
 def dumps_document(doc: dict) -> str:

@@ -215,7 +215,8 @@ def test_empty_set_evidence():
 def test_make_moving_set_dispatch():
     E = EuclideanBackend(1)
     s = make_moving_set(E, {"kind": "halfline", "offset": 0.0, "speed": 1.0})
-    assert s.descriptor["kind"] == "halfline"
+    assert s.lipschitz_const == 1.0
+    assert s.project(0.0, E.point([-0.5])).point.coords[0] == 0.0
     with pytest.raises(StructuralError):
         make_moving_set(E, {"kind": "nonsense"})
 

@@ -8,7 +8,9 @@ import pytest
 
 from manisweep.cli import main
 from manisweep.errors import StructuralError
+from manisweep.moving_sets import CATALOG, half_space, make_moving_set
 from manisweep.scenario import (
+    PERTURBATIONS,
     Scenario,
     bundled_scenario,
     bundled_scenario_path,
@@ -164,28 +166,156 @@ def test_cli_json_errors(tmp_path, capsys):
     assert payload["error"] == "StructuralError"
 
 
+E2_BALL = {
+    "manifold": {"kind": "euclidean", "dim": 2},
+    "set": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+    "initial_point": [0.0, 0.0],
+}
+HALFLINE_FLOW = {
+    "perturbation": {"kind": "expression", "components": ["0"], "sup_norm": 1.0, "lipschitz": 0.0}
+}
+
+
 @pytest.mark.parametrize(
-    "manifold, set_, x0, error",
+    "changes, error, names",
     [
         # as many equalities as coordinates: no tangent direction left
-        ({"kind": "implicit", "dim": 2, "equalities": ["x1", "x2"]},
-         {"kind": "inequalities", "exprs": ["1"]}, [0.0, 0.0], "StructuralError"),
+        ({"manifold": {"kind": "implicit", "dim": 2, "equalities": ["x1", "x2"]},
+          "set": {"kind": "inequalities", "exprs": ["1"]}, "initial_point": [0.0, 0.0]},
+         "StructuralError", ""),
         # three equalities exceed what the generated kernels support
-        ({"kind": "implicit", "dim": 4, "equalities": ["x1", "x2", "x3"]},
-         {"kind": "inequalities", "exprs": ["1"]}, [0.0, 0.0, 0.0, 1.0], "StructuralError"),
+        ({"manifold": {"kind": "implicit", "dim": 4, "equalities": ["x1", "x2", "x3"]},
+          "set": {"kind": "inequalities", "exprs": ["1"]},
+          "initial_point": [0.0, 0.0, 0.0, 1.0]},
+         "StructuralError", ""),
         # malformed set expression
-        ({"kind": "euclidean", "dim": 1},
-         {"kind": "inequalities", "exprs": ["x1 +"]}, [0.0], "ExpressionError"),
+        ({"set": {"kind": "inequalities", "exprs": ["x1 +"]}}, "ExpressionError", ""),
+        # malformed field values
+        (dict(E2_BALL, set={"kind": "ball", "center": [0.0, 0.0], "radius": "big"}),
+         "StructuralError", "set.radius"),
+        (dict(E2_BALL, set={"kind": "ball", "center": ["a", "b"], "radius": 1.0}),
+         "StructuralError", "set.center"),
+        ({"constants": {"lipschitz_const": "fast"}},
+         "StructuralError", "constants.lipschitz_const"),
+        ({"constants": {"prox_radius_hint": "wide"}},
+         "StructuralError", "constants.prox_radius_hint"),
+        ({"perturbation": dict(HALFLINE_FLOW["perturbation"], sup_norm="one")},
+         "StructuralError", "perturbation.sup_norm"),
+        # missing required fields
+        (dict(E2_BALL, set={"kind": "ball", "center": [0.0, 0.0]}),
+         "StructuralError", "radius"),
+        (dict(E2_BALL, set={"kind": "half_space"}), "StructuralError", "normal"),
+        ({"set": {"kind": "inequalities"}}, "StructuralError", "exprs"),
     ],
-    ids=["no_tangent_direction", "three_equalities", "bad_expression"],
+    ids=["no_tangent_direction", "three_equalities", "bad_expression",
+         "radius_not_a_number", "center_not_numbers", "lipschitz_const_not_a_number",
+         "prox_radius_hint_not_a_number", "sup_norm_not_a_number",
+         "ball_without_radius", "half_space_without_normal", "inequalities_without_exprs"],
 )
-def test_cli_json_errors_are_typed(tmp_path, capsys, manifold, set_, x0, error):
-    doc = dict(MINIMAL_HALFLINE, manifold=manifold, set=set_, initial_point=x0)
+def test_cli_json_errors_are_typed(tmp_path, capsys, changes, error, names):
+    doc = dict(MINIMAL_HALFLINE, **changes)
     code = main(["--json-errors", "validate", "--scenario", str(write(tmp_path, doc))])
     assert code == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == error
+    payload = json.loads(lines[0])
+    assert payload["error"] == error
+    assert names in payload["message"]
+
+
+# one valid document part per catalog kind, and the fields its builder requires
+SET_KINDS = {
+    "halfline": ({"kind": "euclidean", "dim": 1},
+                 {"kind": "halfline", "offset": 0.0, "speed": 0.5}, [0.2], ()),
+    "ball": ({"kind": "euclidean", "dim": 2},
+             {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0, "velocity": [0.3, 0.4]},
+             [0.1, 0.0], ("center", "radius")),
+    "ball_complement": ({"kind": "euclidean", "dim": 2},
+                        {"kind": "ball_complement", "center": [0.0, 0.0], "radius": 1.0},
+                        [2.0, 0.0], ("center", "radius")),
+    "half_space": ({"kind": "euclidean", "dim": 2},
+                   {"kind": "half_space", "normal": [0.5, 0.0], "offset": 0.0, "speed": 1.0},
+                   [0.0, 0.0], ("normal",)),
+    "sphere_cap": ({"kind": "sphere", "dim": 2},
+                   {"kind": "sphere_cap", "axis": [0.0, 0.0, 1.0], "height": 0.0,
+                    "omega": -0.3, "rotation_axis": [1.0, 0.0, 0.0]},
+                   [0.0, 0.0, 1.0], ("axis",)),
+    "inequalities": ({"kind": "euclidean", "dim": 2},
+                     {"kind": "inequalities", "exprs": ["1 - x1^2 - x2^2 + t"]},
+                     [0.0, 0.0], ("exprs",)),
+}
+PERTURBATION_KINDS = {
+    "zero": ({"kind": "zero"}, ()),
+    "expression": ({"kind": "expression", "components": ["0.1", "x1"], "sup_norm": 2.0,
+                    "lipschitz": 1.0}, ("components", "sup_norm", "lipschitz")),
+}
+
+
+def set_document(kind, **set_changes):
+    manifold, set_, x0, _ = SET_KINDS[kind]
+    return dict(MINIMAL_HALFLINE, manifold=manifold, set=dict(set_, **set_changes),
+                initial_point=x0)
+
+
+def test_every_builder_has_a_test_document():
+    assert set(SET_KINDS) == set(CATALOG)
+    assert set(PERTURBATION_KINDS) == set(PERTURBATIONS)
+
+
+@pytest.mark.parametrize("kind", sorted(CATALOG))
+def test_set_fields_come_from_the_builder(kind):
+    Scenario(set_document(kind))
+    with pytest.raises(StructuralError, match="bogus"):
+        Scenario(set_document(kind, bogus=1.0))
+    for name in SET_KINDS[kind][3]:
+        doc = set_document(kind)
+        del doc["set"][name]
+        with pytest.raises(StructuralError, match=f"missing required field.*'{name}'"):
+            Scenario(doc)
+
+
+@pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
+def test_perturbation_fields_come_from_the_builder(kind):
+    block, required = PERTURBATION_KINDS[kind]
+    doc = set_document("inequalities", exprs=["1"])
+    Scenario(dict(doc, perturbation=block))
+    with pytest.raises(StructuralError, match="bogus"):
+        Scenario(dict(doc, perturbation=dict(block, bogus=1.0)))
+    for name in required:
+        partial = {k: v for k, v in block.items() if k != name}
+        with pytest.raises(StructuralError, match=f"missing required field.*'{name}'"):
+            Scenario(dict(doc, perturbation=partial))
+
+
+@pytest.mark.parametrize("kind", sorted(CATALOG))
+def test_omitted_constants_are_the_constructors_defaults(kind):
+    scn = Scenario(set_document(kind))
+    built = make_moving_set(scn.backend, scn.document["set"])
+    assert scn.moving_set.lipschitz_const == built.lipschitz_const
+    assert scn.moving_set.prox_radius_hint == built.prox_radius_hint == 1.0
+    assert scn.document["constants"] == {
+        "lipschitz_const": built.lipschitz_const, "prox_radius_hint": 1.0
+    }
+
+
+def test_half_space_default_lipschitz_const_is_speed_over_normal(tmp_path):
+    doc = set_document("half_space")
+    scn = Scenario(doc)
+    direct = half_space(scn.backend, normal=[0.5, 0.0], speed=1.0)
+    assert scn.document["constants"]["lipschitz_const"] == direct.lipschitz_const == 2.0
+    out = tmp_path / "traj.csv"
+    code = main(["simulate", "--scenario", str(write(tmp_path, doc)), "--h", "1e-2",
+                 "--out", str(out)])
+    assert code == 0
+    assert json.loads((tmp_path / "traj.csv.meta.json").read_text())["certified"] is True
+
+
+def test_halfline_analytic_solution_without_optional_fields():
+    scn = Scenario(dict(MINIMAL_HALFLINE, set={"kind": "halfline"}))
+    assert scn.analytic_solution()(0.5).coords[0] == 0.0
+    scn = Scenario(dict(MINIMAL_HALFLINE, set={"kind": "halfline", "speed": -1.0}))
+    assert scn.analytic_solution()(0.5).coords[0] == 0.0
+    assert bundled_scenario("halfline").analytic_solution()(0.5).coords[0] == 0.5
 
 
 def test_cli_rates_report(tmp_path):

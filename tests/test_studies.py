@@ -154,3 +154,50 @@ def test_certify_passes_the_uniqueness_tolerance_to_the_probe(monkeypatch):
     rep = certify_scenario(Scenario(doc))
     assert seen == [1e-3]
     assert ("projection_uniqueness", "warn", "probe skipped") in rep.checks
+
+
+def _halfline_from_t0_interior():
+    # the visited region [0.054, 1.266] lies inside C(0) = {x >= 0}, so the
+    # sampler finds no boundary point at t = 0; at t = 0.5 and t = 1 it does
+    doc = dict(bundled_scenario("halfline").document)
+    doc.update(seed=2014694431, initial_point=[0.30389169478299605])
+    return Scenario(doc)
+
+
+def test_certify_falls_back_only_at_the_time_whose_sampler_failed():
+    rep = certify_scenario(_halfline_from_t0_interior())
+    assert rep.status == "pass"
+    assert rep.fitted_E == 0.0
+    details = {name: detail for name, _, detail in rep.checks}
+    assert details["hypomonotonicity"] == "fitted E = 0; region interior to C(0)"
+
+
+def test_certify_warns_where_the_sampler_fails_and_the_region_crosses(monkeypatch):
+    sample = studies.sample_hypomonotonicity
+
+    def fail_at_horizon(set_, t, *args, **kwargs):
+        if t == 1.0:
+            raise StructuralError("no boundary points sampled")
+        return sample(set_, t, *args, **kwargs)
+
+    monkeypatch.setattr(studies, "sample_hypomonotonicity", fail_at_horizon)
+    rep = certify_scenario(_halfline_from_t0_interior())
+    assert rep.status == "warn"
+    assert rep.fitted_E is None
+    assert ("hypomonotonicity", "warn", "t = 1: no boundary points sampled") in rep.checks
+
+
+def test_certify_stops_sampling_once_the_region_is_inside_at_every_time(monkeypatch):
+    times = []
+    sample = studies.sample_hypomonotonicity
+
+    def record(set_, t, *args, **kwargs):
+        times.append(t)
+        return sample(set_, t, *args, **kwargs)
+
+    monkeypatch.setattr(studies, "sample_hypomonotonicity", record)
+    rep = certify_scenario(bundled_scenario("static_convex"))
+    assert times == [0.0]
+    assert rep.fitted_E == 0.0
+    assert ("hypomonotonicity", "pass",
+            "region interior to the set; fitted E = 0 vacuously") in rep.checks
