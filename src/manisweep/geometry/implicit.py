@@ -12,8 +12,16 @@ equation jointly with its geodesic.
 
 The kernels are generated as scalar Python source specialized to the
 constraint trees, which keeps a geodesic integration well under a
-millisecond.  Only one or two equality constraints are supported; more
-are rejected with a structural error.
+millisecond.  The standalone kernels (geodesic acceleration ``acc``,
+transport correction ``acc_w``, restoration ``proj_x``, tangential
+projection ``proj_t``) are also written out in place inside the fused
+RK4 loops ``rk4_geo`` and ``rk4_par``: each stage evaluates the Jacobian
+and Gram matrix once on its renamed inputs, ``h/2`` and ``h/6`` are
+computed once per call, and a step's last Jacobian starts the next step.
+Every statement is the one the standalone kernels execute, so the fused
+loops round exactly as stage-by-stage calls do.  Kernels run on Python
+floats (see ``_call_on_floats``).  Only one or two equality constraints
+are supported; more are rejected with a structural error.
 """
 
 from __future__ import annotations
@@ -38,198 +46,156 @@ SHOOTING_MAX_ITER = 100
 
 
 def _emit_kernels(g_trees, d):
-    """Emit scalar kernels specialized to the constraint trees (m <= 2)."""
+    """Emit scalar kernels specialized to the constraint trees (m <= 2).
+
+    ``acc``, ``acc_w``, ``proj_x`` and ``proj_t`` are the standalone
+    building blocks.  ``rk4_geo`` and ``rk4_par`` write the same
+    statements out in place, on renamed stage inputs, and share the
+    Jacobian and Gram matrix between every computation at one point, so
+    they round exactly as the stage-by-stage calls would.
+    """
     m = len(g_trees)
     xs = [f"x{i}" for i in range(d)]
     J = [[t.diff(x) for x in xs] for t in g_trees]
     H = [[[J[i][j].diff(xs[k]) for k in range(d)] for j in range(d)] for i in range(m)]
 
-    def jac_lines(indent):
-        out = []
-        for i in range(m):
-            for j in range(d):
-                out.append(f"{indent}j_{i}_{j} = {J[i][j].emit()}")
-        return out
+    def vec(prefix):
+        return [f"{prefix}{i}" for i in range(d)]
 
-    def gram_lines(indent):
-        out = []
+    def at(tree, xn):
+        # source of the tree evaluated at the coordinates named xn
+        return (tree if xn == xs else _rename(tree, dict(zip(xs, xn)))).emit()
+
+    def jac_gram(ind, xn):
+        # j_i_j = dg_i/dx_j at xn, the Gram matrix G = J J^T and (m = 2) det G
+        out = [f"{ind}j_{i}_{j} = {at(J[i][j], xn)}" for i in range(m) for j in range(d)]
         for a in range(m):
             for b in range(a, m):
                 s = " + ".join(f"j_{a}_{j}*j_{b}_{j}" for j in range(d))
-                out.append(f"{indent}G_{a}_{b} = {s}")
+                out.append(f"{ind}G_{a}_{b} = {s}")
+        if m == 2:
+            out.append(f"{ind}_det = G_0_0*G_1_1 - G_0_1*G_0_1")
         return out
 
-    def solve_lines(indent, rhs, lam):
+    def solve(ind, rhs, lam):
         # solve G lam = rhs for symmetric positive-definite G (m <= 2)
         if m == 1:
-            return [f"{indent}{lam}0 = ({rhs}0) / G_0_0"]
+            return [f"{ind}{lam}0 = ({rhs}0) / G_0_0"]
         return [
-            f"{indent}_det = G_0_0*G_1_1 - G_0_1*G_0_1",
-            f"{indent}{lam}0 = (({rhs}0)*G_1_1 - ({rhs}1)*G_0_1) / _det",
-            f"{indent}{lam}1 = (({rhs}1)*G_0_0 - ({rhs}0)*G_0_1) / _det",
+            f"{ind}{lam}0 = (({rhs}0)*G_1_1 - ({rhs}1)*G_0_1) / _det",
+            f"{ind}{lam}1 = (({rhs}1)*G_0_0 - ({rhs}0)*G_0_1) / _det",
         ]
 
-    def quad_lines(indent, name, left, right):
-        # name_i = left^T H_i right
-        out = []
+    def normal(ind, out, lam, update=False):
+        # out_j = (J^T lam)_j, or out_j -= (J^T lam)_j
+        lines = []
+        for j in range(d):
+            s = " + ".join(f"{lam}{i}*j_{i}_{j}" for i in range(m))
+            lines.append(f"{ind}{out[j]} = {out[j]} - ({s})" if update else f"{ind}{out[j]} = {s}")
+        return lines
+
+    def curvature(ind, out, xn, left, right):
+        # out = J^T lam with G lam = -left^T H(xn) right; needs J and G at xn
+        lines = []
         for i in range(m):
             terms = []
             for j in range(d):
                 for k in range(d):
-                    jj, kk = min(j, k), max(j, k)
-                    tree = H[i][jj][kk]
+                    tree = H[i][min(j, k)][max(j, k)]
                     if isinstance(tree, ex.Num) and tree.value == 0.0:
                         continue
-                    terms.append(f"({tree.emit()})*{left}{j}*{right}{k}")
-            out.append(f"{indent}{name}{i} = " + (" + ".join(terms) if terms else "0.0"))
-        return out
+                    terms.append(f"({at(tree, xn)})*{left[j]}*{right[k]}")
+            lines.append(f"{ind}q_{i} = " + (" + ".join(terms) if terms else "0.0"))
+        return lines + solve(ind, "-q_", "l_") + normal(ind, out, "l_")
 
-    L = []
-    # geodesic acceleration: a = J^T lam with G lam = -v^T H v
-    L.append(f"def acc({', '.join(xs)}, {', '.join('v%d' % i for i in range(d))}):")
-    L += jac_lines("    ")
-    L += quad_lines("    ", "q_", "v", "v")
-    L += gram_lines("    ")
-    L += [ln.replace("RHS", "-q_") for ln in solve_lines("    ", "-q_", "l_")]
-    for j in range(d):
-        s = " + ".join(f"l_{i}*j_{i}_{j}" for i in range(m))
-        L.append(f"    a{j} = {s}")
-    L.append(f"    return {', '.join('a%d' % j for j in range(d))}")
-    L.append("")
+    def tangential(ind, ws):
+        # ws -= J^T G^-1 J ws; needs J and G at the base point
+        lines = [
+            f"{ind}s_{i} = " + " + ".join(f"j_{i}_{j}*{ws[j]}" for j in range(d))
+            for i in range(m)
+        ]
+        return lines + solve(ind, "s_", "r_") + normal(ind, ws, "r_", update=True)
 
-    # transport correction: w' = J^T mu with G mu = -v^T H w
-    args = (
-        [f"x{i}" for i in range(d)]
-        + [f"v{i}" for i in range(d)]
-        + [f"w{i}" for i in range(d)]
-    )
-    L.append(f"def acc_w({', '.join(args)}):")
-    L += jac_lines("    ")
-    L += quad_lines("    ", "q_", "v", "w")
-    L += gram_lines("    ")
-    L += solve_lines("    ", "-q_", "l_")
-    for j in range(d):
-        s = " + ".join(f"l_{i}*j_{i}_{j}" for i in range(m))
-        L.append(f"    aw{j} = {s}")
-    L.append(f"    return {', '.join('aw%d' % j for j in range(d))}")
-    L.append("")
+    def restore(ind, loop):
+        # Gauss-Newton restoration of feasibility: x -= J^T G^-1 g
+        lines = [f"{ind}for {loop} in range(4):"]
+        lines += [f"{ind}    gv_{i} = {g_trees[i].emit()}" for i in range(m)]
+        cond = " and ".join(f"abs(gv_{i}) < 1e-14" for i in range(m))
+        lines += [f"{ind}    if {cond}:", f"{ind}        break"]
+        lines += jac_gram(ind + "    ", xs) + solve(ind + "    ", "gv_", "r_")
+        return lines + normal(ind + "    ", xs, "r_", update=True)
 
-    # Gauss-Newton restoration of feasibility: x -= J^T (J J^T)^-1 g
-    L.append(f"def proj_x({', '.join(xs)}):")
-    L.append("    for _ in range(4):")
-    for i in range(m):
-        L.append(f"        gv_{i} = {g_trees[i].emit()}")
-    cond = " and ".join(f"abs(gv_{i}) < 1e-14" for i in range(m))
-    L.append(f"        if {cond}:")
-    L.append("            break")
-    L += jac_lines("        ")
-    L += gram_lines("        ")
-    L += solve_lines("        ", "gv_", "r_")
-    for j in range(d):
-        s = " + ".join(f"r_{i}*j_{i}_{j}" for i in range(m))
-        L.append(f"        x{j} = x{j} - ({s})")
-    L.append(f"    return {', '.join(xs)}")
-    L.append("")
+    def sig(*groups):
+        return ", ".join(n for g in groups for n in g)
 
-    # tangential projection: w -= J^T (J J^T)^-1 J w
-    L.append(f"def proj_t({', '.join(xs)}, {', '.join('w%d' % i for i in range(d))}):")
-    L += jac_lines("    ")
-    for i in range(m):
-        s = " + ".join(f"j_{i}_{j}*w{j}" for j in range(d))
-        L.append(f"    s_{i} = {s}")
-    L += gram_lines("    ")
-    L += solve_lines("    ", "s_", "r_")
-    for j in range(d):
-        s = " + ".join(f"r_{i}*j_{i}_{j}" for i in range(m))
-        L.append(f"    w{j} = w{j} - ({s})")
-    L.append(f"    return {', '.join('w%d' % i for i in range(d))}")
-    L.append("")
+    vs, ws = vec("v"), vec("w")
+    L = [f"def acc({sig(xs, vs)}):"]  # geodesic acceleration
+    L += jac_gram("    ", xs) + curvature("    ", vec("a"), xs, vs, vs)
+    L += [f"    return {sig(vec('a'))}", ""]
+    L += [f"def acc_w({sig(xs, vs, ws)}):"]  # transport correction w'
+    L += jac_gram("    ", xs) + curvature("    ", vec("aw"), xs, vs, ws)
+    L += [f"    return {sig(vec('aw'))}", ""]
+    L += [f"def proj_x({sig(xs)}):"] + restore("    ", "_")
+    L += [f"    return {sig(xs)}", ""]
+    L += [f"def proj_t({sig(xs, ws)}):"] + jac_gram("    ", xs) + tangential("    ", ws)
+    L += [f"    return {sig(ws)}", ""]
 
     # RK4 over s in [0, 1] with per-step projection and speed renorm
-    def rk4_body(with_w):
-        names_x = [f"x{i}" for i in range(d)]
-        names_v = [f"v{i}" for i in range(d)]
-        names_w = [f"w{i}" for i in range(d)] if with_w else []
-        body = []
-
-        def stage(tag, shift):
-            pre_x = [f"x{i}" if shift is None else f"_sx{i}" for i in range(d)]
-            pre_v = [f"v{i}" if shift is None else f"_sv{i}" for i in range(d)]
-            pre_w = [f"w{i}" if shift is None else f"_sw{i}" for i in range(d)]
-            if shift is not None:
-                src_kx, src_kv, src_kw, c = shift
-                for i in range(d):
-                    body.append(f"        _sx{i} = x{i} + {c}*h*{src_kx}{i}")
-                for i in range(d):
-                    body.append(f"        _sv{i} = v{i} + {c}*h*{src_kv}{i}")
-                if with_w:
-                    for i in range(d):
-                        body.append(f"        _sw{i} = w{i} + {c}*h*{src_kw}{i}")
-            for i in range(d):
-                body.append(f"        {tag}x{i} = {pre_v[i]}")
-            acall = ", ".join(pre_x + pre_v)
-            body.append(
-                f"        {', '.join(f'{tag}v{i}' for i in range(d))} = acc({acall})"
-            )
+    def rk4(name, with_w):
+        parts = ["x", "v", "w"] if with_w else ["x", "v"]
+        state = [vec(p) for p in parts]
+        ind = "        "
+        out = [
+            f"def {name}(state, n, h):",
+            f"    {sig(*state)} = state",
+            f"    spd = sqrt({' + '.join(f'v{i}*v{i}' for i in range(d))})",
+            "    hh = 0.5*h",
+            "    h6 = h/6.0",
+        ]
+        # J and G at the current x enter each step's first stage
+        out += jac_gram("    ", xs)
+        out.append("    for _ in range(n):")
+        k = {p: [] for p in parts}  # stage slopes of each component
+        for stage, c in ((1, None), (2, "hh"), (3, "hh"), (4, "h")):
+            sx, sv, sw = xs, vs, ws
+            if c is not None:
+                sx, sv, sw = vec(f"_x{stage}_"), vec(f"_v{stage}_"), vec(f"_w{stage}_")
+                for p, names in zip(parts, (sx, sv, sw)):
+                    out += [f"{ind}{names[i]} = {p}{i} + {c}*{k[p][-1][i]}" for i in range(d)]
+                out += jac_gram(ind, sx)
+            k["x"].append(sv)
+            k["v"].append(vec(f"k{stage}v"))
+            out += curvature(ind, k["v"][-1], sx, sv, sv)
             if with_w:
-                wcall = ", ".join(pre_x + pre_v + pre_w)
-                body.append(
-                    f"        {', '.join(f'{tag}w{i}' for i in range(d))}"
-                    + (" = acc_w(" + wcall + ")")
-                )
-
-        stage("k1", None)
-        stage("k2", ("k1x", "k1v", "k1w", 0.5))
-        stage("k3", ("k2x", "k2v", "k2w", 0.5))
-        stage("k4", ("k3x", "k3v", "k3w", 1.0))
-        for nm, pref in (("x", "x"), ("v", "v")) + ((("w", "w"),) if with_w else ()):
-            for i in range(d):
-                body.append(
-                    f"        {pref}{i} = {pref}{i} + (h/6.0)*(k1{nm}{i} + 2.0*k2{nm}{i}"
-                    f" + 2.0*k3{nm}{i} + k4{nm}{i})"
-                )
-        body.append(f"        {', '.join(names_x)} = proj_x({', '.join(names_x)})")
-        body.append(
-            f"        {', '.join(names_v)} = proj_t({', '.join(names_x + names_v)})"
-        )
-        nrm = " + ".join(f"v{i}*v{i}" for i in range(d))
-        body.append(f"        _s = sqrt({nrm})")
-        body.append("        if _s > 0.0:")
-        body.append("            _c = spd/_s")
-        for i in range(d):
-            body.append(f"            v{i} = v{i}*_c")
+                k["w"].append(vec(f"k{stage}w"))
+                out += curvature(ind, k["w"][-1], sx, sv, sw)
+        for p in parts:
+            k1, k2, k3, k4 = k[p]
+            out += [
+                f"{ind}{p}{i} = {p}{i} + h6*({k1[i]} + 2.0*{k2[i]} + 2.0*{k3[i]} + {k4[i]})"
+                for i in range(d)
+            ]
+        out += restore(ind, "_it") + jac_gram(ind, xs) + tangential(ind, vs)
+        out.append(f"{ind}_s = sqrt({' + '.join(f'v{i}*v{i}' for i in range(d))})")
+        out += [f"{ind}if _s > 0.0:", f"{ind}    _c = spd/_s"]
+        out += [f"{ind}    v{i} = v{i}*_c" for i in range(d)]
         if with_w:
-            body.append(
-                f"        {', '.join(names_w)} = proj_t({', '.join(names_x + names_w)})"
-            )
-        return body
+            out += tangential(ind, ws)
+        return out + [f"    return ({sig(*state)})", ""]
 
-    L.append("def rk4_geo(state, n, h):")
-    L.append(f"    {', '.join([f'x{i}' for i in range(d)] + [f'v{i}' for i in range(d)])} = state")
-    nrm = " + ".join(f"v{i}*v{i}" for i in range(d))
-    L.append(f"    spd = sqrt({nrm})")
-    L.append("    for _ in range(n):")
-    L += rk4_body(False)
-    L.append(
-        "    return ("
-        + ", ".join([f"x{i}" for i in range(d)] + [f"v{i}" for i in range(d)])
-        + ")"
-    )
-    L.append("")
-
-    L.append("def rk4_par(state, n, h):")
-    allnames = (
-        [f"x{i}" for i in range(d)]
-        + [f"v{i}" for i in range(d)]
-        + [f"w{i}" for i in range(d)]
-    )
-    L.append(f"    {', '.join(allnames)} = state")
-    L.append(f"    spd = sqrt({nrm})")
-    L.append("    for _ in range(n):")
-    L += rk4_body(True)
-    L.append("    return (" + ", ".join(allnames) + ")")
-    L.append("")
+    L += rk4("rk4_geo", False) + rk4("rk4_par", True)
     return "\n".join(L)
+
+
+#: names the generated kernels read besides their arguments
+_KERNEL_GLOBALS = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "exp": math.exp}
+
+
+def _compile_kernels(g_trees, d) -> dict:
+    """Execute the emitted kernel source; returns name -> function."""
+    ns = dict(_KERNEL_GLOBALS)
+    exec(_emit_kernels(g_trees, d), ns)  # noqa: S102 - our own AST
+    return ns
 
 
 class ImplicitBackend(ManifoldBackend):
@@ -267,8 +233,7 @@ class ImplicitBackend(ManifoldBackend):
         ]
         self._jac_fn = ex.compile_many(jac_trees, [f"x{i}" for i in range(ambient_dim)])
 
-        ns = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "exp": math.exp}
-        exec(_emit_kernels(self._g_trees, ambient_dim), ns)  # noqa: S102 - our own AST
+        ns = _compile_kernels(self._g_trees, ambient_dim)
         self._k_acc = ns["acc"]
         self._k_proj_x = ns["proj_x"]
         self._k_proj_t = ns["proj_t"]
@@ -288,7 +253,12 @@ class ImplicitBackend(ManifoldBackend):
         return flat.reshape(self.n_constraints, self.ambient_dim)
 
     def feasibility_residual(self, coords):
-        return float(np.max(np.abs(self.constraint_values(coords))))
+        worst = 0.0
+        for g in self._g_fn(*coords):
+            g = abs(g)
+            if g > worst or g != g:  # a NaN stays the maximum, as in np.max
+                worst = g
+        return float(worst)
 
     def _project_point(self, amb):
         x = tuple(float(c) for c in np.asarray(amb, dtype=float))
@@ -306,8 +276,9 @@ class ImplicitBackend(ManifoldBackend):
         return out
 
     def _project_tangent(self, xc, amb):
-        vals = self._k_proj_t(*xc, *np.asarray(amb, dtype=float))
-        return np.array(vals)
+        return _call_on_floats(
+            lambda s: self._k_proj_t(*s), (xc, np.asarray(amb, dtype=float))
+        )
 
     def tangent_basis(self, x: Point):
         J = self.constraint_jacobian(x.coords)
@@ -320,14 +291,14 @@ class ImplicitBackend(ManifoldBackend):
         speed = float(np.linalg.norm(vc))
         if speed == 0.0:
             return np.array(xc), np.array(vc)
-        state = tuple(xc) + tuple(vc)
+        state = (xc, vc)
         if not fine:
             n = max(6, math.ceil(speed * COARSE_STEPS_PER_UNIT))
-            out = self._k_rk4_geo(state, n, 1.0 / n)
+            out = _call_on_floats(self._k_rk4_geo, state, n, 1.0 / n)
         else:
             n = max(8, math.ceil(speed * FINE_STEPS_PER_UNIT))
-            s1 = np.array(self._k_rk4_geo(state, n, 1.0 / n))
-            s2 = np.array(self._k_rk4_geo(state, 2 * n, 0.5 / n))
+            s1 = _call_on_floats(self._k_rk4_geo, state, n, 1.0 / n)
+            s2 = _call_on_floats(self._k_rk4_geo, state, 2 * n, 0.5 / n)
             out = (16.0 * s2 - s1) / 15.0
         d = self.ambient_dim
         x = self._project_point(np.array(out[:d]))
@@ -424,9 +395,9 @@ class ImplicitBackend(ManifoldBackend):
         if speed == 0.0 or w_norm == 0.0:
             return self._project_tangent(yc, vc)
         n = max(8, math.ceil(speed * FINE_STEPS_PER_UNIT))
-        state = tuple(xc) + tuple(gamma) + tuple(vc)
-        s1 = np.array(self._k_rk4_par(state, n, 1.0 / n))
-        s2 = np.array(self._k_rk4_par(state, 2 * n, 0.5 / n))
+        state = (xc, gamma, vc)
+        s1 = _call_on_floats(self._k_rk4_par, state, n, 1.0 / n)
+        s2 = _call_on_floats(self._k_rk4_par, state, 2 * n, 0.5 / n)
         out = (16.0 * s2 - s1) / 15.0
         d = self.ambient_dim
         w = self._project_tangent(yc, out[2 * d :])
@@ -438,17 +409,14 @@ class ImplicitBackend(ManifoldBackend):
     # -- budget --------------------------------------------------------------
 
     def budget(self, region: Region | None = None) -> GeometryBudget:
-        if region is None:
-            ck = None
-            center = self._default_point()
-            radius = 1.0
-        else:
-            ck = (region.center.coords.tobytes(), float(region.radius))
-            center = region.center.coords
-            radius = float(region.radius)
+        ck = None if region is None else (region.center.coords.tobytes(), float(region.radius))
         hit = self._budget_cache.get(ck)
         if hit is not None:
             return hit
+        if region is None:
+            center, radius = self._default_point(), 1.0
+        else:
+            center, radius = region.center.coords, float(region.radius)
         kappa = self._sample_extrinsic_curvature(center, radius)
         rho = math.pi / (2.0 * math.sqrt(kappa)) if kappa > 0 else 1e6
         b = GeometryBudget(region=region, rho=rho, curvature_bound=kappa, is_estimate=True)
@@ -483,9 +451,25 @@ class ImplicitBackend(ManifoldBackend):
             u = rng.standard_normal(self.dim)
             u = u / np.linalg.norm(u)
             vec = u @ basis
-            a = np.array(self._k_acc(*p, *vec))
+            a = _call_on_floats(lambda s: self._k_acc(*s), (p, vec))
             worst = max(worst, float(np.linalg.norm(a)))
         return worst
+
+
+def _call_on_floats(kernel, arrays, *args):
+    """``kernel(state, *args)`` as a float array, the state joined from ``arrays``.
+
+    The kernel runs on Python floats, which round exactly as the numpy
+    scalars in the arrays do and run several times faster.  Where floats
+    raise or turn complex instead (a division by zero, an overflowing or
+    complex power), the call is repeated on the numpy scalars, whose inf
+    and nan results the callers already handle.
+    """
+    state = np.concatenate(arrays)
+    try:
+        return np.array(kernel(tuple(state.tolist()), *args), dtype=float)
+    except (ZeroDivisionError, OverflowError, TypeError):
+        return np.array(kernel(tuple(state), *args), dtype=float)
 
 
 def _rename(tree, mapping):

@@ -32,6 +32,10 @@ from .geometry import (
     log_map,
 )
 
+#: annotation of a builder field that holds one ambient-space vector; a
+#: scenario checks its length against the manifold's ambient dimension
+Vector = Sequence[float]
+
 #: |g_i| below this marks the constraint active
 ACTIVITY_TOL = 1e-7
 #: gradients smaller than this violate the qualification assumption
@@ -362,7 +366,7 @@ def _rotate(vec, axis, angle):
     )
 
 
-def halfline(backend, offset=0.0, speed=0.0, **kw):
+def halfline(backend, offset: float = 0.0, speed: float = 0.0, **kw):
     """C(t) = {x >= offset + speed*t} on the Euclidean line."""
     if backend.key[0] != "euclidean" or backend.dim != 1:
         raise StructuralError("halfline requires the 1-d Euclidean backend")
@@ -383,7 +387,7 @@ def halfline(backend, offset=0.0, speed=0.0, **kw):
     return MovingSet(backend, [con], closed_project=proj, **kw)
 
 
-def ball(backend, center, radius, velocity=None, **kw):
+def ball(backend, center: Vector, radius: float, velocity: Optional[Vector] = None, **kw):
     """Geodesic ball {d(x, c(t)) <= r}; a moving center is Euclidean-only."""
     center = np.asarray(center, dtype=float)
     if velocity is not None and backend.key[0] != "euclidean":
@@ -414,7 +418,7 @@ def ball(backend, center, radius, velocity=None, **kw):
     return MovingSet(backend, [con], closed_project=proj, **kw)
 
 
-def ball_complement(backend, center, radius, **kw):
+def ball_complement(backend, center: Vector, radius: float, **kw):
     """Complement of an open geodesic ball: {d(x, c) >= r}."""
     center_pt = backend.point(np.asarray(center, dtype=float))
 
@@ -442,7 +446,7 @@ def ball_complement(backend, center, radius, **kw):
     return MovingSet(backend, [con], closed_project=proj, **kw)
 
 
-def half_space(backend, normal, offset=0.0, speed=0.0, **kw):
+def half_space(backend, normal: Vector, offset: float = 0.0, speed: float = 0.0, **kw):
     """Euclidean half-space {<a, x> >= offset + speed*t}."""
     if backend.key[0] != "euclidean":
         raise StructuralError("half_space requires a Euclidean backend")
@@ -465,7 +469,14 @@ def half_space(backend, normal, offset=0.0, speed=0.0, **kw):
     return MovingSet(backend, [con], closed_project=proj, **kw)
 
 
-def sphere_cap(backend, axis, height=0.0, omega=0.0, rotation_axis=(0.0, 1.0, 0.0), **kw):
+def sphere_cap(
+    backend,
+    axis: Vector,
+    height: float = 0.0,
+    omega: float = 0.0,
+    rotation_axis: Vector = (0.0, 1.0, 0.0),
+    **kw,
+):
     """Cap {<x, a(t)> >= height} on S^2 with the axis rotating at rate omega.
 
     a(t) is axis rotated by omega*t about rotation_axis; the default
@@ -478,11 +489,18 @@ def sphere_cap(backend, axis, height=0.0, omega=0.0, rotation_axis=(0.0, 1.0, 0.
         raise StructuralError("cap height must lie in (-1, 1)")
     axis0 = np.asarray(axis, dtype=float)
     axis0 = axis0 / np.linalg.norm(axis0)
+    axis0.setflags(write=False)
+    last = [None, None]  # one-entry memo: the last t and a(t)
 
     def axis_at(t):
         if omega == 0.0:
             return axis0
-        return _rotate(axis0, np.asarray(rotation_axis, dtype=float), omega * t)
+        # t = 0 is not memoized: -0.0 == 0.0, yet they may round differently
+        if t != last[0] or t == 0.0:
+            a = _rotate(axis0, np.asarray(rotation_axis, dtype=float), omega * t)
+            a.setflags(write=False)
+            last[:] = t, a
+        return last[1]
 
     def value(t, xc):
         return float(np.dot(xc, axis_at(t)) - height)
@@ -511,7 +529,7 @@ def sphere_cap(backend, axis, height=0.0, omega=0.0, rotation_axis=(0.0, 1.0, 0.
     return MovingSet(backend, [con], closed_project=proj, **kw)
 
 
-def inequalities(backend, exprs, **kw):
+def inequalities(backend, exprs: Sequence[str], **kw):
     """General inequality set from expression strings over x1..xn and t."""
     n = backend.ambient_dim
     names = [f"x{i}" for i in range(1, n + 1)]

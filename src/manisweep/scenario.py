@@ -16,12 +16,13 @@ import json
 import math
 from dataclasses import fields
 from importlib import resources
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import StructuralError
 from .geometry import BACKENDS, ManifoldBackend, Point, make_backend
-from .moving_sets import CATALOG, MovingSet, Tolerances, make_moving_set
+from .moving_sets import CATALOG, MovingSet, Tolerances, Vector, make_moving_set
 from .sweep import Perturbation, expression_perturbation, zero_perturbation
 
 SCHEMA_VERSION = 1
@@ -52,8 +53,6 @@ PERTURBATIONS = {
 }
 _CONSTANT_KEYS = ("lipschitz_const", "prox_radius_hint")
 _TOLERANCE_KEYS = {f.name for f in fields(Tolerances)}
-#: block fields holding expression strings; every other field holds numbers
-_STRING_LIST_KEYS = {"exprs", "components"}
 
 
 def _reject_unknown(block: dict, allowed: set, where: str):
@@ -64,20 +63,44 @@ def _reject_unknown(block: dict, allowed: set, where: str):
         )
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise StructuralError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return dict(value)
+
+
+def _builder_fields(builder) -> dict:
+    """A builder's block fields: its parameters after the backend, by name."""
+    params = list(inspect.signature(builder, eval_str=True).parameters.values())[1:]
+    return {p.name: p for p in params if p.kind is not p.VAR_KEYWORD}
+
+
 def _check_builder_fields(block: dict, builders: dict, where: str):
     """Check a ``kind`` block against the parameters of the builder it names."""
     kind = block.get("kind")
     if kind not in builders:
         raise StructuralError(f"unknown {where} kind {kind!r}; known: {sorted(builders)}")
-    params = [
-        p for p in list(inspect.signature(builders[kind]).parameters.values())[1:]
-        if p.kind is not p.VAR_KEYWORD
-    ]
-    _reject_unknown(block, {"kind"} | {p.name for p in params}, f"{where} ({kind})")
-    missing = [p.name for p in params if p.default is p.empty and p.name not in block]
+    params = _builder_fields(builders[kind])
+    _reject_unknown(block, {"kind"} | set(params), f"{where} ({kind})")
+    missing = [n for n, p in params.items() if p.default is p.empty and n not in block]
     if missing:
         raise StructuralError(f"{where} ({kind}) is missing required field(s) {missing}")
-    _check_values(block, where)
+    for key, value in block.items():
+        if key != "kind":
+            check, what = _FIELD_RULES[params[key].annotation]
+            if not check(value):
+                raise StructuralError(f"{where}.{key} must be {what}")
+
+
+def _check_vector_lengths(block: dict, n: int):
+    """A set block's vector fields hold one coordinate per ambient dimension."""
+    params = _builder_fields(CATALOG[block["kind"]])
+    for key, value in block.items():
+        if key != "kind" and params[key].annotation in _VECTORS and len(value) != n:
+            raise StructuralError(
+                f"set.{key} must have {n} coordinates, one per ambient "
+                f"dimension; got {len(value)}"
+            )
 
 
 def _is_number(value) -> bool:
@@ -86,15 +109,22 @@ def _is_number(value) -> bool:
     return math.isfinite(value)
 
 
-def _check_values(block: dict, where: str):
-    for key, value in block.items():
-        if key in _STRING_LIST_KEYS:
-            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-                raise StructuralError(f"{where}.{key} must be a list of expression strings")
-        elif key != "kind" and not (
-            _is_number(value) or (isinstance(value, list) and all(map(_is_number, value)))
-        ):
-            raise StructuralError(f"{where}.{key} must be a finite number or a list of them")
+def _is_vector(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _is_expressions(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+_VECTORS = (Vector, Optional[Vector])
+#: a builder parameter's annotation -> (check of a block value, what it must be)
+_FIELD_RULES = {
+    float: (_is_number, "a finite number"),
+    Vector: (_is_vector, "a list of finite numbers"),
+    Optional[Vector]: (_is_vector, "a list of finite numbers"),
+    Sequence[str]: (_is_expressions, "a list of expression strings"),
+}
 
 
 class Scenario:
@@ -107,6 +137,7 @@ class Scenario:
             man["kind"], man["dim"], man.get("equalities")
         )
         self.tolerances = Tolerances(**self.document["tolerances"])
+        _check_vector_lengths(self.document["set"], self.backend.ambient_dim)
         self.moving_set: MovingSet = make_moving_set(
             self.backend,
             self.document["set"],
@@ -183,7 +214,7 @@ def normalize_document(doc: dict) -> dict:
         if key not in doc:
             raise StructuralError(f"scenario is missing required field {key!r}")
 
-    man = dict(doc["manifold"])
+    man = _object(doc["manifold"], "manifold")
     kind = man.get("kind")
     if kind not in _MANIFOLD_KEYS:
         raise StructuralError(
@@ -198,9 +229,9 @@ def normalize_document(doc: dict) -> dict:
             raise StructuralError("implicit manifold needs a nonempty equalities list")
         man["equalities"] = list(eqs)
 
-    st = dict(doc["set"])
+    st = _object(doc["set"], "set")
     _check_builder_fields(st, CATALOG, "set")
-    pert = dict(doc.get("perturbation", {"kind": "zero"}))
+    pert = _object(doc.get("perturbation", {"kind": "zero"}), "perturbation")
     _check_builder_fields(pert, PERTURBATIONS, "perturbation")
 
     horizon = doc["horizon"]
@@ -211,13 +242,13 @@ def normalize_document(doc: dict) -> dict:
     if not isinstance(x0, list) or not all(isinstance(v, (int, float)) for v in x0):
         raise StructuralError("initial_point must be a list of numbers")
 
-    consts = dict(doc.get("constants", {}))
+    consts = _object(doc.get("constants", {}), "constants")
     _reject_unknown(consts, _CONSTANT_KEYS, "constants")
     for key, value in consts.items():
         if not _is_number(value):
             raise StructuralError(f"constants.{key} must be a finite number")
 
-    tols = dict(doc.get("tolerances", {}))
+    tols = _object(doc.get("tolerances", {}), "tolerances")
     _reject_unknown(tols, _TOLERANCE_KEYS, "tolerances")
     for key, value in tols.items():
         if not (_is_number(value) and value > 0):

@@ -232,18 +232,31 @@ def _region_inside_set(scenario, region: Region, n: int = 200) -> bool:
 
 
 def _visited_region(traj: Trajectory, margin: float) -> Region:
-    """Bounding geodesic ball of the trajectory nodes, with a margin."""
+    """Bounding geodesic ball of the trajectory nodes, with a margin.
+
+    The center is the node whose farthest node is nearest, the first such
+    node on ties.  Candidates are tried nearest-first to the ambient
+    1-center, and each scans the nodes farthest-first in ambient
+    coordinates, stopping as soon as it cannot win, so most scans end
+    after a node or two; the result is that of the full all-pairs search.
+    """
     nodes = traj.nodes
     if len(nodes) > 48:
         stride = max(1, len(nodes) // 48)
         nodes = nodes[::stride] + [traj.nodes[-1]]
-    best, best_r = nodes[0], math.inf
-    for c in nodes:
-        r = max(distance(c, p) for p in nodes)
-        if r < best_r:
-            best, best_r = c, r
+    amb = np.array([p.coords for p in nodes])
+    gaps = np.linalg.norm(amb[:, None, :] - amb[None, :, :], axis=-1)
+    best, best_r = 0, math.inf
+    for i in np.argsort(gaps.max(axis=1), kind="stable").tolist():
+        r = -math.inf
+        for j in np.argsort(-gaps[i], kind="stable").tolist():
+            r = max(r, distance(nodes[i], nodes[j]))
+            if (r, i) > (best_r, best):
+                break  # r(i) >= r > best_r, or a tie lost to an earlier node
+        else:
+            best, best_r = i, r
     rho = traj.set_.backend.budget().rho
-    return Region(best, min(best_r + margin, 0.95 * rho))
+    return Region(nodes[best], min(best_r + margin, 0.95 * rho))
 
 
 def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport:

@@ -20,7 +20,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -73,7 +73,9 @@ def zero_perturbation() -> Perturbation:
     return Perturbation(f, 0.0, 0.0)
 
 
-def expression_perturbation(backend, components, sup_norm, lipschitz) -> Perturbation:
+def expression_perturbation(
+    backend, components: Sequence[str], sup_norm: float, lipschitz: float
+) -> Perturbation:
     """Ambient components from expression strings, projected onto T_x."""
     from . import expressions as ex
 

@@ -16,6 +16,7 @@ from manisweep import (
     parallel_transport,
 )
 from manisweep.errors import StructuralError
+from manisweep.geometry.implicit import _call_on_floats, _compile_kernels
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +152,139 @@ def test_two_constraint_manifold_in_r3():
     assert np.allclose(y.coords, [math.cos(0.5), math.sin(0.5), 0.0], atol=1e-8)
     back = log_map(x, y)
     assert np.max(np.abs(back.components - v.components)) < 1e-6
+
+
+# -- generated kernels ---------------------------------------------------------
+
+KERNEL_MANIFOLDS = {
+    "ellipse_golden": (2, ["x1^2/4 + x2^2 - 1"]),
+    "acceptance_circle": (2, ["x1^2 + x2^2 - 1"]),
+    "two_equalities": (4, ["x1^2 + x2^2 + x3^2 + x4^2 - 1", "x4 - 0.3*x1*x2"]),
+}
+
+
+def _sum_sq(v):
+    s = v[0] * v[0]
+    for c in v[1:]:
+        s = s + c * c
+    return s
+
+
+def _stagewise_rk4(k, state, n, h, with_w):
+    """RK4 as separate calls of the standalone kernels, stage by stage."""
+    d = len(state) // (3 if with_w else 2)
+    x, v, w = list(state[:d]), list(state[d : 2 * d]), list(state[2 * d :])
+    spd = math.sqrt(_sum_sq(v))
+
+    def shift(base, slope, c):
+        return [b + c * h * s for b, s in zip(base, slope)]
+
+    for _ in range(n):
+        kx, kv, kw = [], [], []
+        sx, sv, sw = x, v, w
+        for c in (None, 0.5, 0.5, 1.0):
+            if c is not None:
+                sx, sv, sw = shift(x, kx[-1], c), shift(v, kv[-1], c), shift(w, kw[-1], c)
+            kx.append(sv)
+            kv.append(k["acc"](*sx, *sv))
+            kw.append(k["acc_w"](*sx, *sv, *sw) if with_w else ())
+
+        def combine(base, ks):
+            k1, k2, k3, k4 = ks
+            return [
+                b + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                for b, a1, a2, a3, a4 in zip(base, k1, k2, k3, k4)
+            ]
+
+        x, v, w = combine(x, kx), combine(v, kv), combine(w, kw)
+        x = list(k["proj_x"](*x))
+        v = list(k["proj_t"](*x, *v))
+        s = math.sqrt(_sum_sq(v))
+        if s > 0.0:
+            c = spd / s
+            v = [vi * c for vi in v]
+        if with_w:
+            w = list(k["proj_t"](*x, *w))
+    return tuple(x + v + w)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MANIFOLDS))
+def test_fused_rk4_kernels_equal_stagewise_calls(name):
+    # the fused kernels must round exactly as the standalone kernels called
+    # stage by stage; == on every output, not approx
+    d, eqs = KERNEL_MANIFOLDS[name]
+    b = ImplicitBackend(d, eqs)
+    k = _compile_kernels(b._g_trees, d)
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        x = b._project_point(rng.standard_normal(d))
+        v = b._project_tangent(x, rng.standard_normal(d)) * rng.uniform(0.05, 2.0)
+        w = b._project_tangent(x, rng.standard_normal(d))
+        n = int(rng.integers(1, 24))
+        geo = tuple(x) + tuple(v)
+        assert b._k_rk4_geo(geo, n, 1.0 / n) == _stagewise_rk4(k, geo, n, 1.0 / n, False)
+        par = geo + tuple(w)
+        assert b._k_rk4_par(par, n, 0.5 / n) == _stagewise_rk4(k, par, n, 0.5 / n, True)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MANIFOLDS))
+def test_feasibility_residual_is_max_abs_constraint(name):
+    d, eqs = KERNEL_MANIFOLDS[name]
+    b = ImplicitBackend(d, eqs)
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        x = rng.standard_normal(d)
+        assert b.feasibility_residual(x) == float(np.max(np.abs(b.constraint_values(x))))
+    # a NaN constraint value is the maximum wherever it stands, as in np.max
+    for values in [(math.nan,), (0.5, math.nan), (math.nan, 0.5), (-2.0, 0.5)]:
+        b._g_fn = lambda *x, values=values: values
+        expected = float(np.max(np.abs(values)))
+        got = b.feasibility_residual(np.zeros(d))
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+def test_default_budget_locates_its_point_once(monkeypatch):
+    b = ImplicitBackend(2, ["x1^2/4 + x2^2 - 1"])
+    calls = []
+    locate = b._default_point
+    monkeypatch.setattr(b, "_default_point", lambda: calls.append(1) or locate())
+    first = b.budget()
+    x = b.point([2.0, 0.0])
+    y = exp_map(x, b.tangent(x, [0.0, 0.3]))
+    log_map(x, y)
+    parallel_transport(x, y, b.tangent(x, [0.0, 1.0]))
+    assert b.budget() is first
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MANIFOLDS))
+def test_kernels_on_floats_equal_kernels_on_numpy_scalars(name):
+    d, eqs = KERNEL_MANIFOLDS[name]
+    b = ImplicitBackend(d, eqs)
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        x = b._project_point(rng.standard_normal(d))
+        v = b._project_tangent(x, rng.standard_normal(d))
+        state = tuple(np.concatenate((x, v)))  # numpy scalars
+        assert isinstance(state[0], np.float64)
+        got = _call_on_floats(b._k_rk4_geo, (x, v), 9, 1.0 / 9)
+        assert np.array_equal(got, np.array(b._k_rk4_geo(state, 9, 1.0 / 9)))
+
+
+@pytest.mark.parametrize(
+    "eqs, x, v",
+    [
+        # the gradient vanishes at the center: floats divide by zero
+        (["x1^2 + x2^2 - 1"], [0.0, 0.0], [1.0, 0.0]),
+        # a negative base to a fractional power: floats turn complex
+        (["x2 - x1^1.5"], [-1.0, 0.5], [1.0, 1.0]),
+    ],
+    ids=["zero_division", "complex_power"],
+)
+def test_kernels_on_floats_fall_back_to_numpy_semantics(eqs, x, v):
+    b = ImplicitBackend(2, eqs)
+    x, v = np.array(x), np.array(v)
+    with np.errstate(all="ignore"):
+        expected = np.array(b._k_rk4_geo(tuple(np.concatenate((x, v))), 4, 0.25), dtype=float)
+        got = _call_on_floats(b._k_rk4_geo, (x, v), 4, 0.25)
+    np.testing.assert_array_equal(got, expected)  # nan where numpy gives nan

@@ -167,6 +167,28 @@ def test_rotating_cap_axis_path():
     assert s.constraint_values(t, x)[0] == pytest.approx(0.0)
 
 
+def test_rotating_cap_interleaved_times_match_a_fresh_set():
+    # the axis a(t) is memoized for the last t; revisiting an earlier time
+    # must give what a set that never saw the later one gives
+    S = SphereBackend(2)
+
+    def make():
+        return sphere_cap(S, axis=[0, 0, 1], height=0.2, omega=0.7, rotation_axis=[1, 1, 0])
+
+    s = make()
+    y = S.point([0.6, -0.48, -0.64])
+    on = S.point([0.0, 0.0, 1.0])
+    for t in (0.3, 1.1, 0.3, 0.0, 1.1, 0.0):
+        ref = make()
+        assert np.array_equal(s.constraint_values(t, y), ref.constraint_values(t, y))
+        got, want = s.project(t, y), ref.project(t, y)
+        assert np.array_equal(got.point.coords, want.point.coords)
+        assert (got.dist, got.active_set) == (want.dist, want.active_set)
+        assert s.active_set(t, on) == ref.active_set(t, on)
+        grad = s.constraint_gradient(t, on, 0)
+        assert np.array_equal(grad.components, ref.constraint_gradient(t, on, 0).components)
+
+
 def test_hausdorff_lipschitz_self_check():
     E = EuclideanBackend(2)
     moving = ball(E, center=[0.0, 0.0], radius=1.0, velocity=[0.7, 0.0])

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from manisweep.scenario import (
     document_hash,
     load_scenario,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 MINIMAL_HALFLINE = {
     "schema": 1,
@@ -206,11 +210,18 @@ HALFLINE_FLOW = {
          "StructuralError", "radius"),
         (dict(E2_BALL, set={"kind": "half_space"}), "StructuralError", "normal"),
         ({"set": {"kind": "inequalities"}}, "StructuralError", "exprs"),
+        # field shapes
+        (dict(E2_BALL, set={"kind": "half_space", "normal": [1.0, 0.0, 0.0]}),
+         "StructuralError", "set.normal"),
+        (dict(E2_BALL, set={"kind": "ball", "center": [0.0, 0.0], "radius": [1.0, 2.0]}),
+         "StructuralError", "set.radius"),
+        ({"set": [["kind", "halfline"]]}, "StructuralError", "set"),
     ],
     ids=["no_tangent_direction", "three_equalities", "bad_expression",
          "radius_not_a_number", "center_not_numbers", "lipschitz_const_not_a_number",
          "prox_radius_hint_not_a_number", "sup_norm_not_a_number",
-         "ball_without_radius", "half_space_without_normal", "inequalities_without_exprs"],
+         "ball_without_radius", "half_space_without_normal", "inequalities_without_exprs",
+         "normal_wrong_length", "radius_a_list", "set_a_list"],
 )
 def test_cli_json_errors_are_typed(tmp_path, capsys, changes, error, names):
     doc = dict(MINIMAL_HALFLINE, **changes)
@@ -272,6 +283,27 @@ def test_set_fields_come_from_the_builder(kind):
         del doc["set"][name]
         with pytest.raises(StructuralError, match=f"missing required field.*'{name}'"):
             Scenario(doc)
+
+
+@pytest.mark.parametrize("kind", sorted(CATALOG))
+def test_set_field_shapes_are_checked(kind):
+    # a vector field holds one number per ambient coordinate, a scalar field one number
+    for name, value in SET_KINDS[kind][1].items():
+        if name == "kind" or (isinstance(value, list) and isinstance(value[0], str)):
+            continue
+        if isinstance(value, list):
+            wrong = [value[:-1], value + [0.0], 1.0]
+        else:
+            wrong = [[value, value]]
+        for bad in wrong:
+            with pytest.raises(StructuralError, match=f"set.{name} must"):
+                Scenario(set_document(kind, **{name: bad}))
+
+
+@pytest.mark.parametrize("block", ["manifold", "set", "perturbation", "constants", "tolerances"])
+def test_blocks_must_be_objects(block):
+    with pytest.raises(StructuralError, match=f"{block} must be a JSON object"):
+        Scenario(dict(MINIMAL_HALFLINE, **{block: [["kind", "zero"]]}))
 
 
 @pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
@@ -389,8 +421,11 @@ def test_cli_validate_echo_normalized(capsys):
 
 
 def test_console_script_entry_point():
+    # the subprocess does not inherit pytest's pythonpath setting
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "manisweep.cli", "--help"],
+        env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
     )

@@ -1,9 +1,22 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from manisweep import certify_scenario, run_rate_study, studies
+from manisweep import (
+    EuclideanBackend,
+    HyperbolicBackend,
+    ImplicitBackend,
+    Point,
+    Region,
+    SphereBackend,
+    certify_scenario,
+    distance,
+    exp_map,
+    run_rate_study,
+    studies,
+)
 from manisweep.errors import StructuralError
 from manisweep.scenario import Scenario, bundled_scenario
 
@@ -201,3 +214,92 @@ def test_certify_stops_sampling_once_the_region_is_inside_at_every_time(monkeypa
     assert rep.fitted_E == 0.0
     assert ("hypomonotonicity", "pass",
             "region interior to the set; fitted E = 0 vacuously") in rep.checks
+
+
+# -- visited region ------------------------------------------------------------
+
+
+def _full_scan_region(traj, margin):
+    """The all-pairs search ``_visited_region`` must reproduce exactly."""
+    nodes = traj.nodes
+    if len(nodes) > 48:
+        stride = max(1, len(nodes) // 48)
+        nodes = nodes[::stride] + [traj.nodes[-1]]
+    best, best_r = nodes[0], math.inf
+    for c in nodes:
+        r = max(distance(c, p) for p in nodes)
+        if r < best_r:
+            best, best_r = c, r
+    rho = traj.set_.backend.budget().rho
+    return Region(best, min(best_r + margin, 0.95 * rho))
+
+
+def _as_traj(nodes):
+    backend = nodes[0].backend
+    return SimpleNamespace(nodes=nodes, set_=SimpleNamespace(backend=backend))
+
+
+def _assert_same_region(nodes, margin=0.25):
+    got = studies._visited_region(_as_traj(nodes), margin)
+    want = _full_scan_region(_as_traj(nodes), margin)
+    assert got.center is want.center  # the same node, so ties break the same way
+    assert got.radius == want.radius
+
+
+VISITED_BACKENDS = {
+    "euclidean": (lambda: EuclideanBackend(2), [0.3, -0.2]),
+    "sphere": (lambda: SphereBackend(2), [0.0, 0.6, 0.8]),
+    "hyperbolic": (lambda: HyperbolicBackend(2), [1.0, 0.0, 0.0]),
+    "implicit": (lambda: ImplicitBackend(2, ["x1^2/4 + x2^2 - 1"]), [2.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VISITED_BACKENDS))
+def test_visited_region_equals_full_scan(kind):
+    make, center = VISITED_BACKENDS[kind]
+    b = make()
+    c = b.point(center)
+    rng = np.random.default_rng(31)
+    for size in (1, 2, 5, 13):
+        nodes = [b.random_point(rng, c, 0.6) for _ in range(size)]
+        _assert_same_region(nodes)
+        # duplicated nodes: equal coordinates, different objects, same radius
+        dup = nodes + [Point(b, nodes[0].coords), nodes[-1]]
+        _assert_same_region(dup)
+        _assert_same_region(dup[::-1])
+    # a trajectory-like path; beyond 48 nodes it takes the strided subset
+    # (kept short on the implicit backend, whose full scan shoots every pair)
+    half = 12 if kind == "implicit" else 50
+    v = b.random_tangent(rng, c, 0.6)
+    path = [exp_map(c, v.scaled(s)) for s in np.linspace(-1.0, 1.0, 2 * half + 1)]
+    _assert_same_region(path)
+    # a symmetric path without its middle node: two (near-)tied centers
+    _assert_same_region(path[:half] + path[half + 1 :])
+
+
+class _TableBackend:
+    """Fake backend: distances from a table, ambient coordinates unrelated."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def distance(self, x, y):
+        return float(self.table[x.index, y.index])
+
+    def budget(self):
+        return SimpleNamespace(rho=1e6)
+
+
+def test_visited_region_tie_breaks_when_ambient_order_misleads():
+    # integer distances give many exact ties; random ambient coordinates make
+    # the candidate and scan orders disagree with the table
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        table = rng.integers(0, 4, size=(n, n)).astype(float)
+        b = _TableBackend(table)
+        nodes = [
+            SimpleNamespace(index=i, coords=rng.standard_normal(2), backend=b)
+            for i in range(n)
+        ]
+        _assert_same_region(nodes, margin=0.5)
