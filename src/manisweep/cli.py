@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 
+from .artifacts import dumps
 from .errors import DomainError, ExpressionError, NumericsError, StructuralError
 from .geometry import Region
 from .regularity import (
@@ -21,7 +22,7 @@ from .regularity import (
     probe_projection_uniqueness,
     sample_hypomonotonicity,
 )
-from .scenario import dumps_document, load_scenario
+from .scenario import load_scenario
 from .studies import certify_scenario, run_rate_study
 from .sweep import admissible_step, catching_up
 
@@ -102,7 +103,7 @@ def _cmd_rates(args):
     if reference == "auto":
         reference = "analytic" if scn.analytic_solution() is not None else "finest"
     study = run_rate_study(scn, steps, reference=reference)
-    _emit(json.dumps(study.to_dict(), indent=2, sort_keys=True) + "\n", args.out)
+    _emit(dumps(study), args.out)
     if args.data is not None:
         _emit(study.gnuplot_data(), args.data)
     if args.out is not None:
@@ -122,7 +123,7 @@ def _cmd_diagnose(args):
     try:
         reports["hypomonotonicity"] = sample_hypomonotonicity(
             scn.moving_set, 0.0, region, n_samples=args.samples, seed=seed
-        ).to_dict()
+        )
     except StructuralError as err:
         warnings.append(f"hypomonotonicity: {err}")
     try:
@@ -133,13 +134,13 @@ def _cmd_diagnose(args):
             n_points=3,
             agree_tol=scn.tolerances.uniqueness,
             seed=seed,
-        ).to_dict()
+        )
     except StructuralError as err:
         warnings.append(f"projection_uniqueness: {err}")
     mono_region = Region(scn.x0, min(radius, 0.45 * scn.backend.budget().rho))
     reports["log_monotonicity"] = check_log_monotonicity(
         scn.backend, mono_region, n_samples=args.samples, seed=seed
-    ).to_dict()
+    )
     adm = admissible_step(scn.moving_set, scn.perturbation, scn.horizon, scn.x0)
     reports["admissible_step"] = {
         "h_max": adm.h_max,
@@ -154,14 +155,14 @@ def _cmd_diagnose(args):
         "reports": reports,
         "warnings": warnings,
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(dumps(doc), args.out)
     return EXIT_WARN if (warnings and args.strict) else EXIT_PASS
 
 
 def _cmd_certify(args):
     scn = load_scenario(args.scenario)
     report = certify_scenario(scn, h=args.h)
-    _emit(report.to_json(), args.out)
+    _emit(dumps(report), args.out)
     if report.status == "fail":
         return EXIT_FAIL
     if report.status == "warn" and args.strict:
@@ -172,7 +173,7 @@ def _cmd_certify(args):
 def _cmd_validate(args):
     scn = load_scenario(args.scenario)
     if args.echo:
-        sys.stdout.write(dumps_document(scn.document))
+        sys.stdout.write(dumps(scn.document))
     else:
         print(f"ok: {scn.name} (hash {scn.hash[:16]})")
     return EXIT_PASS

@@ -207,8 +207,10 @@ class ManifoldBackend(abc.ABC):
             raise StructuralError(
                 f"expected {self.ambient_dim} coordinates, got shape {coords.shape}"
             )
+        if not np.isfinite(coords).all():
+            raise StructuralError(f"coordinates must be finite, got {coords}")
         resid = self.feasibility_residual(coords)
-        if resid > self.feasibility_tol:
+        if not resid <= self.feasibility_tol:  # a NaN residual fails too
             raise StructuralError(
                 f"coordinates violate the manifold equations (residual {resid:.3e})"
             )

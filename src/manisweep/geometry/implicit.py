@@ -262,15 +262,23 @@ class ImplicitBackend(ManifoldBackend):
 
     def _project_point(self, amb):
         x = tuple(float(c) for c in np.asarray(amb, dtype=float))
-        for _ in range(12):
-            x = self._k_proj_x(*x)
-            if self.feasibility_residual(x) < 1e-13:
-                break
+        try:
+            for _ in range(12):
+                x = self._k_proj_x(*x)
+                if self.feasibility_residual(x) < 1e-13:
+                    break
+        except (ZeroDivisionError, OverflowError) as err:
+            raise NumericsError(
+                f"restoration onto the manifold broke down ({err}); the constraint "
+                "gradient vanishes or overflows on the way",
+                best=np.array(x),
+            ) from err
         out = np.array(x)
-        if self.feasibility_residual(out) > self.feasibility_tol:
+        resid = self.feasibility_residual(out)
+        if not resid <= self.feasibility_tol:  # a NaN residual fails too
             raise NumericsError(
                 "could not restore feasibility from the given ambient point",
-                residual=self.feasibility_residual(out),
+                residual=resid,
                 best=out,
             )
         return out
@@ -433,12 +441,12 @@ class ImplicitBackend(ManifoldBackend):
                 continue
         raise StructuralError("could not locate any point on the implicit manifold")
 
-    def _sample_extrinsic_curvature(self, center, radius, n=64):
+    def _sample_extrinsic_curvature(self, center, radius):
         """Max |second fundamental form(u, u)| over sampled points and unit u."""
         rng = np.random.default_rng(12345)
         worst = 0.0
         pt = np.asarray(center, dtype=float)
-        for k in range(n):
+        for k in range(64):
             if k > 0:
                 try:
                     amb = pt + radius * rng.standard_normal(self.ambient_dim)

@@ -167,8 +167,13 @@ class MovingSet:
             return 0.0
         return self.project(t, y).dist
 
+    @property
+    def working_radius(self) -> float:
+        """Half the prox-radius hint: the distance within which projections are trusted."""
+        return 0.5 * self.prox_radius_hint
+
     def _radius_warning(self, d: float) -> Optional[str]:
-        working = 0.5 * self.prox_radius_hint
+        working = self.working_radius
         if d > working:
             return (
                 f"query at distance {d:.3g} exceeds the working radius "
@@ -242,7 +247,7 @@ class MovingSet:
         _, resid = nnls(A, b)
         return float(resid)
 
-    def restore_feasibility(self, t: float, x: Point, max_iter: int = 60) -> Point:
+    def restore_feasibility(self, t: float, x: Point) -> Point:
         """Damped descent on the squared constraint violation.
 
         The damped Newton steps can overshoot into the interior by
@@ -253,7 +258,7 @@ class MovingSet:
         rho = self.backend.budget().rho
         c = x
         touched: set = set()
-        for _ in range(max_iter):
+        for _ in range(60):
             vals = self.constraint_values(t, c)
             viol = np.flatnonzero(vals < -0.1 * self.tolerances.feasibility)
             if viol.size == 0:
@@ -294,16 +299,16 @@ class MovingSet:
             c = self._polish_onto_boundary(t, c, sorted(touched))
         return c
 
-    def _polish_onto_boundary(self, t, c, indices, tol=1e-12, rounds=6):
+    def _polish_onto_boundary(self, t, c, indices):
         """Newton steps driving g_i(t, c) to zero for the given constraints.
 
         Intermediate iterates may dip microscopically onto the infeasible
         side; the last iterate that is still a member is returned.
         """
         best_member = c
-        for _ in range(rounds):
+        for _ in range(6):
             vals = np.array([self.constraints[i].value(t, c.coords) for i in indices])
-            if float(np.max(np.abs(vals))) <= tol:
+            if float(np.max(np.abs(vals))) <= 1e-12:
                 break
             grads = [self.constraint_gradient(t, c, i) for i in indices]
             gram = np.array(
@@ -393,9 +398,10 @@ def ball(backend, center: Vector, radius: float, velocity: Optional[Vector] = No
     if velocity is not None and backend.key[0] != "euclidean":
         raise StructuralError("moving ball centers are supported on the Euclidean backend")
     vel = np.zeros_like(center) if velocity is None else np.asarray(velocity, dtype=float)
+    fixed = backend.point(center) if velocity is None else None
 
     def center_at(t):
-        return backend.point(center + t * vel if velocity is not None else center)
+        return fixed if fixed is not None else backend.point(center + t * vel)
 
     def value(t, xc):
         return radius - backend._distance(xc, center_at(t).coords)

@@ -20,11 +20,12 @@ clearly labeled, with the sampling seed embedded in every report:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .artifacts import Report
 from .errors import NumericsError, StructuralError
 from .geometry import (
     ManifoldBackend,
@@ -42,48 +43,26 @@ from .moving_sets import MovingSet
 BOUNDARY_BISECTION_TOL = 1e-9
 
 
-def _point_dict(p: Point):
-    return {"backend": list(map(str, p.backend.key[:2])), "coords": p.coords.tolist()}
-
-
 @dataclass
-class HypomonotonicityReport:
+class HypomonotonicityReport(Report):
+    """``worst_pair`` is ``{"x", "y", "v"}``: the pair with the largest ratio and x's normal."""
+
+    kind = "hypomonotonicity"
+
     region: Region
     samples: int
     max_ratio: float
     fitted_E: float
     violations: int
-    worst_pair: Optional[tuple]
+    worst_pair: Optional[dict]
     declared_E: Optional[float]
     seed: int
 
-    def to_dict(self):
-        worst = None
-        if self.worst_pair is not None:
-            x, y, v = self.worst_pair
-            worst = {
-                "x": x.coords.tolist(),
-                "y": y.coords.tolist(),
-                "v": v.components.tolist(),
-            }
-        return {
-            "kind": "hypomonotonicity",
-            "region": {
-                "center": self.region.center.coords.tolist(),
-                "radius": self.region.radius,
-            },
-            "samples": self.samples,
-            "max_ratio": self.max_ratio,
-            "fitted_E": self.fitted_E,
-            "violations": self.violations,
-            "declared_E": self.declared_E,
-            "worst_pair": worst,
-            "seed": self.seed,
-        }
-
 
 @dataclass
-class ConeMembershipResult:
+class ConeMembershipResult(Report):
+    kind = "cone_membership"
+
     status: str  # "member" | "not_member" | "inconclusive"
     fitted_lambda: float
     radii: list
@@ -97,19 +76,11 @@ class ConeMembershipResult:
             )
         return self.status == "member"
 
-    def to_dict(self):
-        return {
-            "kind": "cone_membership",
-            "status": self.status,
-            "fitted_lambda": self.fitted_lambda,
-            "radii": list(self.radii),
-            "max_ratios": list(self.max_ratios),
-            "seed": self.seed,
-        }
-
 
 @dataclass
-class UniquenessReport:
+class UniquenessReport(Report):
+    kind = "projection_uniqueness"
+
     distances: list
     agreement: list
     scatter: list
@@ -117,55 +88,29 @@ class UniquenessReport:
     restarts: int
     seed: int
 
-    def to_dict(self):
-        return {
-            "kind": "projection_uniqueness",
-            "distances": list(self.distances),
-            "agreement": list(self.agreement),
-            "scatter": list(self.scatter),
-            "empirical_radius": self.empirical_radius,
-            "restarts": self.restarts,
-            "seed": self.seed,
-        }
-
 
 @dataclass
-class LogMonotonicityReport:
+class LogMonotonicityReport(Report):
+    """``worst_triple`` is ``{"x", "z1", "z2"}``: the triple with the smallest ratio."""
+
+    kind = "log_monotonicity"
+
     region: Region
     samples: int
     fitted_A: float
-    worst_triple: Optional[tuple]
+    worst_triple: Optional[dict]
     seed: int
-
-    def to_dict(self):
-        worst = None
-        if self.worst_triple is not None:
-            worst = {k: p.coords.tolist() for k, p in
-                     zip(("x", "z1", "z2"), self.worst_triple)}
-        return {
-            "kind": "log_monotonicity",
-            "region": {
-                "center": self.region.center.coords.tolist(),
-                "radius": self.region.radius,
-            },
-            "samples": self.samples,
-            "fitted_A": self.fitted_A,
-            "worst_triple": worst,
-            "seed": self.seed,
-        }
 
 
 # -- sampling helpers ---------------------------------------------------------
 
 
-def members_in_region(
-    set_: MovingSet, t: float, region: Region, rng, n: int, max_tries: int = 40
-):
+def members_in_region(set_: MovingSet, t: float, region: Region, rng, n: int):
     """Rejection-sample members of C(t) inside the region ball."""
     backend = set_.backend
     out = []
     tries = 0
-    while len(out) < n and tries < max_tries * n:
+    while len(out) < n and tries < 40 * n:
         tries += 1
         cand = backend.random_point(rng, region.center, region.radius)
         if set_.member(t, cand):
@@ -209,9 +154,7 @@ def boundary_point(
     return exp_map(member, direction.scaled(s_in))
 
 
-def sample_boundary_points(
-    set_: MovingSet, t: float, region: Region, rng, n: int, max_tries: int = 30
-):
+def sample_boundary_points(set_: MovingSet, t: float, region: Region, rng, n: int):
     """Boundary points of C(t) in the region, via push-and-bisect."""
     backend = set_.backend
     rho = backend.budget().rho
@@ -219,7 +162,7 @@ def sample_boundary_points(
     members = members_in_region(set_, t, region, rng, max(4, n // 4))
     out = []
     tries = 0
-    while len(out) < n and tries < max_tries * n:
+    while len(out) < n and tries < 30 * n:
         tries += 1
         m = members[int(rng.integers(len(members)))]
         u = backend.random_tangent(rng, m, 1.0)
@@ -307,7 +250,7 @@ def sample_hypomonotonicity(
             violations += 1
         if ratio > max_ratio:
             max_ratio = ratio
-            worst = (x, y, v)
+            worst = {"x": x, "y": y, "v": v}
 
     # pair every boundary point that carries a normal against the whole
     # member pool: removing the pair-selection randomness keeps the
@@ -341,14 +284,14 @@ def test_cone_membership(
     x: Point,
     v: Tangent,
     n_samples: int = 40,
-    r0: Optional[float] = None,
     seed: int = 0,
 ) -> ConeMembershipResult:
     """Decide v in N(C(t), x) empirically via a shrinking-radius sweep.
 
-    Radii r_k = r0 * 2^-k for k = 0..10; divergence is declared when the
-    per-radius max of <v, log_x(y)> / d(x, y)^2 grows by >= 4x across two
-    consecutive halvings.
+    Radii r_k = r0 * 2^-k for k = 0..10, with r0 = min(0.9 rho, the
+    prox-radius hint); divergence is declared when the per-radius max of
+    <v, log_x(y)> / d(x, y)^2 grows by >= 4x across two consecutive
+    halvings.
     """
     if not set_.member(t, x):
         raise StructuralError("cone membership is defined at members of the set")
@@ -357,8 +300,7 @@ def test_cone_membership(
         return ConeMembershipResult("member", 0.0, [], [], seed)
     backend = set_.backend
     rho = backend.budget().rho
-    if r0 is None:
-        r0 = min(0.9 * rho, set_.prox_radius_hint)
+    r0 = min(0.9 * rho, set_.prox_radius_hint)
     radii = [r0 * 2.0**-k for k in range(11)]
     max_ratios = []
     floor = 1e-7 * r0
@@ -409,7 +351,6 @@ def probe_projection_uniqueness(
     restarts: int = 16,
     agree_tol: float = 1e-6,
     seed: int = 0,
-    max_iter: int = 800,
 ) -> UniquenessReport:
     """Estimate the radius inside which the metric projection is single-valued.
 
@@ -472,7 +413,7 @@ def probe_projection_uniqueness(
                     continue
                 try:
                     res = set_.project(
-                        t, query, method="iterative", initial=init, max_iter=max_iter
+                        t, query, method="iterative", initial=init, max_iter=800
                     )
                 except NumericsError:
                     ok = False
@@ -543,7 +484,7 @@ def check_log_monotonicity(
         count += 1
         if q < fitted:
             fitted = q
-            worst = (x, z1, z2)
+            worst = {"x": x, "z1": z1, "z2": z2}
     if count == 0:
         raise StructuralError("could not assemble any valid sample triples")
     return LogMonotonicityReport(

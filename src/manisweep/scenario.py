@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .artifacts import dumps as dumps_document  # the scenario document's text
 from .errors import StructuralError
 from .geometry import BACKENDS, ManifoldBackend, Point, make_backend
 from .moving_sets import CATALOG, MovingSet, Tolerances, Vector, make_moving_set
@@ -107,6 +108,10 @@ def _is_number(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     return math.isfinite(value)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_vector(value) -> bool:
@@ -221,8 +226,8 @@ def normalize_document(doc: dict) -> dict:
             f"unknown manifold kind {kind!r}; known: {sorted(_MANIFOLD_KEYS)}"
         )
     _reject_unknown(man, _MANIFOLD_KEYS[kind], f"manifold ({kind})")
-    if not isinstance(man.get("dim"), int) or man["dim"] < 1:
-        raise StructuralError("manifold dim must be a positive integer")
+    if not (_is_integer(man.get("dim")) and man["dim"] >= 1):
+        raise StructuralError("manifold.dim must be a positive integer")
     if kind == "implicit":
         eqs = man.get("equalities")
         if not isinstance(eqs, list) or not eqs or not all(isinstance(s, str) for s in eqs):
@@ -235,12 +240,12 @@ def normalize_document(doc: dict) -> dict:
     _check_builder_fields(pert, PERTURBATIONS, "perturbation")
 
     horizon = doc["horizon"]
-    if not isinstance(horizon, (int, float)) or not horizon > 0:
-        raise StructuralError("horizon must be a positive number")
+    if not (_is_number(horizon) and horizon > 0):
+        raise StructuralError("horizon must be a positive finite number")
 
     x0 = doc["initial_point"]
-    if not isinstance(x0, list) or not all(isinstance(v, (int, float)) for v in x0):
-        raise StructuralError("initial_point must be a list of numbers")
+    if not _is_vector(x0):
+        raise StructuralError("initial_point must be a list of finite numbers")
 
     consts = _object(doc.get("constants", {}), "constants")
     _reject_unknown(consts, _CONSTANT_KEYS, "constants")
@@ -257,7 +262,7 @@ def normalize_document(doc: dict) -> dict:
     tols = Tolerances(**{k: float(v) for k, v in tols.items()}).to_dict()
 
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not (_is_integer(seed) and seed >= 0):
         raise StructuralError("seed must be a nonnegative integer")
 
     return {
@@ -272,10 +277,6 @@ def normalize_document(doc: dict) -> dict:
         "constants": {k: float(v) for k, v in consts.items()},
         "tolerances": tols,
     }
-
-
-def dumps_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def document_hash(doc: dict) -> str:

@@ -12,20 +12,20 @@ and the inclusion residual.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .artifacts import Report
 from .errors import DomainError, NumericsError, StructuralError
 from .geometry import Region, distance
 from .regularity import (
     probe_projection_uniqueness,
     sample_hypomonotonicity,
 )
-from .sweep import Trajectory, admissible_step, catching_up, inclusion_residual
+from .sweep import Trajectory, admissible_step, catching_up, inclusion_residual, velocity_bound
 
 #: errors below this are indistinguishable from solver tolerance
 SATURATION_FLOOR = 1e-12
@@ -34,7 +34,9 @@ ERROR_SAMPLE_TIMES = 256
 
 
 @dataclass
-class RateStudy:
+class RateStudy(Report):
+    kind = "rate_study"
+
     scenario_hash: str
     steps: list
     errors: list
@@ -43,19 +45,6 @@ class RateStudy:
     reference: str
     excluded: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "kind": "rate_study",
-            "scenario_hash": self.scenario_hash,
-            "steps": list(self.steps),
-            "errors": list(self.errors),
-            "fitted_order": self.fitted_order,
-            "constant": self.constant,
-            "reference": self.reference,
-            "excluded": list(self.excluded),
-            "warnings": list(self.warnings),
-        }
 
     def table(self) -> str:
         lines = [f"{'h':>14s} {'sup error':>14s}  note"]
@@ -175,12 +164,22 @@ def run_rate_study(scenario, steps, reference: str = "analytic") -> RateStudy:
     )
 
 
-@dataclass
-class CertificationReport:
-    scenario_hash: str
-    scenario_name: str
+class Check(NamedTuple):
+    """One audited item of a certification report."""
+
+    name: str
     status: str  # "pass" | "warn" | "fail"
-    checks: list
+    detail: str
+
+
+@dataclass
+class CertificationReport(Report):
+    kind = "certification"
+
+    scenario_hash: str
+    scenario: str
+    status: str  # "pass" | "warn" | "fail"
+    checks: list  # of Check
     fitted_E: Optional[float]
     empirical_uniqueness_radius: Optional[float]
     max_inclusion_residual: Optional[float]
@@ -188,37 +187,17 @@ class CertificationReport:
     velocity_bound: float
     seed: int
 
-    def to_dict(self):
-        return {
-            "kind": "certification",
-            "scenario": self.scenario_name,
-            "scenario_hash": self.scenario_hash,
-            "status": self.status,
-            "checks": [
-                {"name": n, "status": s, "detail": d} for n, s, d in self.checks
-            ],
-            "fitted_E": self.fitted_E,
-            "empirical_uniqueness_radius": self.empirical_uniqueness_radius,
-            "max_inclusion_residual": self.max_inclusion_residual,
-            "max_velocity": self.max_velocity,
-            "velocity_bound": self.velocity_bound,
-            "seed": self.seed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
 
 def _probe_times(scenario) -> tuple:
     return (0.0, scenario.horizon / 2.0, scenario.horizon)
 
 
-def _times_region_leaves_set(scenario, region: Region, n: int = 200) -> set:
+def _times_region_leaves_set(scenario, region: Region) -> set:
     """The probed times t at which some sampled region point leaves C(t)."""
     rng = np.random.default_rng([scenario.seed, 0x1D5E])
     times = _probe_times(scenario)
     leaves = set()
-    for _ in range(n):
+    for _ in range(200):
         p = scenario.backend.random_point(rng, region.center, region.radius)
         leaves.update(t for t in times if not scenario.moving_set.member(t, p))
         if len(leaves) == len(times):
@@ -226,9 +205,9 @@ def _times_region_leaves_set(scenario, region: Region, n: int = 200) -> set:
     return leaves
 
 
-def _region_inside_set(scenario, region: Region, n: int = 200) -> bool:
+def _region_inside_set(scenario, region: Region) -> bool:
     """True when no sampled region point leaves C(t) at any probed time."""
-    return not _times_region_leaves_set(scenario, region, n)
+    return not _times_region_leaves_set(scenario, region)
 
 
 def _visited_region(traj: Trajectory, margin: float) -> Region:
@@ -284,23 +263,23 @@ def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport
     try:
         traj = catching_up(scenario, h)
     except NumericsError as err:
-        checks.append(("integration", "fail", str(err)))
+        checks.append(Check("integration", "fail", str(err)))
         return CertificationReport(
             scenario.hash, scenario.name, "fail", checks, None, None, None,
             float("nan"), float("nan"), seed,
         )
     if traj.certified:
-        checks.append(("integration", "pass", f"h = {h:.6g}, {len(traj.nodes)} nodes"))
+        checks.append(Check("integration", "pass", f"h = {h:.6g}, {len(traj.nodes)} nodes"))
     else:
-        checks.append(("integration", "warn", "; ".join(traj.warnings)))
+        checks.append(Check("integration", "warn", "; ".join(traj.warnings)))
         downgrade("warn")
 
-    bound = 2.0 * pert.sup_norm + set_.lipschitz_const + scenario.tolerances.velocity_margin
+    bound = velocity_bound(scenario)
     vmax = traj.max_velocity()
     if vmax <= bound:
-        checks.append(("velocity_bound", "pass", f"max {vmax:.6g} <= {bound:.6g}"))
+        checks.append(Check("velocity_bound", "pass", f"max {vmax:.6g} <= {bound:.6g}"))
     else:
-        checks.append(("velocity_bound", "fail", f"max {vmax:.6g} > {bound:.6g}"))
+        checks.append(Check("velocity_bound", "fail", f"max {vmax:.6g} > {bound:.6g}"))
         downgrade("fail")
 
     region = _visited_region(traj, margin=0.25 * set_.prox_radius_hint)
@@ -326,17 +305,17 @@ def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport
             else:
                 vacuous.append(t)
     if unresolved:
-        checks.append(("hypomonotonicity", "warn", "; ".join(unresolved)))
+        checks.append(Check("hypomonotonicity", "warn", "; ".join(unresolved)))
         downgrade("warn")
     elif not fits:
         fitted_E = 0.0
         checks.append(
-            ("hypomonotonicity", "pass", "region interior to the set; fitted E = 0 vacuously")
+            Check("hypomonotonicity", "pass", "region interior to the set; fitted E = 0 vacuously")
         )
     else:
         fitted_E = max(fits)
         note = "".join(f"; region interior to C({t:.6g})" for t in vacuous)
-        checks.append(("hypomonotonicity", "pass", f"fitted E = {fitted_E:.6g}{note}"))
+        checks.append(Check("hypomonotonicity", "pass", f"fitted E = {fitted_E:.6g}{note}"))
 
     empirical_ell = None
     touched = [
@@ -363,7 +342,7 @@ def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport
                 seed=seed,
             )
             empirical_ell = rep.empirical_radius
-            working = 0.5 * set_.prox_radius_hint
+            working = set_.working_radius
             if empirical_ell <= 0:
                 level, note = "warn", "no distance with full multi-start agreement"
             elif empirical_ell < working:
@@ -374,15 +353,15 @@ def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport
                 )
             else:
                 level, note = "pass", f"empirical radius {empirical_ell:.6g}"
-            checks.append(("projection_uniqueness", level, note))
+            checks.append(Check("projection_uniqueness", level, note))
             if level == "warn":
                 downgrade("warn")
         except StructuralError as err:
-            checks.append(("projection_uniqueness", "warn", str(err)))
+            checks.append(Check("projection_uniqueness", "warn", str(err)))
             downgrade("warn")
     else:
         checks.append(
-            ("projection_uniqueness", "pass", "constraint never active; probe skipped")
+            Check("projection_uniqueness", "pass", "constraint never active; probe skipped")
         )
 
     max_resid = None
@@ -405,18 +384,16 @@ def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport
                 inconclusive += 1
         if resids:
             max_resid = float(max(resids))
-            checks.append(
-                ("inclusion_residual", "pass", f"max over {len(resids)} times: {max_resid:.6g}")
-            )
+            note = f"max over {len(resids)} times: {max_resid:.6g}"
+            checks.append(Check("inclusion_residual", "pass", note))
         if inconclusive:
-            checks.append(
-                ("inclusion_residual_coverage", "warn", f"{inconclusive} inconclusive samples")
-            )
+            note = f"{inconclusive} inconclusive samples"
+            checks.append(Check("inclusion_residual_coverage", "warn", note))
             downgrade("warn")
 
     return CertificationReport(
         scenario_hash=scenario.hash,
-        scenario_name=scenario.name,
+        scenario=scenario.name,
         status=status,
         checks=checks,
         fitted_E=fitted_E,

@@ -16,7 +16,6 @@ from the normal-cone inclusion the scheme approximates.
 from __future__ import annotations
 
 import copy
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .artifacts import dumps
 from .errors import DomainError, NumericsError, StructuralError
 from .geometry import Point, Region, Tangent, distance, exp_map, log_map, parallel_transport
 from .moving_sets import MovingSet
@@ -105,21 +105,16 @@ class AdmissibleStep:
 
 
 def admissible_step(
-    set_: MovingSet,
-    perturbation: Perturbation,
-    horizon: float,
-    x0: Point,
-    empirical_uniqueness_radius: Optional[float] = None,
+    set_: MovingSet, perturbation: Perturbation, horizon: float, x0: Point
 ) -> AdmissibleStep:
     """Largest step (and sub-horizon, if needed) for a certified run.
 
     Enforces h ||f|| <= rho/2 on the reachable ball, keeps each drifted
-    point within the projection working radius, and shortens the horizon
-    so that 2 T ||f|| + K_L T stays below min(eta/2, ell).  The
+    point within the projection working radius ell = eta/2, and shortens
+    the horizon so that 2 T ||f|| + K_L T stays below ell.  The
     shortened horizon is only reported: ``catching_up`` records it in
     the metadata as ``sub_horizons`` but integrates the whole horizon in
-    one run.  With no empirical estimate the working radius ell falls
-    back to eta/2.
+    one run.
     """
     F = perturbation.sup_norm
     KL = set_.lipschitz_const
@@ -127,16 +122,12 @@ def admissible_step(
     reach = 2.0 * horizon * F + KL * horizon
     region = Region(x0, max(reach, 1e-3))
     rho = set_.backend.budget(region).rho
-    ell = (
-        empirical_uniqueness_radius
-        if empirical_uniqueness_radius is not None
-        else eta / 2.0
-    )
+    ell = set_.working_radius
     h_rho = (rho / 2.0) / F if F > 0 else math.inf
     h_proj = ell / (F + KL) if F + KL > 0 else math.inf
     h_max = min(h_rho, h_proj, STEP_CEILING)
     denom = 2.0 * F + KL
-    tbar = min(eta / 2.0, ell) / denom * (1.0 - 1e-9) if denom > 0 else math.inf
+    tbar = ell / denom * (1.0 - 1e-9) if denom > 0 else math.inf
     sub_horizon = tbar if tbar < horizon else None
     return AdmissibleStep(
         h_max=h_max,
@@ -233,8 +224,7 @@ class Trajectory:
             fh.write(text)
         if metadata_path is not None:
             with open(metadata_path, "w") as fh:
-                json.dump(self.metadata_document(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(dumps(self.metadata_document()))
         return text
 
     def metadata_document(self):
@@ -310,7 +300,7 @@ def catching_up(scenario, h: float) -> Trajectory:
         nodes.append(res.point)
         velocities[i] = distance(nodes[i], nodes[i + 1]) / hi
 
-    bound = 2.0 * pert.sup_norm + set_.lipschitz_const + scenario.tolerances.velocity_margin
+    bound = velocity_bound(scenario)
     vmax = float(np.max(velocities)) if n else 0.0
     if vmax > bound:
         certified = False
@@ -329,6 +319,15 @@ def catching_up(scenario, h: float) -> Trajectory:
         _metadata(scenario, h, adm, projector_iterations),
         certified,
         warnings,
+    )
+
+
+def velocity_bound(scenario) -> float:
+    """The discrete velocity bound 2||f|| + K_L plus the scenario's ``velocity_margin``."""
+    return (
+        2.0 * scenario.perturbation.sup_norm
+        + scenario.moving_set.lipschitz_const
+        + scenario.tolerances.velocity_margin
     )
 
 
@@ -377,7 +376,7 @@ def inclusion_residual(
     w = traj.perturbation(t, p) - xdot
     wn = w.norm()
     rho = backend.budget().rho
-    radius = min(0.3 * rho, 0.5 * set_.prox_radius_hint)
+    radius = min(0.3 * rho, set_.working_radius)
     rng = np.random.default_rng([seed, int(round(t * 1e9)) & 0x7FFFFFFF])
     worst = 0.0
     found = 0
@@ -401,13 +400,6 @@ class SeparationCurve:
     times: np.ndarray
     separation: np.ndarray
     fitted_rate: Optional[float]
-
-    def to_dict(self):
-        return {
-            "times": self.times.tolist(),
-            "separation": self.separation.tolist(),
-            "fitted_rate": self.fitted_rate,
-        }
 
 
 def gronwall_separation(scenario, x0_prime: Point, h: float) -> SeparationCurve:

@@ -15,7 +15,7 @@ from manisweep import (
     log_map,
     parallel_transport,
 )
-from manisweep.errors import StructuralError
+from manisweep.errors import NumericsError, StructuralError
 from manisweep.geometry.implicit import _call_on_floats, _compile_kernels
 
 
@@ -140,6 +140,20 @@ def test_ellipse_curvature_estimate_matches_analytic(ellipse):
 def test_infeasible_point_rejected(circle):
     with pytest.raises(StructuralError):
         circle.point([1.5, 0.0])
+
+
+@pytest.mark.parametrize(
+    "amb", [[0.0, 0.0], [1e200, 0.0]], ids=["gradient_vanishes", "gradient_overflows"]
+)
+def test_projection_that_breaks_down_is_a_numerics_error(circle, amb):
+    with pytest.raises(NumericsError, match="broke down"):
+        circle._project_point(amb)
+
+
+def test_projection_of_a_nan_point_is_a_numerics_error(circle):
+    with pytest.raises(NumericsError, match="could not restore feasibility") as info:
+        circle._project_point([math.nan, 1.0])
+    assert math.isnan(info.value.residual)
 
 
 def test_two_constraint_manifold_in_r3():

@@ -1,0 +1,109 @@
+"""Geometry identities as property tests on all four backends.
+
+Each example draws a seed; the seed places x within min(0.9 rho, 1.2) of
+the backend's base point and y within 0.9 min(rho, 1.6) of x, the
+sampling of ``test_criterion_01_geometry_identities``, whose tolerances
+these tests keep.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from manisweep import (
+    EuclideanBackend,
+    HyperbolicBackend,
+    ImplicitBackend,
+    SphereBackend,
+    distance,
+    exp_map,
+    log_map,
+    parallel_transport,
+)
+from manisweep.errors import StructuralError
+
+BACKENDS = {
+    "euclidean": (EuclideanBackend(3), [0.0, 0.0, 0.0]),
+    "sphere": (SphereBackend(2), [0.0, 0.0, 1.0]),
+    "hyperbolic": (HyperbolicBackend(2), [1.0, 0.0, 0.0]),
+    "implicit": (ImplicitBackend(2, ["x1^2 + x2^2 - 1"]), [1.0, 0.0]),
+}
+KINDS = sorted(BACKENDS)
+
+
+def inverse_tol(kind):
+    return 1e-5 if kind == "implicit" else 1e-8
+
+
+def norm_tol(kind):
+    return 1e-5 if kind == "implicit" else 1e-9
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+def draw(kind, seed):
+    """A seeded pair x, y within the budget radius, and the generator that placed them."""
+    backend, base = BACKENDS[kind]
+    rng = np.random.default_rng(seed)
+    rho = backend.budget().rho
+    x = backend.random_point(rng, backend.point(base), min(0.9 * rho, 1.2))
+    y = backend.random_point(rng, x, 0.9 * min(rho, 1.6))
+    return backend, x, y, rng
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY
+@given(seed=SEEDS)
+def test_exp_of_log_is_identity(kind, seed):
+    _, x, y, _ = draw(kind, seed)
+    back = exp_map(x, log_map(x, y))
+    assert float(np.max(np.abs(back.coords - y.coords))) <= inverse_tol(kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY
+@given(seed=SEEDS)
+def test_transport_preserves_norms(kind, seed):
+    backend, x, y, rng = draw(kind, seed)
+    w = backend.random_tangent(rng, x, 1.0)
+    carried = parallel_transport(x, y, w)
+    assert abs(carried.norm() - w.norm()) <= 1e-10 * max(w.norm(), 1e-30)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY
+@given(seed=SEEDS)
+def test_distance_is_symmetric(kind, seed):
+    _, x, y, _ = draw(kind, seed)
+    assert abs(distance(x, y) - distance(y, x)) <= norm_tol(kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY
+@given(seed=SEEDS)
+def test_log_norm_is_distance(kind, seed):
+    _, x, y, _ = draw(kind, seed)
+    assert abs(log_map(x, y).norm() - distance(x, y)) <= norm_tol(kind)
+
+
+NON_FINITE = {
+    "euclidean": (EuclideanBackend(2), [math.nan, 1.0]),
+    "sphere": (SphereBackend(2), [math.nan, 0.0, 1.0]),
+    "hyperbolic": (HyperbolicBackend(2), [1.0, math.nan, 0.0]),
+    "implicit": (ImplicitBackend(2, ["x1^2 + x2^2 - 1"]), [math.nan, 0.0]),
+    "euclidean_infinite": (EuclideanBackend(2), [math.inf, 1.0]),
+    # finite coordinates whose residual overflows to inf - inf = NaN
+    "implicit_nan_residual": (ImplicitBackend(2, ["x1^4 - x1^4 + x2^2 - 1"]), [1e200, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_point_rejects_non_finite_coordinates_and_residuals(name):
+    backend, coords = NON_FINITE[name]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StructuralError):
+        backend.point(coords)

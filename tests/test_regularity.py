@@ -228,4 +228,10 @@ def test_report_serialization_roundtrip(E2, disk):
     region = Region(E2.point([0.0, 0.0]), 1.5)
     rep = sample_hypomonotonicity(disk, 0.0, region, n_samples=100, seed=3)
     blob = json.dumps(rep.to_dict())
-    assert json.loads(blob)["fitted_E"] == rep.fitted_E
+    doc = json.loads(blob)
+    assert doc["fitted_E"] == rep.fitted_E
+    # points and tangent vectors are written as coordinate lists
+    assert doc["region"] == {"center": [0.0, 0.0], "radius": 1.5}
+    assert set(doc["worst_pair"]) == {"x", "y", "v"}
+    assert doc["worst_pair"]["x"] == rep.worst_pair["x"].coords.tolist()
+    assert doc["worst_pair"]["v"] == rep.worst_pair["v"].components.tolist()

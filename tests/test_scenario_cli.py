@@ -216,12 +216,18 @@ HALFLINE_FLOW = {
         (dict(E2_BALL, set={"kind": "ball", "center": [0.0, 0.0], "radius": [1.0, 2.0]}),
          "StructuralError", "set.radius"),
         ({"set": [["kind", "halfline"]]}, "StructuralError", "set"),
+        # top-level fields follow the same number rules as the blocks
+        ({"horizon": float("inf")}, "StructuralError", "horizon"),
+        ({"initial_point": [True]}, "StructuralError", "initial_point"),
+        ({"seed": True}, "StructuralError", "seed"),
+        ({"manifold": {"kind": "euclidean", "dim": True}}, "StructuralError", "manifold.dim"),
     ],
     ids=["no_tangent_direction", "three_equalities", "bad_expression",
          "radius_not_a_number", "center_not_numbers", "lipschitz_const_not_a_number",
          "prox_radius_hint_not_a_number", "sup_norm_not_a_number",
          "ball_without_radius", "half_space_without_normal", "inequalities_without_exprs",
-         "normal_wrong_length", "radius_a_list", "set_a_list"],
+         "normal_wrong_length", "radius_a_list", "set_a_list",
+         "horizon_infinite", "initial_point_bool", "seed_bool", "dim_bool"],
 )
 def test_cli_json_errors_are_typed(tmp_path, capsys, changes, error, names):
     doc = dict(MINIMAL_HALFLINE, **changes)

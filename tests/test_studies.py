@@ -17,6 +17,7 @@ from manisweep import (
     run_rate_study,
     studies,
 )
+from manisweep.artifacts import dumps
 from manisweep.errors import StructuralError
 from manisweep.scenario import Scenario, bundled_scenario
 
@@ -98,12 +99,18 @@ def test_certify_halfline_pass_with_zero_E():
     assert rep.status == "pass"
     assert rep.fitted_E == 0.0
     assert rep.max_velocity <= rep.velocity_bound
+    # each check is a named tuple, written as an object of its fields
+    doc = rep.to_dict()
+    assert (doc["kind"], doc["scenario"]) == ("certification", rep.scenario)
+    name, status, detail = rep.checks[0]
+    assert rep.checks[0].name == name == "integration"
+    assert doc["checks"][0] == {"name": name, "status": status, "detail": detail}
 
 
 def test_certify_is_idempotent_byte_for_byte():
     scn = bundled_scenario("disk_moving_center")
-    a = certify_scenario(scn).to_json()
-    b = certify_scenario(scn).to_json()
+    a = dumps(certify_scenario(scn))
+    b = dumps(certify_scenario(scn))
     assert a == b
 
 
