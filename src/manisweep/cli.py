@@ -89,11 +89,9 @@ def _cmd_simulate(args):
     traj = catching_up(scn, args.h)
     meta = args.metadata or (args.out + ".meta.json")
     traj.to_csv(args.out, metadata_path=meta)
-    warn = not traj.certified
-    if warn:
-        for w in traj.warnings:
-            print(f"warning: {w}", file=sys.stderr)
-    return EXIT_WARN if (warn and args.strict) else EXIT_PASS
+    for w in traj.warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return "pass" if traj.certified else "warn"
 
 
 def _cmd_rates(args):
@@ -108,14 +106,14 @@ def _cmd_rates(args):
         _emit(study.gnuplot_data(), args.data)
     if args.out is not None:
         print(study.table())
-    return EXIT_WARN if (study.warnings and args.strict) else EXIT_PASS
+    return "warn" if study.warnings else "pass"
 
 
 def _cmd_diagnose(args):
     scn = load_scenario(args.scenario)
     radius = args.radius
     if radius is None:
-        radius = min(scn.moving_set.prox_radius_hint, 0.9 * scn.backend.budget().rho)
+        radius = scn.moving_set.probe_radius
     region = Region(scn.x0, radius)
     seed = scn.seed
     reports = {}
@@ -156,18 +154,14 @@ def _cmd_diagnose(args):
         "warnings": warnings,
     }
     _emit(dumps(doc), args.out)
-    return EXIT_WARN if (warnings and args.strict) else EXIT_PASS
+    return "warn" if warnings else "pass"
 
 
 def _cmd_certify(args):
     scn = load_scenario(args.scenario)
     report = certify_scenario(scn, h=args.h)
     _emit(dumps(report), args.out)
-    if report.status == "fail":
-        return EXIT_FAIL
-    if report.status == "warn" and args.strict:
-        return EXIT_WARN
-    return EXIT_PASS
+    return report.status
 
 
 def _cmd_validate(args):
@@ -176,9 +170,10 @@ def _cmd_validate(args):
         sys.stdout.write(dumps(scn.document))
     else:
         print(f"ok: {scn.name} (hash {scn.hash[:16]})")
-    return EXIT_PASS
+    return "pass"
 
 
+#: each command returns its verdict: "pass", "warn" or "fail"
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "rates": _cmd_rates,
@@ -192,7 +187,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        verdict = _COMMANDS[args.command](args)
     except (
         StructuralError, DomainError, NumericsError, ExpressionError, FileNotFoundError
     ) as err:
@@ -206,6 +201,9 @@ def main(argv=None) -> int:
         else:
             print(f"error: {err}", file=sys.stderr)
         return EXIT_FAIL
+    if verdict == "fail":
+        return EXIT_FAIL
+    return EXIT_WARN if verdict == "warn" and args.strict else EXIT_PASS
 
 
 if __name__ == "__main__":

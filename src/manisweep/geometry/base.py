@@ -104,7 +104,6 @@ class GeometryBudget:
     both are estimates, and ``is_estimate`` says so.
     """
 
-    region: Region | None
     rho: float
     curvature_bound: float
     is_estimate: bool = False
@@ -172,10 +171,6 @@ class ManifoldBackend(abc.ABC):
     def _transport(self, xc: np.ndarray, yc: np.ndarray, vc: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def _project_point(self, amb: np.ndarray) -> np.ndarray:
-        """Pull an ambient vector back onto the manifold."""
-
-    @abc.abstractmethod
     def _project_tangent(self, xc: np.ndarray, amb: np.ndarray) -> np.ndarray:
         """Project an ambient vector onto the tangent space at ``xc``."""
 
@@ -218,6 +213,11 @@ class ManifoldBackend(abc.ABC):
 
     def tangent(self, x: Point, components) -> Tangent:
         components = np.asarray(components, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(components))
+        if bad.size:
+            raise StructuralError(
+                f"tangent components {bad.tolist()} are not finite, got {components}"
+            )
         proj = self._project_tangent(x.coords, components)
         gap = self.norm(x, components - proj)
         scale = max(1.0, self.norm(x, components))
@@ -231,26 +231,24 @@ class ManifoldBackend(abc.ABC):
         check_same_backend(x, y)
         return self._distance(x.coords, y.coords)
 
+    def _require_radius(self, r: float, what: str):
+        """Raise a DomainError naming ``what`` when r exceeds the validated radius."""
+        b = self.budget()
+        if not b.admits_radius(r):
+            raise DomainError(f"{what} = {r:.6g} exceeds the validated radius rho = {b.rho:.6g}")
+
     def exp_map(self, x: Point, v: Tangent) -> Point:
         check_same_base(v, x)
-        b = self.budget()
         speed = v.norm()
-        if not b.admits_radius(speed):
-            raise DomainError(
-                f"|v| = {speed:.6g} exceeds the validated radius rho = {b.rho:.6g}"
-            )
+        self._require_radius(speed, "|v|")
         if speed == 0.0:
             return x
         return Point(self, self._exp(x.coords, v.components))
 
     def log_map(self, x: Point, y: Point) -> Tangent:
         check_same_backend(x, y)
-        b = self.budget()
         d = self._distance(x.coords, y.coords)
-        if not b.admits_radius(d):
-            raise DomainError(
-                f"d(x, y) = {d:.6g} exceeds the validated radius rho = {b.rho:.6g}"
-            )
+        self._require_radius(d, "d(x, y)")
         if d == 0.0:
             return Tangent(x, np.zeros(self.ambient_dim))
         return Tangent(x, self._log(x.coords, y.coords))
@@ -258,12 +256,8 @@ class ManifoldBackend(abc.ABC):
     def parallel_transport(self, x: Point, y: Point, v: Tangent) -> Tangent:
         check_same_base(v, x)
         check_same_backend(x, y)
-        b = self.budget()
         d = self._distance(x.coords, y.coords)
-        if not b.admits_radius(d):
-            raise DomainError(
-                f"d(x, y) = {d:.6g} exceeds the validated radius rho = {b.rho:.6g}"
-            )
+        self._require_radius(d, "d(x, y)")
         if d == 0.0:
             return Tangent(y, v.components.copy())
         return Tangent(y, self._transport(x.coords, y.coords, v.components))

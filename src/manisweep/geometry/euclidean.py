@@ -31,9 +31,6 @@ class EuclideanBackend(ManifoldBackend):
     def _transport(self, xc, yc, vc):
         return vc.copy()
 
-    def _project_point(self, amb):
-        return np.asarray(amb, dtype=float)
-
     def _project_tangent(self, xc, amb):
         return np.asarray(amb, dtype=float)
 
@@ -45,4 +42,4 @@ class EuclideanBackend(ManifoldBackend):
 
     def budget(self, region: Region | None = None) -> GeometryBudget:
         # curvature 0; rho would be infinite, capped at the fixed ceiling
-        return GeometryBudget(region=region, rho=RADIUS_CEILING, curvature_bound=0.0)
+        return GeometryBudget(rho=RADIUS_CEILING, curvature_bound=0.0)

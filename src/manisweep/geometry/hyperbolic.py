@@ -72,8 +72,8 @@ class HyperbolicBackend(ManifoldBackend):
         # renormalize onto <x,x>_M = -1, keeping the upper sheet
         amb = np.asarray(amb, dtype=float)
         q = -mink(amb, amb)
-        if q <= 0.0:
-            raise DomainError("ambient vector is not timelike; cannot normalize")
+        if not q > 0.0:  # a NaN fails too
+            raise DomainError(f"ambient vector {amb} is not timelike; cannot normalize")
         out = amb / math.sqrt(q)
         if out[0] < 0:
             out = -out
@@ -108,4 +108,4 @@ class HyperbolicBackend(ManifoldBackend):
 
     def budget(self, region: Region | None = None) -> GeometryBudget:
         # i = c = +inf; the |K| = 1 term caps rho at pi/2
-        return GeometryBudget(region=region, rho=math.pi / 2.0, curvature_bound=1.0)
+        return GeometryBudget(rho=math.pi / 2.0, curvature_bound=1.0)

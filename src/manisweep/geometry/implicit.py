@@ -427,7 +427,7 @@ class ImplicitBackend(ManifoldBackend):
             center, radius = region.center.coords, float(region.radius)
         kappa = self._sample_extrinsic_curvature(center, radius)
         rho = math.pi / (2.0 * math.sqrt(kappa)) if kappa > 0 else 1e6
-        b = GeometryBudget(region=region, rho=rho, curvature_bound=kappa, is_estimate=True)
+        b = GeometryBudget(rho=rho, curvature_bound=kappa, is_estimate=True)
         self._budget_cache[ck] = b
         return b
 

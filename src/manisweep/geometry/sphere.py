@@ -60,13 +60,6 @@ class SphereBackend(ManifoldBackend):
         perp = vc - a * u
         return perp + a * (math.cos(theta) * u - math.sin(theta) * xc)
 
-    def _project_point(self, amb):
-        amb = np.asarray(amb, dtype=float)
-        n = np.linalg.norm(amb)
-        if n == 0.0:
-            raise DomainError("cannot project the origin onto the sphere")
-        return amb / n
-
     def _project_tangent(self, xc, amb):
         amb = np.asarray(amb, dtype=float)
         return amb - np.dot(amb, xc) * xc
@@ -88,4 +81,4 @@ class SphereBackend(ManifoldBackend):
 
     def budget(self, region: Region | None = None) -> GeometryBudget:
         # min(i, c, pi/(2 sqrt|K|)) = min(pi, pi/2, pi/2)
-        return GeometryBudget(region=region, rho=math.pi / 2.0, curvature_bound=1.0)
+        return GeometryBudget(rho=math.pi / 2.0, curvature_bound=1.0)

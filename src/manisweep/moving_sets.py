@@ -67,7 +67,6 @@ class Tolerances:
 class ProjectionResult:
     point: Point
     dist: float
-    active_set: tuple
     iterations: int
     converged: bool
     warning: Optional[str] = None
@@ -149,17 +148,14 @@ class MovingSet:
         initial: Optional[Point] = None,
         max_iter: int = 500,
     ) -> ProjectionResult:
-        if method not in ("auto", "closed", "iterative"):
+        if method not in ("auto", "iterative"):
             raise StructuralError(f"unknown projection method {method!r}")
         if self.member(t, y):
-            return ProjectionResult(y, 0.0, self.active_set(t, y), 0, True)
-        if method != "iterative" and self.closed_project is not None:
+            return ProjectionResult(y, 0.0, 0, True)
+        if method == "auto" and self.closed_project is not None:
             point, warning = self.closed_project(t, y)
             d = distance(y, point)
-            warning = warning or self._radius_warning(d)
-            return ProjectionResult(point, d, self.active_set(t, point), 0, True, warning)
-        if method == "closed":
-            raise StructuralError("this set carries no closed-form projection")
+            return ProjectionResult(point, d, 0, True, warning or self._radius_warning(d))
         return self._project_iterative(t, y, initial, max_iter)
 
     def dist_to_set(self, t: float, y: Point) -> float:
@@ -171,6 +167,11 @@ class MovingSet:
     def working_radius(self) -> float:
         """Half the prox-radius hint: the distance within which projections are trusted."""
         return 0.5 * self.prox_radius_hint
+
+    @property
+    def probe_radius(self) -> float:
+        """The prox-radius hint capped at 0.9 rho: the farthest distance the probes test."""
+        return min(self.prox_radius_hint, 0.9 * self.backend.budget().rho)
 
     def _radius_warning(self, d: float) -> Optional[str]:
         working = self.working_radius
@@ -225,12 +226,10 @@ class MovingSet:
             raise NumericsError(
                 f"projection did not converge in {max_iter} iterations",
                 residual=self._kkt_residual(t, c, grad_sq_distance(c, y)),
-                best=ProjectionResult(c, d, self.active_set(t, c), max_iter, False),
+                best=ProjectionResult(c, d, max_iter, False),
             )
         d = distance(y, c)
-        return ProjectionResult(
-            c, d, self.active_set(t, c), iterations, True, self._radius_warning(d)
-        )
+        return ProjectionResult(c, d, iterations, True, self._radius_warning(d))
 
     def _kkt_residual(self, t, c, grad):
         """min over nonnegative multipliers of |grad F - sum mu_i grad g_i|."""
@@ -329,30 +328,6 @@ class MovingSet:
             if self.member(t, c):
                 best_member = c
         return c if self.member(t, c) else best_member
-
-    def find_member(
-        self, t: float, near: Point, rng: np.random.Generator, radius: float, tries: int = 64
-    ) -> Point:
-        """Some member of C(t) near ``near``; raises if none is found."""
-        if self.member(t, near):
-            return near
-        if self.closed_project is not None:
-            point, _ = self.closed_project(t, near)
-            return point
-        try:
-            return self.restore_feasibility(t, near)
-        except NumericsError:
-            pass
-        for _ in range(tries):
-            cand = self.backend.random_point(rng, near, radius)
-            try:
-                return self.restore_feasibility(t, cand)
-            except NumericsError:
-                continue
-        raise StructuralError(
-            f"no member of the set found near {near!r} at t={t}; "
-            "the set may be empty there"
-        )
 
 
 # -- catalog ----------------------------------------------------------------

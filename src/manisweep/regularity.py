@@ -299,12 +299,10 @@ def test_cone_membership(
     if v.norm() == 0.0:
         return ConeMembershipResult("member", 0.0, [], [], seed)
     backend = set_.backend
-    rho = backend.budget().rho
-    r0 = min(0.9 * rho, set_.prox_radius_hint)
+    r0 = set_.probe_radius
     radii = [r0 * 2.0**-k for k in range(11)]
     max_ratios = []
     floor = 1e-7 * r0
-    inconclusive = False
     for r in radii:
         best = -np.inf
         found = 0
@@ -323,8 +321,7 @@ def test_cone_membership(
                 continue
             best = max(best, v.inner(log_map(x, y)) / (d * d))
         if found < max(3, n_samples // 10):
-            inconclusive = True
-            break
+            break  # too few members at this radius: the sweep stops short
         max_ratios.append(best)
     for k in range(len(max_ratios) - 2):
         a, b = max_ratios[k], max_ratios[k + 2]
@@ -332,7 +329,7 @@ def test_cone_membership(
             return ConeMembershipResult(
                 "not_member", float(max(max_ratios)), radii[: len(max_ratios)], max_ratios, seed
             )
-    if inconclusive and len(max_ratios) < 4:
+    if len(max_ratios) < 4:
         return ConeMembershipResult(
             "inconclusive", float("nan"), radii[: len(max_ratios)], max_ratios, seed
         )
@@ -363,22 +360,18 @@ def probe_projection_uniqueness(
     backend = set_.backend
     rho = backend.budget().rho
     if distances is None:
-        top = min(set_.prox_radius_hint, 0.9 * rho)
-        distances = np.linspace(0.1, 1.0, 10) * top
+        distances = np.linspace(0.1, 1.0, 10) * set_.probe_radius
     distances = sorted(float(s) for s in distances)
     boundary = sample_boundary_points(set_, t, region, rng, n_points)
 
     agreement = []
     scatters = []
-    empirical = 0.0
-    failed = False
     for s in distances:
         worst_scatter = 0.0
         ok = True
         if s >= 0.98 * rho:
             agreement.append(False)
             scatters.append(float("nan"))
-            failed = True
             continue
         # perturbed initializations live within reach of the query: the
         # singleton statement concerns the nearest-point set, not remote
@@ -428,10 +421,11 @@ def probe_projection_uniqueness(
             ok = False
         agreement.append(ok)
         scatters.append(worst_scatter)
-        if ok and not failed:
-            empirical = s
-        else:
-            failed = True
+    empirical = 0.0  # the last distance of the leading run of agreements
+    for s, ok in zip(distances, agreement):
+        if not ok:
+            break
+        empirical = s
     return UniquenessReport(
         distances=distances,
         agreement=agreement,

@@ -172,6 +172,11 @@ class Check(NamedTuple):
     detail: str
 
 
+def _worst_status(checks) -> str:
+    """A report is as good as its worst check: pass < warn < fail."""
+    return max((c.status for c in checks), key=("pass", "warn", "fail").index)
+
+
 @dataclass
 class CertificationReport(Report):
     kind = "certification"
@@ -241,22 +246,14 @@ def _visited_region(traj: Trajectory, margin: float) -> Region:
 def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport:
     """Run the scenario and audit it against the regularity diagnostics.
 
-    Always produces a report; the overall status degrades to "warn" on
-    uncertified steps or inconclusive samples and to "fail" on violated
+    Always produces a report; its status is the worst of its checks:
+    "warn" on uncertified steps or inconclusive samples, "fail" on violated
     bounds or a failed integration.
     """
     seed = scenario.seed
     set_ = scenario.moving_set
     pert = scenario.perturbation
     checks = []
-    status = "pass"
-
-    def downgrade(level):
-        nonlocal status
-        order = {"pass": 0, "warn": 1, "fail": 2}
-        if order[level] > order[status]:
-            status = level
-
     adm = admissible_step(set_, pert, scenario.horizon, scenario.x0)
     if h is None:
         h = min(adm.h_max * 0.5, scenario.horizon / 50.0)
@@ -265,14 +262,13 @@ def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport
     except NumericsError as err:
         checks.append(Check("integration", "fail", str(err)))
         return CertificationReport(
-            scenario.hash, scenario.name, "fail", checks, None, None, None,
+            scenario.hash, scenario.name, _worst_status(checks), checks, None, None, None,
             float("nan"), float("nan"), seed,
         )
     if traj.certified:
         checks.append(Check("integration", "pass", f"h = {h:.6g}, {len(traj.nodes)} nodes"))
     else:
         checks.append(Check("integration", "warn", "; ".join(traj.warnings)))
-        downgrade("warn")
 
     bound = velocity_bound(scenario)
     vmax = traj.max_velocity()
@@ -280,7 +276,6 @@ def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport
         checks.append(Check("velocity_bound", "pass", f"max {vmax:.6g} <= {bound:.6g}"))
     else:
         checks.append(Check("velocity_bound", "fail", f"max {vmax:.6g} > {bound:.6g}"))
-        downgrade("fail")
 
     region = _visited_region(traj, margin=0.25 * set_.prox_radius_hint)
     fitted_E = None
@@ -306,7 +301,6 @@ def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport
                 vacuous.append(t)
     if unresolved:
         checks.append(Check("hypomonotonicity", "warn", "; ".join(unresolved)))
-        downgrade("warn")
     elif not fits:
         fitted_E = 0.0
         checks.append(
@@ -326,10 +320,7 @@ def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport
     if touched:
         t_mid, x_mid = touched[len(touched) // 2]
         probe_region = Region(x_mid, region.radius)
-        rho = set_.backend.budget().rho
-        probe_distances = np.linspace(0.2, 1.0, 5) * min(
-            set_.prox_radius_hint, 0.9 * rho
-        )
+        probe_distances = np.linspace(0.2, 1.0, 5) * set_.probe_radius
         try:
             rep = probe_projection_uniqueness(
                 set_,
@@ -354,11 +345,8 @@ def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport
             else:
                 level, note = "pass", f"empirical radius {empirical_ell:.6g}"
             checks.append(Check("projection_uniqueness", level, note))
-            if level == "warn":
-                downgrade("warn")
         except StructuralError as err:
             checks.append(Check("projection_uniqueness", "warn", str(err)))
-            downgrade("warn")
     else:
         checks.append(
             Check("projection_uniqueness", "pass", "constraint never active; probe skipped")
@@ -389,12 +377,11 @@ def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport
         if inconclusive:
             note = f"{inconclusive} inconclusive samples"
             checks.append(Check("inclusion_residual_coverage", "warn", note))
-            downgrade("warn")
 
     return CertificationReport(
         scenario_hash=scenario.hash,
         scenario=scenario.name,
-        status=status,
+        status=_worst_status(checks),
         checks=checks,
         fitted_E=fitted_E,
         empirical_uniqueness_radius=empirical_ell,

@@ -147,7 +147,10 @@ def admissible_step(
 
 @dataclass
 class Trajectory:
-    """Discrete nodes with their geodesic interpolant."""
+    """Discrete nodes with their geodesic interpolant.
+
+    The run is certified exactly when it recorded no warning.
+    """
 
     set_: MovingSet
     perturbation: Perturbation
@@ -156,13 +159,16 @@ class Trajectory:
     step: float
     discrete_velocities: np.ndarray
     metadata: dict
-    certified: bool
     warnings: list
     _segment_logs: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if not self._segment_logs:
             self._segment_logs = [None] * (len(self.nodes) - 1)
+
+    @property
+    def certified(self) -> bool:
+        return not self.warnings
 
     @property
     def horizon(self):
@@ -244,7 +250,8 @@ def catching_up(scenario, h: float) -> Trajectory:
     ``scenario`` is a :class:`~manisweep.scenario.Scenario`; its
     ``velocity_margin`` tolerance is the slack on the discrete velocity
     bound 2||f|| + K_L.  Oversized steps are allowed (rate studies probe
-    them) but drop the certification flag via projection warnings.
+    them) but drop the certification flag through the warning that the
+    step exceeds the admissible bound.
     """
     set_: MovingSet = scenario.moving_set
     pert: Perturbation = scenario.perturbation
@@ -265,13 +272,11 @@ def catching_up(scenario, h: float) -> Trajectory:
 
     adm = admissible_step(set_, pert, horizon, x0)
     warnings = []
-    certified = True
     if h > adm.h_max * (1 + 1e-12):
         warnings.append(
             f"step {h:.3g} exceeds the admissible bound {adm.h_max:.3g}; "
             "run continues uncertified"
         )
-        certified = False
 
     nodes = [x0]
     velocities = np.zeros(n)
@@ -287,7 +292,7 @@ def catching_up(scenario, h: float) -> Trajectory:
             partial = Trajectory(
                 set_, pert, times[: i + 1], nodes, h, velocities[:i],
                 _metadata(scenario, h, adm, projector_iterations),
-                False, warnings + [f"failed at step {i}: {err}"],
+                warnings + [f"failed at step {i}: {err}"],
             )
             raise NumericsError(
                 f"catching-up step {i} (t = {t_next:.6g}) failed: {err}",
@@ -295,31 +300,22 @@ def catching_up(scenario, h: float) -> Trajectory:
             ) from err
         projector_iterations += res.iterations
         if res.warning is not None:
-            certified = False
             warnings.append(f"step {i}: {res.warning}")
         nodes.append(res.point)
         velocities[i] = distance(nodes[i], nodes[i + 1]) / hi
 
+    traj = Trajectory(
+        set_, pert, times, nodes, h, velocities,
+        _metadata(scenario, h, adm, projector_iterations), warnings,
+    )
     bound = velocity_bound(scenario)
-    vmax = float(np.max(velocities)) if n else 0.0
+    vmax = traj.max_velocity()
     if vmax > bound:
-        certified = False
-        warnings.append(
+        traj.warnings.append(
             f"discrete velocity {vmax:.6g} exceeds the bound "
             f"2||f|| + K_L = {bound:.6g}"
         )
-
-    return Trajectory(
-        set_,
-        pert,
-        times,
-        nodes,
-        h,
-        velocities,
-        _metadata(scenario, h, adm, projector_iterations),
-        certified,
-        warnings,
-    )
+    return traj
 
 
 def velocity_bound(scenario) -> float:
@@ -348,7 +344,6 @@ def _metadata(scenario, h, adm, projector_iterations):
 class ResidualSample:
     value: float
     conclusive: bool
-    n_members: int
 
 
 def inclusion_residual(
@@ -392,7 +387,7 @@ def inclusion_residual(
             continue
         gap = w.inner(log_map(p, cand)) - fitted_E * wn * d * d
         worst = max(worst, gap)
-    return ResidualSample(value=worst, conclusive=found >= 10, n_members=found)
+    return ResidualSample(value=worst, conclusive=found >= 10)
 
 
 @dataclass

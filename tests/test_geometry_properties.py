@@ -23,7 +23,7 @@ from manisweep import (
     log_map,
     parallel_transport,
 )
-from manisweep.errors import StructuralError
+from manisweep.errors import DomainError, StructuralError
 
 BACKENDS = {
     "euclidean": (EuclideanBackend(3), [0.0, 0.0, 0.0]),
@@ -107,3 +107,18 @@ def test_point_rejects_non_finite_coordinates_and_residuals(name):
     backend, coords = NON_FINITE[name]
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StructuralError):
         backend.point(coords)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_tangent_rejects_non_finite_components(kind, bad):
+    backend, base = BACKENDS[kind]
+    components = np.zeros(backend.ambient_dim)
+    components[-1] = bad
+    with pytest.raises(StructuralError, match=rf"components \[{backend.ambient_dim - 1}\]"):
+        backend.tangent(backend.point(base), components)
+
+
+def test_hyperbolic_projection_of_a_nan_vector_is_a_domain_error():
+    with pytest.raises(DomainError, match="not timelike"):
+        HyperbolicBackend(2)._project_point([math.nan, 0.0, 0.0])

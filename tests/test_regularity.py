@@ -9,7 +9,8 @@ from manisweep import (
     SphereBackend,
     distance,
 )
-from manisweep.moving_sets import ball, ball_complement, sphere_cap
+from manisweep.errors import NumericsError, StructuralError
+from manisweep.moving_sets import ball, ball_complement, inequalities, sphere_cap
 from manisweep.regularity import (
     check_log_monotonicity,
     probe_projection_uniqueness,
@@ -108,6 +109,39 @@ def test_cone_membership_interior_rejects_everything(E2, disk):
     v = E2.tangent(x, [1.0, 0.0])
     res = cone_membership(disk, 0.0, x, v, seed=4)
     assert res.status == "not_member"
+
+
+def test_cone_membership_sweep_that_stops_short_is_inconclusive(E2):
+    # in the cusp 0 <= x2 <= x1^4 the member share of a ball of radius r
+    # shrinks like r^3, so the sweep runs out of members after a few radii
+    cusp = inequalities(E2, ["x2", "x1^4 - x2"])
+    x = E2.point([0.0, 0.0])
+    res = cone_membership(cusp, 0.0, x, E2.tangent(x, [0.0, -1.0]), seed=0)
+    assert res.status == "inconclusive"
+    assert 1 <= len(res.max_ratios) < 4
+    assert res.radii == [cusp.probe_radius * 2.0**-k for k in range(len(res.max_ratios))]
+    with pytest.raises(StructuralError, match="inconclusive"):
+        bool(res)
+
+
+def test_uniqueness_radius_is_the_leading_run_of_agreements(E2, monkeypatch):
+    # the iterative projector fails only for queries at distance 0.3 from
+    # the unit disk; agreement at larger distances must not count
+    disk = ball(E2, center=[0.0, 0.0], radius=1.0)
+    project = disk.project
+
+    def failing_at_three_tenths(t, y, **kw):
+        if kw.get("method") == "iterative" and abs(np.linalg.norm(y.coords) - 1.3) < 1e-6:
+            raise NumericsError("no agreement")
+        return project(t, y, **kw)
+
+    monkeypatch.setattr(disk, "project", failing_at_three_tenths)
+    region = Region(E2.point([1.0, 0.0]), 0.5)
+    rep = probe_projection_uniqueness(
+        disk, 0.0, region, n_points=2, distances=[0.1, 0.2, 0.3, 0.4, 0.5], restarts=4, seed=5
+    )
+    assert rep.agreement == [True, True, False, True, True]
+    assert rep.empirical_radius == 0.2
 
 
 def test_uniqueness_probe_convex_disk(E2, disk):

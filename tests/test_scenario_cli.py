@@ -415,6 +415,44 @@ def test_cli_certify_report(tmp_path):
     assert doc["status"] == "pass"
 
 
+#: golden, field changes, command and arguments, exit codes without and with --strict
+STRICT_CASES = {
+    # h = 0.6 exceeds the golden's admissible step 0.5
+    "simulate_oversized_step": ("halfline", {}, ["simulate", "--h", "0.6"], (0, 1)),
+    "certify_oversized_step": ("halfline", {}, ["certify", "--h", "0.6"], (0, 1)),
+    # a resting boundary: every level is exact, so the order cannot be fitted
+    "rates_saturated": (
+        "halfline",
+        {"set": {"kind": "halfline", "offset": 0.0, "speed": 0.0}},
+        ["rates", "--levels", "4"],
+        (0, 1),
+    ),
+    # the probe region lies inside the ball: no ray reaches the boundary
+    "diagnose_no_boundary": (
+        "static_convex",
+        {"initial_point": [0.0, 0.0], "constants": {"prox_radius_hint": 0.5}},
+        ["diagnose", "--samples", "40"],
+        (0, 1),
+    ),
+    # K_L = 0.5 understates the boundary speed 1, so the velocity bound fails
+    "certify_velocity_bound_fails": (
+        "halfline", {"constants": {"lipschitz_const": 0.5}}, ["certify"], (2, 2)
+    ),
+}
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+@pytest.mark.parametrize("case", sorted(STRICT_CASES))
+def test_cli_exit_codes_map_verdicts(tmp_path, capsys, case, strict):
+    golden, changes, command, codes = STRICT_CASES[case]
+    doc = json.loads(bundled_scenario_path(golden).read_text())
+    for key, value in changes.items():
+        doc[key] = dict(doc[key], **value) if isinstance(value, dict) else value
+    argv = [command[0], "--scenario", str(write(tmp_path, doc)), *command[1:]]
+    argv += ["--out", str(tmp_path / "out")] + (["--strict"] if strict else [])
+    assert main(argv) == codes[strict]
+
+
 def test_cli_validate_echo_normalized(capsys):
     code = main(
         ["validate", "--scenario", str(bundled_scenario_path("halfline")), "--echo"]
