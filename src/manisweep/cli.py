@@ -16,15 +16,9 @@ import sys
 
 from .artifacts import dumps
 from .errors import DomainError, ExpressionError, NumericsError, StructuralError
-from .geometry import Region
-from .regularity import (
-    check_log_monotonicity,
-    probe_projection_uniqueness,
-    sample_hypomonotonicity,
-)
 from .scenario import load_scenario
-from .studies import certify_scenario, run_rate_study
-from .sweep import admissible_step, catching_up
+from .studies import certify_scenario, diagnose_scenario, run_rate_study
+from .sweep import catching_up
 
 EXIT_PASS = 0
 EXIT_WARN = 1
@@ -110,51 +104,9 @@ def _cmd_rates(args):
 
 
 def _cmd_diagnose(args):
-    scn = load_scenario(args.scenario)
-    radius = args.radius
-    if radius is None:
-        radius = scn.moving_set.probe_radius
-    region = Region(scn.x0, radius)
-    seed = scn.seed
-    reports = {}
-    warnings = []
-    try:
-        reports["hypomonotonicity"] = sample_hypomonotonicity(
-            scn.moving_set, 0.0, region, n_samples=args.samples, seed=seed
-        )
-    except StructuralError as err:
-        warnings.append(f"hypomonotonicity: {err}")
-    try:
-        reports["projection_uniqueness"] = probe_projection_uniqueness(
-            scn.moving_set,
-            0.0,
-            region,
-            n_points=3,
-            agree_tol=scn.tolerances.uniqueness,
-            seed=seed,
-        )
-    except StructuralError as err:
-        warnings.append(f"projection_uniqueness: {err}")
-    mono_region = Region(scn.x0, min(radius, 0.45 * scn.backend.budget().rho))
-    reports["log_monotonicity"] = check_log_monotonicity(
-        scn.backend, mono_region, n_samples=args.samples, seed=seed
-    )
-    adm = admissible_step(scn.moving_set, scn.perturbation, scn.horizon, scn.x0)
-    reports["admissible_step"] = {
-        "h_max": adm.h_max,
-        "sub_horizon": adm.sub_horizon,
-        **adm.details,
-    }
-    doc = {
-        "kind": "diagnostics",
-        "scenario": scn.name,
-        "scenario_hash": scn.hash,
-        "seed": seed,
-        "reports": reports,
-        "warnings": warnings,
-    }
-    _emit(dumps(doc), args.out)
-    return "warn" if warnings else "pass"
+    report = diagnose_scenario(load_scenario(args.scenario), args.radius, args.samples)
+    _emit(dumps(report), args.out)
+    return "warn" if report.warnings else "pass"
 
 
 def _cmd_certify(args):

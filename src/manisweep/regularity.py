@@ -352,9 +352,11 @@ def probe_projection_uniqueness(
     """Estimate the radius inside which the metric projection is single-valued.
 
     For query points at graded distances from C(t), runs the iterative
-    projector from ``restarts`` randomized feasible initializations and
-    reports the largest tested distance at which every query still sees
-    full agreement.
+    projector from ``restarts`` randomized feasible initializations.  The
+    empirical radius is the last distance of the leading run of tested
+    distances at which every query sees full agreement, 0 when the
+    smallest distance already disagrees; an agreement after a
+    disagreement does not extend it.
     """
     rng = np.random.default_rng([seed, 0x01AF])
     backend = set_.backend

@@ -7,7 +7,8 @@ observed order by least squares on the log-log error curve.  Scenario
 certification aggregates the empirical regularity diagnostics along the
 region a trajectory actually visits: hypomonotonicity fit, projection
 uniqueness near touched boundary segments, the discrete velocity bound,
-and the inclusion residual.
+and the inclusion residual.  Diagnostics score the same hypotheses, with
+the same checks, on a ball around the initial point at time 0.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .artifacts import Report
 from .errors import DomainError, NumericsError, StructuralError
 from .geometry import Region, distance
 from .regularity import (
+    check_log_monotonicity,
     probe_projection_uniqueness,
     sample_hypomonotonicity,
 )
@@ -197,10 +199,9 @@ def _probe_times(scenario) -> tuple:
     return (0.0, scenario.horizon / 2.0, scenario.horizon)
 
 
-def _times_region_leaves_set(scenario, region: Region) -> set:
-    """The probed times t at which some sampled region point leaves C(t)."""
+def _times_region_leaves_set(scenario, region: Region, times) -> set:
+    """The ``times`` t at which some sampled region point leaves C(t)."""
     rng = np.random.default_rng([scenario.seed, 0x1D5E])
-    times = _probe_times(scenario)
     leaves = set()
     for _ in range(200):
         p = scenario.backend.random_point(rng, region.center, region.radius)
@@ -212,17 +213,71 @@ def _times_region_leaves_set(scenario, region: Region) -> set:
 
 def _region_inside_set(scenario, region: Region) -> bool:
     """True when no sampled region point leaves C(t) at any probed time."""
-    return not _times_region_leaves_set(scenario, region)
+    return not _times_region_leaves_set(scenario, region, _probe_times(scenario))
+
+
+def _hypomonotonicity_check(scenario, region: Region, times, n_samples: int):
+    """The hypomonotonicity check on ``region`` at ``times``, the fitted E and the samples."""
+    # at a time whose sampler finds no usable pair, the inequality holds
+    # vacuously on the region if the region lies inside C(t): the normal
+    # cone is {0} there.  Once the region is inside C(t) at every probed
+    # time, the samplers still to run are skipped for the same reason.
+    samples, vacuous, unresolved, leaves = [], [], [], None
+    for t in times:
+        if leaves is not None and not leaves:
+            vacuous.append(t)
+            continue
+        try:
+            samples.append(sample_hypomonotonicity(
+                scenario.moving_set, t, region, n_samples=n_samples, seed=scenario.seed
+            ))
+        except StructuralError as err:
+            if leaves is None:
+                leaves = _times_region_leaves_set(scenario, region, times)
+            if t in leaves:
+                unresolved.append(f"t = {t:.6g}: {err}")
+            else:
+                vacuous.append(t)
+    if unresolved:
+        return Check("hypomonotonicity", "warn", "; ".join(unresolved)), None, samples
+    if not samples:
+        note = "region interior to the set; fitted E = 0 vacuously"
+        return Check("hypomonotonicity", "pass", note), 0.0, samples
+    fitted_E = max(rep.fitted_E for rep in samples)
+    note = "".join(f"; region interior to C({t:.6g})" for t in vacuous)
+    return Check("hypomonotonicity", "pass", f"fitted E = {fitted_E:.6g}{note}"), fitted_E, samples
+
+
+def _uniqueness_check(scenario, t: float, region: Region, **probe):
+    """The projection uniqueness check near ``region`` at t, and the report (None if it raised)."""
+    try:
+        rep = probe_projection_uniqueness(
+            scenario.moving_set, t, region,
+            agree_tol=scenario.tolerances.uniqueness, seed=scenario.seed, **probe,
+        )
+    except StructuralError as err:
+        return Check("projection_uniqueness", "warn", str(err)), None
+    ell, working = rep.empirical_radius, scenario.moving_set.working_radius
+    if ell <= 0:
+        level, note = "warn", "no distance with full multi-start agreement"
+    elif ell < working:
+        level = "warn"
+        note = (f"empirical radius {ell:.6g} is below the working radius "
+                f"{working:.6g} implied by the declared hint")
+    else:
+        level, note = "pass", f"empirical radius {ell:.6g}"
+    return Check("projection_uniqueness", level, note), rep
 
 
 def _visited_region(traj: Trajectory, margin: float) -> Region:
     """Bounding geodesic ball of the trajectory nodes, with a margin.
 
     The center is the node whose farthest node is nearest, the first such
-    node on ties.  Candidates are tried nearest-first to the ambient
-    1-center, and each scans the nodes farthest-first in ambient
-    coordinates, stopping as soon as it cannot win, so most scans end
-    after a node or two; the result is that of the full all-pairs search.
+    node on ties.  Candidates are tried in order of ambient eccentricity
+    (the ambient distance to their farthest node), smallest first, and
+    each scans the nodes farthest-first in ambient coordinates, stopping
+    as soon as it cannot win, so most scans end after a node or two; the
+    result is that of the full all-pairs search.
     """
     nodes = traj.nodes
     if len(nodes) > 48:
@@ -278,38 +333,8 @@ def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport
         checks.append(Check("velocity_bound", "fail", f"max {vmax:.6g} > {bound:.6g}"))
 
     region = _visited_region(traj, margin=0.25 * set_.prox_radius_hint)
-    fitted_E = None
-    # at a time whose sampler finds no usable pair, the inequality holds
-    # vacuously on the region if the region lies inside C(t): the normal
-    # cone is {0} there.  Once the region is inside C(t) at every probed
-    # time, the samplers still to run are skipped for the same reason.
-    fits, vacuous, unresolved, leaves = [], [], [], None
-    for t in _probe_times(scenario):
-        if leaves is not None and not leaves:
-            vacuous.append(t)
-            continue
-        try:
-            fits.append(
-                sample_hypomonotonicity(set_, t, region, n_samples=240, seed=seed).fitted_E
-            )
-        except StructuralError as err:
-            if leaves is None:
-                leaves = _times_region_leaves_set(scenario, region)
-            if t in leaves:
-                unresolved.append(f"t = {t:.6g}: {err}")
-            else:
-                vacuous.append(t)
-    if unresolved:
-        checks.append(Check("hypomonotonicity", "warn", "; ".join(unresolved)))
-    elif not fits:
-        fitted_E = 0.0
-        checks.append(
-            Check("hypomonotonicity", "pass", "region interior to the set; fitted E = 0 vacuously")
-        )
-    else:
-        fitted_E = max(fits)
-        note = "".join(f"; region interior to C({t:.6g})" for t in vacuous)
-        checks.append(Check("hypomonotonicity", "pass", f"fitted E = {fitted_E:.6g}{note}"))
+    check, fitted_E, _ = _hypomonotonicity_check(scenario, region, _probe_times(scenario), 240)
+    checks.append(check)
 
     empirical_ell = None
     touched = [
@@ -319,34 +344,17 @@ def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport
     ]
     if touched:
         t_mid, x_mid = touched[len(touched) // 2]
-        probe_region = Region(x_mid, region.radius)
-        probe_distances = np.linspace(0.2, 1.0, 5) * set_.probe_radius
-        try:
-            rep = probe_projection_uniqueness(
-                set_,
-                float(t_mid),
-                probe_region,
-                n_points=2,
-                distances=probe_distances,
-                restarts=8,
-                agree_tol=scenario.tolerances.uniqueness,
-                seed=seed,
-            )
+        check, rep = _uniqueness_check(
+            scenario,
+            float(t_mid),
+            Region(x_mid, region.radius),
+            n_points=2,
+            distances=np.linspace(0.2, 1.0, 5) * set_.probe_radius,
+            restarts=8,
+        )
+        checks.append(check)
+        if rep is not None:
             empirical_ell = rep.empirical_radius
-            working = set_.working_radius
-            if empirical_ell <= 0:
-                level, note = "warn", "no distance with full multi-start agreement"
-            elif empirical_ell < working:
-                level = "warn"
-                note = (
-                    f"empirical radius {empirical_ell:.6g} is below the working "
-                    f"radius {working:.6g} implied by the declared hint"
-                )
-            else:
-                level, note = "pass", f"empirical radius {empirical_ell:.6g}"
-            checks.append(Check("projection_uniqueness", level, note))
-        except StructuralError as err:
-            checks.append(Check("projection_uniqueness", "warn", str(err)))
     else:
         checks.append(
             Check("projection_uniqueness", "pass", "constraint never active; probe skipped")
@@ -390,3 +398,41 @@ def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport
         velocity_bound=bound,
         seed=seed,
     )
+
+
+@dataclass
+class DiagnosticsReport(Report):
+    """``warnings`` holds ``"name: detail"`` for each check that did not pass."""
+
+    kind = "diagnostics"
+
+    scenario: str
+    scenario_hash: str
+    seed: int
+    reports: dict
+    warnings: list
+
+
+def diagnose_scenario(scenario, radius: Optional[float], n_samples: int) -> DiagnosticsReport:
+    """Certify's hypomonotonicity and uniqueness checks on the ball of ``radius`` around x0.
+
+    The radius defaults to the probe radius.  The log-map monotonicity and
+    the admissible step are reported as measured.
+    """
+    radius = scenario.moving_set.probe_radius if radius is None else radius
+    region = Region(scenario.x0, radius)
+    reports = {}
+    hypo, _, samples = _hypomonotonicity_check(scenario, region, (0.0,), n_samples)
+    if samples:
+        reports["hypomonotonicity"] = samples[0]
+    uniq, rep = _uniqueness_check(scenario, 0.0, region, n_points=3)
+    if rep is not None:
+        reports["projection_uniqueness"] = rep
+    mono_region = Region(scenario.x0, min(radius, 0.45 * scenario.backend.budget().rho))
+    reports["log_monotonicity"] = check_log_monotonicity(
+        scenario.backend, mono_region, n_samples=n_samples, seed=scenario.seed
+    )
+    adm = admissible_step(scenario.moving_set, scenario.perturbation, scenario.horizon, scenario.x0)
+    reports["admissible_step"] = {"h_max": adm.h_max, "sub_horizon": adm.sub_horizon, **adm.details}
+    warnings = [f"{c.name}: {c.detail}" for c in (hypo, uniq) if c.status != "pass"]
+    return DiagnosticsReport(scenario.name, scenario.hash, scenario.seed, reports, warnings)

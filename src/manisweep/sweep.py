@@ -16,7 +16,6 @@ from the normal-cone inclusion the scheme approximates.
 from __future__ import annotations
 
 import copy
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -28,8 +27,6 @@ from .errors import DomainError, NumericsError, StructuralError
 from .geometry import Point, Region, Tangent, distance, exp_map, log_map, parallel_transport
 from .moving_sets import MovingSet
 
-logger = logging.getLogger(__name__)
-
 #: stand-in for an unbounded admissible step, so reports stay finite
 STEP_CEILING = 1e6
 
@@ -37,9 +34,9 @@ STEP_CEILING = 1e6
 class Perturbation:
     """Tangent field f(t, x) with declared bound and Lipschitz modulus.
 
-    Declared constants are trusted; evaluations are checked against the
-    declared bound opportunistically and violations are logged, not
-    raised.
+    Declared constants are trusted; ``catching_up`` checks each step's
+    evaluation against the declared bound and records a violation as a
+    warning, which leaves the run uncertified.
     """
 
     def __init__(self, func, sup_norm: float, lipschitz: float):
@@ -48,21 +45,11 @@ class Perturbation:
         self._func = func
         self.sup_norm = float(sup_norm)
         self.lipschitz = float(lipschitz)
-        self.bound_violations = 0
 
     def __call__(self, t: float, x: Point) -> Tangent:
         v = self._func(t, x)
         if v.base is not x:
             raise StructuralError("perturbation field must return tangents at the query point")
-        n = v.norm()
-        if n > self.sup_norm + 1e-9:
-            self.bound_violations += 1
-            if self.bound_violations <= 3:
-                logger.warning(
-                    "perturbation exceeded its declared bound: |f| = %.6g > %.6g",
-                    n,
-                    self.sup_norm,
-                )
         return v
 
 
@@ -251,7 +238,8 @@ def catching_up(scenario, h: float) -> Trajectory:
     ``velocity_margin`` tolerance is the slack on the discrete velocity
     bound 2||f|| + K_L.  Oversized steps are allowed (rate studies probe
     them) but drop the certification flag through the warning that the
-    step exceeds the admissible bound.
+    step exceeds the admissible bound; so does a perturbation that
+    exceeds its declared bound at any step.
     """
     set_: MovingSet = scenario.moving_set
     pert: Perturbation = scenario.perturbation
@@ -281,10 +269,13 @@ def catching_up(scenario, h: float) -> Trajectory:
     nodes = [x0]
     velocities = np.zeros(n)
     projector_iterations = 0
+    exceeded = 0
     for i in range(n):
         t_next = float(times[i + 1])
         hi = float(times[i + 1] - times[i])
         f = pert(float(times[i]), nodes[i])
+        if f.norm() > pert.sup_norm + 1e-9:
+            exceeded += 1
         try:
             drifted = exp_map(nodes[i], f.scaled(hi))
             res = set_.project(t_next, drifted)
@@ -303,6 +294,11 @@ def catching_up(scenario, h: float) -> Trajectory:
             warnings.append(f"step {i}: {res.warning}")
         nodes.append(res.point)
         velocities[i] = distance(nodes[i], nodes[i + 1]) / hi
+    if exceeded:
+        warnings.append(
+            f"the perturbation exceeded its declared bound {pert.sup_norm:.6g} "
+            f"at {exceeded} of {n} steps"
+        )
 
     traj = Trajectory(
         set_, pert, times, nodes, h, velocities,

@@ -434,6 +434,18 @@ STRICT_CASES = {
         ["diagnose", "--samples", "40"],
         (0, 1),
     ),
+    # outside the unit disk the projection is unique only up to distance 0.9
+    # from the boundary, below the working radius 1.5 of the declared hint 3
+    "diagnose_below_working_radius": (
+        "static_convex",
+        {
+            "set": {"kind": "ball_complement", "center": [0.0, 0.0], "radius": 1.0},
+            "initial_point": [1.2, 0.0],
+            "constants": {"prox_radius_hint": 3.0},
+        },
+        ["diagnose", "--samples", "40"],
+        (0, 1),
+    ),
     # K_L = 0.5 understates the boundary speed 1, so the velocity bound fails
     "certify_velocity_bound_fails": (
         "halfline", {"constants": {"lipschitz_const": 0.5}}, ["certify"], (2, 2)

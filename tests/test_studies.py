@@ -223,6 +223,47 @@ def test_certify_stops_sampling_once_the_region_is_inside_at_every_time(monkeypa
             "region interior to the set; fitted E = 0 vacuously") in rep.checks
 
 
+def _with(golden, **changes):
+    doc = dict(bundled_scenario(golden).document)
+    for key, value in changes.items():
+        doc[key] = dict(doc[key], **value) if isinstance(value, dict) else value
+    return Scenario(doc)
+
+
+def test_diagnose_scores_an_interior_region_as_certify_does():
+    # the probe region lies inside the ball: hypomonotonicity holds vacuously,
+    # as certify scores it, and only the uniqueness probe finds no boundary
+    scn = _with("static_convex", initial_point=[0.0, 0.0], constants={"prox_radius_hint": 0.5})
+    rep = studies.diagnose_scenario(scn, None, 40)
+    assert rep.to_dict()["kind"] == "diagnostics"
+    assert [w.split(":")[0] for w in rep.warnings] == ["projection_uniqueness"]
+    assert "hypomonotonicity" not in rep.reports
+
+
+def test_diagnose_warns_when_the_empirical_radius_is_below_the_working_radius():
+    scn = _with(
+        "static_convex",
+        set={"kind": "ball_complement", "center": [0.0, 0.0], "radius": 1.0},
+        initial_point=[1.2, 0.0],
+        constants={"prox_radius_hint": 3.0},
+    )
+    rep = studies.diagnose_scenario(scn, None, 40)
+    assert rep.reports["projection_uniqueness"].empirical_radius == pytest.approx(0.9)
+    assert rep.warnings == [
+        "projection_uniqueness: empirical radius 0.9 is below the working radius 1.5 "
+        "implied by the declared hint"
+    ]
+
+
+def test_certify_warns_when_the_perturbation_exceeds_its_bound():
+    scn = _with("disk_moving_center", perturbation={"components": ["0.2", "0.0"]})
+    rep = certify_scenario(scn)
+    assert rep.status == "warn"
+    name, status, detail = rep.checks[0]
+    assert (name, status) == ("integration", "warn")
+    assert "the perturbation exceeded its declared bound 0.12" in detail
+
+
 # -- visited region ------------------------------------------------------------
 
 

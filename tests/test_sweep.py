@@ -282,3 +282,15 @@ def test_velocity_margin_comes_from_the_scenario():
     tight = catching_up(make_scenario(constants=scn.document["constants"]), 0.01)
     assert not tight.certified
     assert any("discrete velocity" in w for w in tight.warnings)
+
+
+def test_perturbation_over_its_bound_decertifies_each_run():
+    doc = dict(bundled_scenario("disk_moving_center").document)
+    doc["perturbation"] = dict(doc["perturbation"], components=["0.2", "0.0"])
+    scn = Scenario(doc)
+    warning = "the perturbation exceeded its declared bound 0.12 at 100 of 100 steps"
+    for _ in range(2):  # the same scenario gives the same verdict on every run
+        traj = catching_up(scn, 1e-2)
+        assert not traj.certified
+        assert traj.warnings == [warning]
+        assert traj.metadata_document()["warnings"] == [warning]
