@@ -367,7 +367,6 @@ class ImplicitBackend(ManifoldBackend):
                 damp *= 0.5
             else:
                 jac = None  # refresh the frozen Jacobian and retry
-                r = resid(c, fine=fine)
                 if not fine:
                     fine = True
                     r = resid(c, fine=True)

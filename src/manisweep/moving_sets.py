@@ -13,12 +13,12 @@ else and powers multi-start uniqueness probes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import expressions as ex
 from .errors import DomainError, NumericsError, StructuralError
@@ -232,19 +232,29 @@ class MovingSet:
         return ProjectionResult(c, d, iterations, True, self._radius_warning(d))
 
     def _kkt_residual(self, t, c, grad):
-        """min over nonnegative multipliers of |grad F - sum mu_i grad g_i|."""
-        basis = self.backend.tangent_basis(c)
-        b = np.array([self.backend.inner(c, grad.components, e) for e in basis])
-        active = self.active_set(t, c)
-        if not active:
-            return float(np.linalg.norm(b))
-        cols = []
-        for i in active:
-            gi = self.constraint_gradient(t, c, i)
-            cols.append([self.backend.inner(c, gi.components, e) for e in basis])
-        A = np.array(cols).T
-        _, resid = nnls(A, b)
-        return float(resid)
+        """min over nonnegative multipliers of |grad F - sum mu_i grad g_i|.
+
+        By Caratheodory the minimum is attained on a linearly independent
+        support of at most ``dim`` active gradients, where the multipliers
+        solve that support's Gram system; supports whose multipliers are
+        all nonnegative are feasible, and the smallest residual among them
+        is the nonnegative least-squares optimum.
+        """
+        gens = [self.constraint_gradient(t, c, i) for i in self.active_set(t, c)]
+        best = grad.norm()
+        for k in range(1, min(len(gens), self.backend.dim) + 1):
+            for support in itertools.combinations(gens, k):
+                gram = [[a.inner(b) for b in support] for a in support]
+                try:
+                    mu = np.linalg.solve(gram, [a.inner(grad) for a in support])
+                except np.linalg.LinAlgError:
+                    continue  # dependent gradients: a smaller support covers them
+                if np.all(mu >= 0.0):
+                    r = grad
+                    for m, g in zip(mu, support):
+                        r = r - g.scaled(float(m))
+                    best = min(best, r.norm())
+        return best
 
     def restore_feasibility(self, t: float, x: Point) -> Point:
         """Damped descent on the squared constraint violation.

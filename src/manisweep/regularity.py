@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .artifacts import Report
-from .errors import NumericsError, StructuralError
+from .errors import DomainError, NumericsError, StructuralError
 from .geometry import (
     ManifoldBackend,
     Point,
@@ -386,7 +386,10 @@ def probe_projection_uniqueness(
             if v is None:
                 continue
             query = exp_map(b, v.scaled(s))
-            actual = set_.dist_to_set(t, query)
+            try:
+                actual = set_.dist_to_set(t, query)
+            except DomainError:
+                continue  # the push left the validated radius: no query here
             if abs(actual - s) > 0.05 * s:
                 # the outward push folded past the medial axis, so this
                 # query does not realize the intended distance
@@ -399,7 +402,7 @@ def probe_projection_uniqueness(
                     cand = backend.random_point(rng, query, scatter_radius)
                     try:
                         restored = set_.restore_feasibility(t, cand)
-                    except NumericsError:
+                    except (NumericsError, DomainError):
                         continue
                     if distance(restored, query) < 0.9 * rho:
                         init = restored
@@ -410,7 +413,7 @@ def probe_projection_uniqueness(
                     res = set_.project(
                         t, query, method="iterative", initial=init, max_iter=800
                     )
-                except NumericsError:
+                except (NumericsError, DomainError):
                     ok = False
                     continue
                 results.append(res.point)

@@ -2,8 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
-from manisweep import EuclideanBackend, SphereBackend, distance
+from manisweep import (
+    EuclideanBackend,
+    HyperbolicBackend,
+    ImplicitBackend,
+    SphereBackend,
+    distance,
+)
 from manisweep.errors import NumericsError, StructuralError
 from manisweep.moving_sets import (
     ball,
@@ -267,3 +274,115 @@ def test_scenario_projector_tolerances_stop_the_iterative_projector(field):
     y = default.backend.point([0.8, 0.36, -0.48])
     assert loose.moving_set.project(0.0, y).iterations == 1
     assert default.moving_set.project(0.0, y).iterations > 1
+
+
+# -- the projector's KKT residual ---------------------------------------------
+
+#: a base point and three ambient directions per backend; constraint i is
+#: the hyperplane <a_i, x - c> >= 0 through c, so it is active at c
+KKT_CASES = {
+    "euclidean": (
+        lambda: EuclideanBackend(3),
+        [0.1, -0.2, 0.3],
+        [[1.0, 0.2, 0.0], [0.3, -1.0, 0.5], [-0.4, 0.1, 1.0]],
+    ),
+    "sphere": (
+        lambda: SphereBackend(2),
+        [0.48, -0.6, 0.64],
+        [[1.0, 0.2, 0.0], [0.3, -1.0, 0.5], [-0.4, 0.1, 1.0]],
+    ),
+    "hyperbolic": (
+        lambda: HyperbolicBackend(2),
+        [math.cosh(0.7), math.sinh(0.7) * 0.6, math.sinh(0.7) * 0.8],
+        [[0.2, 1.0, 0.3], [0.0, -0.5, 1.0], [0.1, 0.7, -0.9]],
+    ),
+    "implicit": (
+        lambda: ImplicitBackend(2, ["x1^2 + x2^2 - 1"]),
+        [0.6, 0.8],
+        [[-0.8, 0.6], [0.8, -0.6], [1.6, -1.2]],
+    ),
+}
+
+
+def _hyperplane(a, c, slack=0.0):
+    terms = " + ".join(f"({ai!r})*(x{i + 1} - ({ci!r}))" for i, (ai, ci) in enumerate(zip(a, c)))
+    return f"{terms} + {slack!r}"
+
+
+def _nnls_residual(set_, t, c, grad):
+    """The residual as a nonnegative least-squares fit in tangent-basis coordinates."""
+    backend = set_.backend
+    basis = backend.tangent_basis(c)
+    b = np.array([backend.inner(c, grad.components, e) for e in basis])
+    active = set_.active_set(t, c)
+    if not active:
+        return float(np.linalg.norm(b))
+    cols = [
+        [backend.inner(c, set_.constraint_gradient(t, c, i).components, e) for e in basis]
+        for i in active
+    ]
+    return float(nnls(np.array(cols).T, b)[1])
+
+
+def _kkt_set(name, exprs):
+    make, c, _ = KKT_CASES[name]
+    backend = make()
+    return inequalities(backend, exprs), backend.point(c)
+
+
+def _assert_kkt_matches_nnls(set_, c, grad):
+    got = set_._kkt_residual(0.0, c, grad)
+    ref = _nnls_residual(set_, 0.0, c, grad)
+    assert abs(got - ref) <= 1e-12 * grad.norm(), (got, ref)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(KKT_CASES))
+@pytest.mark.parametrize("n_active", [0, 1, 2, 3])
+def test_kkt_residual_matches_nnls(name, n_active):
+    _, c, dirs = KKT_CASES[name]
+    # the inactive constraints are shifted off c by a unit slack
+    exprs = [_hyperplane(a, c, 0.0 if i < n_active else 1.0) for i, a in enumerate(dirs)]
+    set_, x = _kkt_set(name, exprs)
+    assert set_.active_set(0.0, x) == tuple(range(n_active))
+    gens = [set_.constraint_gradient(0.0, x, i) for i in range(3)]
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        # mixed-sign combinations: inside, outside and on the face of the cone
+        coef = rng.standard_normal(3)
+        grad = set_.backend.random_tangent(rng, x, 1.0)
+        for k, g in zip(coef, gens):
+            grad = grad + g.scaled(float(k) * rng.integers(0, 2))
+        _assert_kkt_matches_nnls(set_, x, grad)
+    if n_active == 0:
+        grad = gens[0].scaled(2.0)
+        assert set_._kkt_residual(0.0, x, grad) == grad.norm()
+
+
+@pytest.mark.parametrize("name", sorted(KKT_CASES))
+def test_kkt_residual_with_a_duplicated_gradient(name):
+    _, c, dirs = KKT_CASES[name]
+    once = _hyperplane(dirs[0], c)
+    set_, x = _kkt_set(name, [once, once, _hyperplane(dirs[1], c)])
+    assert set_.active_set(0.0, x) == (0, 1, 2)
+    g0, _, g1 = (set_.constraint_gradient(0.0, x, i) for i in range(3))
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        grad = set_.backend.random_tangent(rng, x, 1.0) + g0.scaled(float(rng.uniform(-1, 2)))
+        _assert_kkt_matches_nnls(set_, x, grad)
+    # inside the cone the residual vanishes
+    inside = g0.scaled(0.7) + g1.scaled(0.3)
+    assert _assert_kkt_matches_nnls(set_, x, inside) <= 1e-12 * inside.norm()
+
+
+@pytest.mark.parametrize("name", sorted(KKT_CASES))
+def test_kkt_residual_with_a_zero_optimal_multiplier(name):
+    _, c, dirs = KKT_CASES[name]
+    set_, x = _kkt_set(name, [_hyperplane(dirs[0], c), _hyperplane(dirs[1], c)])
+    g0, g1 = (set_.constraint_gradient(0.0, x, i) for i in range(2))
+    # the part of g1 orthogonal to g0 pairs negatively with g1, so the
+    # optimal multipliers are (1, 0) and the residual is that part's length
+    ortho = g1 - g0.scaled(g1.inner(g0) / g0.inner(g0))
+    grad = g0 - ortho.scaled(0.5)
+    got = _assert_kkt_matches_nnls(set_, x, grad)
+    assert got == pytest.approx(0.5 * ortho.norm(), rel=1e-12, abs=1e-15)

@@ -487,3 +487,17 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests alone
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    probe = "import sys, manisweep.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

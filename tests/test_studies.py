@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -253,6 +254,22 @@ def test_diagnose_warns_when_the_empirical_radius_is_below_the_working_radius():
         "projection_uniqueness: empirical radius 0.9 is below the working radius 1.5 "
         "implied by the declared hint"
     ]
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_diagnose_on_the_hyperbolic_ball_stays_inside_the_validated_radius(monkeypatch, seed):
+    # queries and restarts pushed past rho = pi/2 from the ball's center
+    # make its log map raise DomainError; the probe skips or redraws them
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.workloads import HYPERBOLIC_BALL, make_documents
+
+    if seed is None:
+        doc = HYPERBOLIC_BALL
+    else:
+        doc = make_documents(seed, ["hyperbolic_ball"])["hyperbolic_ball"]
+    rep = studies.diagnose_scenario(Scenario(doc), None, 120)
+    assert rep.warnings == []
+    assert rep.reports["projection_uniqueness"].empirical_radius == pytest.approx(0.5)
 
 
 def test_certify_warns_when_the_perturbation_exceeds_its_bound():
