@@ -21,7 +21,6 @@ from .geometry import (
     exp_map,
     grad_sq_distance,
     log_map,
-    make_backend,
     parallel_transport,
 )
 from .moving_sets import MovingSet, ProjectionResult, make_moving_set

@@ -1,8 +1,11 @@
 """Small arithmetic expression grammar for constraints and fields.
 
-Grammar: identifiers ``x1..xn`` and ``t``, the operators ``+ - * / ^``,
-the functions ``sin``, ``cos``, ``exp``, numeric literals and
-parentheses.  ``^`` is power and binds tighter than unary minus.
+Grammar: Python's arithmetic with ``^`` written for ``**``: identifiers
+(``x1..xn`` and ``t`` where the caller says so), the operators
+``+ - * / ^``, the functions ``sin``, ``cos``, ``exp`` of one argument,
+decimal literals and parentheses.  ``^`` is power, right-associative,
+and binds tighter than unary minus; its exponent may carry ``-`` signs
+but no ``+``.  Any whitespace separates tokens, newlines included.
 
 Parsed expressions support evaluation, forward-mode differentiation
 with respect to a variable (the chain rule applied leaf-to-root on the
@@ -13,17 +16,13 @@ exponent has no derivative in this grammar and raises.
 
 from __future__ import annotations
 
+import ast
 import math
 import re
+import warnings
 from dataclasses import dataclass
 
 from .errors import ExpressionError
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
 
 _FUNCTIONS = ("sin", "cos", "exp")
 
@@ -238,107 +237,79 @@ def _neg(a):
     return Neg(a)
 
 
-class _Parser:
-    """Recursive-descent parser; ``^`` is right-associative."""
+#: text no expression holds: a character outside the grammar's alphabet, a
+#: literal ``**`` (power is ``^``) and a ``+`` reached from ``^`` through ``-`` signs
+_OUTSIDE = re.compile(r"[^0-9A-Za-z_.+\-*/^() ]|\*\*|\^[ -]*\+")
+#: a decimal literal, the only constant the grammar has
+_LITERAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
-    def __init__(self, text):
-        self.text = text
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                if text[pos:].strip():
-                    raise ExpressionError(
-                        f"unexpected character {text[pos]!r}", position=pos
-                    )
-                break
-            self.tokens.append((m.lastgroup, m.group(m.lastgroup), pos))
-            pos = m.end()
-        self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+def _position(line, lead, q):
+    """Index in ``line`` of offset ``q`` of ``line[lead:]`` with ``^`` as ``**``."""
+    for i in range(lead, len(line)):
+        q -= 2 if line[i] == "^" else 1
+        if q < 0:
+            return i
+    return len(line)
 
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
 
-    def expect(self, value):
-        kind, val, pos = self.next()
-        if val != value:
-            raise ExpressionError(f"expected {value!r}, found {val!r}", position=pos)
+def _offending(node, src):
+    """Offset in ``src`` of the token that puts ``node`` outside the grammar.
 
-    def parse(self):
-        e = self.sum()
-        kind, val, pos = self.peek()
-        if kind is not None:
-            raise ExpressionError(f"trailing input {val!r}", position=pos)
-        return e
-
-    def sum(self):
-        e = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            e = Bin(op, e, self.term())
-        return e
-
-    def term(self):
-        e = self.unary()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            e = Bin(op, e, self.unary())
-        return e
-
-    def unary(self):
-        if self.peek()[1] == "-":
-            self.next()
-            return _neg(self.unary())
-        if self.peek()[1] == "+":
-            self.next()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[1] == "^":
-            self.next()
-            # right associative; exponent may carry its own unary minus
-            return Bin("^", base, self.unary_power())
-        return base
-
-    def unary_power(self):
-        if self.peek()[1] == "-":
-            self.next()
-            return _neg(self.unary_power())
-        return self.power()
-
-    def atom(self):
-        kind, val, pos = self.next()
-        if kind == "num":
-            return Num(float(val))
-        if kind == "ident":
-            if val in _FUNCTIONS:
-                self.expect("(")
-                arg = self.sum()
-                self.expect(")")
-                return Fun(val, arg)
-            return Var(val)
-        if val == "(":
-            e = self.sum()
-            self.expect(")")
-            return e
-        raise ExpressionError(f"unexpected token {val!r}", position=pos)
+    That is the node's first token, or the operator after its leading
+    operand (``x1 // 2``, ``x1 if t else x2``, ``x1.real``).
+    """
+    kids = [c for c in ast.iter_child_nodes(node) if isinstance(c, ast.expr)]
+    first = min(kids, key=lambda c: c.col_offset, default=None)
+    if first is None or src[node.col_offset : first.col_offset].strip("( "):
+        return node.col_offset
+    return len(src) - len(src[first.end_col_offset :].lstrip(") "))
 
 
 def parse(text, allowed_vars=None):
     """Parse ``text`` into an expression tree.
 
-    When ``allowed_vars`` is given, any other identifier raises an
-    :class:`ExpressionError`.
+    The text is read by Python's own parser with ``^`` for ``**``, and
+    its tree is converted node by node; any construct the grammar lacks
+    raises an :class:`ExpressionError` whose ``position`` indexes
+    ``text``.  When ``allowed_vars`` is given, any other identifier
+    raises too.
     """
-    tree = _Parser(text).parse()
+    line = re.sub(r"\s", " ", text)  # one for one, so positions stay put
+    bad = _OUTSIDE.search(line)
+    if bad:
+        raise ExpressionError(f"unexpected character {bad[0][-1]!r}", position=bad.end() - 1)
+    lead = len(line) - len(line.lstrip())
+    src = line[lead:].replace("^", "**")
+    try:
+        with warnings.catch_warnings():  # ``1if``: rejected below anyway
+            warnings.simplefilter("ignore", SyntaxWarning)
+            body = ast.parse(src, mode="eval").body
+    except SyntaxError as err:
+        # Python gives no offset (0) for input that ends too soon
+        at = _position(line, lead, err.offset - 1 if err.offset else len(src))
+        raise ExpressionError(f"invalid expression: {err.msg}", position=at) from None
+
+    def convert(node):
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+            return Bin(_OPS[type(node.op)], convert(node.left), convert(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return _neg(convert(node.operand))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+            return convert(node.operand)
+        if isinstance(node, ast.Name) and node.id not in _FUNCTIONS:
+            return Var(node.id)
+        literal = src[node.col_offset : node.end_col_offset]
+        if isinstance(node, ast.Constant) and _LITERAL.fullmatch(literal):
+            return Num(float(literal))
+        call = isinstance(node, ast.Call) and len(node.args) == 1 and not node.keywords
+        if call and isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS:
+            return Fun(node.func.id, convert(node.args[0]))
+        at = _position(line, lead, _offending(node, src))
+        raise ExpressionError(f"{line[at:]!r} is outside the expression grammar", position=at)
+
+    tree = convert(body)
     if allowed_vars is not None:
         extra = tree.variables() - frozenset(allowed_vars)
         if extra:
@@ -349,22 +320,27 @@ def parse(text, allowed_vars=None):
     return tree
 
 
-_EMIT_GLOBALS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+def run_emitted(src) -> dict:
+    """Execute source emitted from our own trees; returns its namespace.
+
+    The namespace holds the functions emitted code may call: the
+    grammar's ``sin``, ``cos`` and ``exp``, and ``sqrt`` for the
+    implicit backend's kernels.
+    """
+    ns = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "exp": math.exp}
+    exec(src, ns)  # noqa: S102 - source is emitted from our own AST
+    return ns
 
 
 def compile_tree(tree, arg_names):
     """Compile a tree to ``f(*args) -> float`` with positional arguments."""
     src = f"def _f({', '.join(arg_names)}):\n    return {tree.emit()}\n"
-    ns = dict(_EMIT_GLOBALS)
-    exec(src, ns)  # noqa: S102 - source is emitted from our own AST
-    return ns["_f"]
+    return run_emitted(src)["_f"]
 
 
 def compile_many(trees, arg_names):
     """Compile several trees into one ``f(*args) -> tuple`` function."""
     body = ", ".join(t.emit() for t in trees)
     src = f"def _f({', '.join(arg_names)}):\n    return ({body},)\n"
-    ns = dict(_EMIT_GLOBALS)
-    exec(src, ns)  # noqa: S102
-    return ns["_f"]
+    return run_emitted(src)["_f"]
 

@@ -5,7 +5,6 @@ backend, so call sites can read ``exp_map(x, v)`` instead of
 ``x.backend.exp_map(x, v)``.
 """
 
-from ..errors import StructuralError
 from .base import (
     GeometryBudget,
     ManifoldBackend,
@@ -21,7 +20,8 @@ from .implicit import ImplicitBackend
 from .sphere import SphereBackend
 
 
-#: manifold kind in a scenario -> backend class
+#: manifold kind in a scenario -> backend class; like the set ``CATALOG``,
+#: the constructor's parameters are the fields of the manifold block
 BACKENDS = {
     "euclidean": EuclideanBackend,
     "sphere": SphereBackend,
@@ -50,15 +50,6 @@ def grad_sq_distance(x: Point, y: Point) -> Tangent:
     return x.backend.grad_sq_distance(x, y)
 
 
-def make_backend(kind: str, dim: int, equalities=None) -> ManifoldBackend:
-    """Construct a backend from a scenario-style descriptor."""
-    if kind not in BACKENDS:
-        raise StructuralError(f"unknown manifold kind {kind!r}")
-    if kind == "implicit":
-        return ImplicitBackend(dim, equalities or ())
-    return BACKENDS[kind](dim)
-
-
 __all__ = [
     "BACKENDS",
     "EuclideanBackend",
@@ -76,6 +67,5 @@ __all__ = [
     "exp_map",
     "grad_sq_distance",
     "log_map",
-    "make_backend",
     "parallel_transport",
 ]

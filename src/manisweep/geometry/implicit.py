@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from typing import Sequence
 
 import numpy as np
 
@@ -187,15 +188,9 @@ def _emit_kernels(g_trees, d):
     return "\n".join(L)
 
 
-#: names the generated kernels read besides their arguments
-_KERNEL_GLOBALS = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "exp": math.exp}
-
-
 def _compile_kernels(g_trees, d) -> dict:
     """Execute the emitted kernel source; returns name -> function."""
-    ns = dict(_KERNEL_GLOBALS)
-    exec(_emit_kernels(g_trees, d), ns)  # noqa: S102 - our own AST
-    return ns
+    return ex.run_emitted(_emit_kernels(g_trees, d))
 
 
 class ImplicitBackend(ManifoldBackend):
@@ -203,37 +198,38 @@ class ImplicitBackend(ManifoldBackend):
 
     feasibility_tol = 1e-8
 
-    def __init__(self, ambient_dim: int, equalities):
-        if ambient_dim < 2:
+    def __init__(self, dim: int, equalities: Sequence[str]):
+        """``dim`` is the ambient dimension d, ``equalities`` the g_i."""
+        if dim < 2:
             raise StructuralError("ambient dimension must be >= 2")
         exprs = tuple(str(s) for s in equalities)
         m = len(exprs)
         if m < 1:
             raise StructuralError("at least one equality constraint required")
-        if m >= ambient_dim:
+        if m >= dim:
             raise StructuralError("constraints leave no tangent direction")
         if m > 2:
             raise StructuralError(
                 "more than two equality constraints are not supported by the "
                 "generated kernels"
             )
-        self.ambient_dim = ambient_dim
-        self.dim = ambient_dim - m
+        self.ambient_dim = dim
+        self.dim = dim - m
         self.n_constraints = m
-        self.key = ("implicit", ambient_dim, exprs)
+        self.key = ("implicit", dim, exprs)
 
-        names = [f"x{i}" for i in range(1, ambient_dim + 1)]
+        names = [f"x{i}" for i in range(1, dim + 1)]
         trees = [ex.parse(s, allowed_vars=names) for s in exprs]
         # kernels work with 0-based names
         ren = {old: f"x{i}" for i, old in enumerate(names)}
         self._g_trees = [_rename(t, ren) for t in trees]
-        self._g_fn = ex.compile_many(self._g_trees, [f"x{i}" for i in range(ambient_dim)])
+        self._g_fn = ex.compile_many(self._g_trees, [f"x{i}" for i in range(dim)])
         jac_trees = [
-            t.diff(f"x{j}") for t in self._g_trees for j in range(ambient_dim)
+            t.diff(f"x{j}") for t in self._g_trees for j in range(dim)
         ]
-        self._jac_fn = ex.compile_many(jac_trees, [f"x{i}" for i in range(ambient_dim)])
+        self._jac_fn = ex.compile_many(jac_trees, [f"x{i}" for i in range(dim)])
 
-        ns = _compile_kernels(self._g_trees, ambient_dim)
+        ns = _compile_kernels(self._g_trees, dim)
         self._k_acc = ns["acc"]
         self._k_proj_x = ns["proj_x"]
         self._k_proj_t = ns["proj_t"]
@@ -304,10 +300,7 @@ class ImplicitBackend(ManifoldBackend):
             n = max(6, math.ceil(speed * COARSE_STEPS_PER_UNIT))
             out = _call_on_floats(self._k_rk4_geo, state, n, 1.0 / n)
         else:
-            n = max(8, math.ceil(speed * FINE_STEPS_PER_UNIT))
-            s1 = _call_on_floats(self._k_rk4_geo, state, n, 1.0 / n)
-            s2 = _call_on_floats(self._k_rk4_geo, state, 2 * n, 0.5 / n)
-            out = (16.0 * s2 - s1) / 15.0
+            out = _richardson(self._k_rk4_geo, state, speed)
         d = self.ambient_dim
         x = self._project_point(np.array(out[:d]))
         v = self._project_tangent(x, np.array(out[d:]))
@@ -401,11 +394,7 @@ class ImplicitBackend(ManifoldBackend):
         w_norm = float(np.linalg.norm(vc))
         if speed == 0.0 or w_norm == 0.0:
             return self._project_tangent(yc, vc)
-        n = max(8, math.ceil(speed * FINE_STEPS_PER_UNIT))
-        state = (xc, gamma, vc)
-        s1 = _call_on_floats(self._k_rk4_par, state, n, 1.0 / n)
-        s2 = _call_on_floats(self._k_rk4_par, state, 2 * n, 0.5 / n)
-        out = (16.0 * s2 - s1) / 15.0
+        out = _richardson(self._k_rk4_par, (xc, gamma, vc), speed)
         d = self.ambient_dim
         w = self._project_tangent(yc, out[2 * d :])
         nw = float(np.linalg.norm(w))
@@ -461,6 +450,14 @@ class ImplicitBackend(ManifoldBackend):
             a = _call_on_floats(lambda s: self._k_acc(*s), (p, vec))
             worst = max(worst, float(np.linalg.norm(a)))
         return worst
+
+
+def _richardson(kernel, arrays, speed):
+    """The fine path: ``n`` and ``2n`` RK4 steps over s in [0, 1], extrapolated."""
+    n = max(8, math.ceil(speed * FINE_STEPS_PER_UNIT))
+    s1 = _call_on_floats(kernel, arrays, n, 1.0 / n)
+    s2 = _call_on_floats(kernel, arrays, 2 * n, 0.5 / n)
+    return (16.0 * s2 - s1) / 15.0
 
 
 def _call_on_floats(kernel, arrays, *args):

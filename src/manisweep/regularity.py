@@ -79,6 +79,10 @@ class ConeMembershipResult(Report):
 
 @dataclass
 class UniquenessReport(Report):
+    """Per distance: ``agreement`` (bool) and ``scatter``, the largest
+    distance between two restarts' projections of one query; both are
+    None at a distance where no query could be tested."""
+
     kind = "projection_uniqueness"
 
     distances: list
@@ -355,8 +359,8 @@ def probe_projection_uniqueness(
     projector from ``restarts`` randomized feasible initializations.  The
     empirical radius is the last distance of the leading run of tested
     distances at which every query sees full agreement, 0 when the
-    smallest distance already disagrees; an agreement after a
-    disagreement does not extend it.
+    smallest distance already disagrees or is untested; an agreement
+    after a disagreement or an untested distance does not extend it.
     """
     rng = np.random.default_rng([seed, 0x01AF])
     backend = set_.backend
@@ -372,8 +376,8 @@ def probe_projection_uniqueness(
         worst_scatter = 0.0
         ok = True
         if s >= 0.98 * rho:
-            agreement.append(False)
-            scatters.append(float("nan"))
+            agreement.append(None)
+            scatters.append(None)
             continue
         # perturbed initializations live within reach of the query: the
         # singleton statement concerns the nearest-point set, not remote
@@ -423,7 +427,7 @@ def probe_projection_uniqueness(
             if worst_scatter > agree_tol or len(results) < 2:
                 ok = False
         if not tested_any:
-            ok = False
+            ok = worst_scatter = None
         agreement.append(ok)
         scatters.append(worst_scatter)
     empirical = 0.0  # the last distance of the leading run of agreements

@@ -22,9 +22,9 @@ import numpy as np
 
 from .artifacts import dumps as dumps_document  # the scenario document's text
 from .errors import StructuralError
-from .geometry import BACKENDS, ManifoldBackend, Point, make_backend
+from .geometry import BACKENDS, ManifoldBackend, Point
 from .moving_sets import CATALOG, MovingSet, Tolerances, Vector, make_moving_set
-from .sweep import Perturbation, expression_perturbation, zero_perturbation
+from .sweep import Perturbation, expression_perturbation, require_x0_in_C0, zero_perturbation
 
 SCHEMA_VERSION = 1
 
@@ -39,12 +39,6 @@ _TOP_KEYS = {
     "initial_point",
     "constants",
     "tolerances",
-}
-_MANIFOLD_KEYS = {
-    "euclidean": {"kind", "dim"},
-    "sphere": {"kind", "dim"},
-    "hyperbolic": {"kind", "dim"},
-    "implicit": {"kind", "dim", "equalities"},
 }
 #: perturbation kind -> builder; like the set ``CATALOG``, the builder's
 #: parameters after the backend are the fields its block takes
@@ -71,9 +65,9 @@ def _object(value, where: str) -> dict:
 
 
 def _builder_fields(builder) -> dict:
-    """A builder's block fields: its parameters after the backend, by name."""
-    params = list(inspect.signature(builder, eval_str=True).parameters.values())[1:]
-    return {p.name: p for p in params if p.kind is not p.VAR_KEYWORD}
+    """A builder's block fields: its parameters but the backend, by name."""
+    params = inspect.signature(builder, eval_str=True).parameters.values()
+    return {p.name: p for p in params if p.name != "backend" and p.kind is not p.VAR_KEYWORD}
 
 
 def _check_builder_fields(block: dict, builders: dict, where: str):
@@ -125,6 +119,7 @@ def _is_expressions(value) -> bool:
 _VECTORS = (Vector, Optional[Vector])
 #: a builder parameter's annotation -> (check of a block value, what it must be)
 _FIELD_RULES = {
+    int: (lambda value: _is_integer(value) and value >= 1, "a positive integer"),
     float: (_is_number, "a finite number"),
     Vector: (_is_vector, "a list of finite numbers"),
     Optional[Vector]: (_is_vector, "a list of finite numbers"),
@@ -137,10 +132,8 @@ class Scenario:
 
     def __init__(self, document: dict):
         self.document = normalize_document(document)
-        man = self.document["manifold"]
-        self.backend: ManifoldBackend = make_backend(
-            man["kind"], man["dim"], man.get("equalities")
-        )
+        man = dict(self.document["manifold"])
+        self.backend: ManifoldBackend = BACKENDS[man.pop("kind")](**man)
         self.tolerances = Tolerances(**self.document["tolerances"])
         _check_vector_lengths(self.document["set"], self.backend.ambient_dim)
         self.moving_set: MovingSet = make_moving_set(
@@ -160,14 +153,7 @@ class Scenario:
             self.x0: Point = self.backend.point(self.document["initial_point"])
         except StructuralError as err:
             raise StructuralError(f"initial_point is not on the manifold: {err}") from err
-        if not self.moving_set.member(0.0, self.x0):
-            vals = self.moving_set.constraint_values(0.0, self.x0)
-            bad = int(np.argmin(vals))
-            raise StructuralError(
-                "scenario violates the invariant x0 in C(0): constraint "
-                f"{bad} ({self.moving_set.constraints[bad].label or 'unnamed'}) "
-                f"evaluates to {vals[bad]:.6g} at t = 0"
-            )
+        require_x0_in_C0(self.moving_set, self.x0)
 
     @property
     def hash(self) -> str:
@@ -220,20 +206,7 @@ def normalize_document(doc: dict) -> dict:
             raise StructuralError(f"scenario is missing required field {key!r}")
 
     man = _object(doc["manifold"], "manifold")
-    kind = man.get("kind")
-    if kind not in _MANIFOLD_KEYS:
-        raise StructuralError(
-            f"unknown manifold kind {kind!r}; known: {sorted(_MANIFOLD_KEYS)}"
-        )
-    _reject_unknown(man, _MANIFOLD_KEYS[kind], f"manifold ({kind})")
-    if not (_is_integer(man.get("dim")) and man["dim"] >= 1):
-        raise StructuralError("manifold.dim must be a positive integer")
-    if kind == "implicit":
-        eqs = man.get("equalities")
-        if not isinstance(eqs, list) or not eqs or not all(isinstance(s, str) for s in eqs):
-            raise StructuralError("implicit manifold needs a nonempty equalities list")
-        man["equalities"] = list(eqs)
-
+    _check_builder_fields(man, BACKENDS, "manifold")
     st = _object(doc["set"], "set")
     _check_builder_fields(st, CATALOG, "set")
     pert = _object(doc.get("perturbation", {"kind": "zero"}), "perturbation")
@@ -258,7 +231,7 @@ def normalize_document(doc: dict) -> dict:
     for key, value in tols.items():
         if not (_is_number(value) and value > 0):
             raise StructuralError(f"tolerances.{key} must be a positive finite number")
-    tols.setdefault("feasibility", BACKENDS[kind].feasibility_tol)
+    tols.setdefault("feasibility", BACKENDS[man["kind"]].feasibility_tol)
     tols = Tolerances(**{k: float(v) for k, v in tols.items()}).to_dict()
 
     seed = doc.get("seed", 0)

@@ -231,6 +231,18 @@ class Trajectory:
         }
 
 
+def require_x0_in_C0(set_: MovingSet, x0: Point):
+    """Raise a structural error naming the worst constraint unless x0 is in C(0)."""
+    if not set_.member(0.0, x0):
+        vals = set_.constraint_values(0.0, x0)
+        bad = int(np.argmin(vals))
+        raise StructuralError(
+            "scenario violates the invariant x0 in C(0): constraint "
+            f"{bad} ({set_.constraints[bad].label or 'unnamed'}) "
+            f"evaluates to {vals[bad]:.6g} at t = 0"
+        )
+
+
 def catching_up(scenario, h: float) -> Trajectory:
     """Integrate the sweeping process over the scenario horizon.
 
@@ -247,12 +259,7 @@ def catching_up(scenario, h: float) -> Trajectory:
     horizon = float(scenario.horizon)
     if not h > 0:
         raise StructuralError("step must be positive")
-    if not set_.member(0.0, x0):
-        vals = set_.constraint_values(0.0, x0)
-        bad = int(np.argmin(vals))
-        raise StructuralError(
-            f"x0 is not in C(0): constraint {bad} evaluates to {vals[bad]:.3e}"
-        )
+    require_x0_in_C0(set_, x0)
 
     n = max(1, math.ceil(horizon / h - 1e-12))
     times = np.minimum(np.arange(n + 1) * h, horizon)

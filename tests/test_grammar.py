@@ -1,0 +1,126 @@
+"""The expression grammar's edges: what it parses, what it rejects and where."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from manisweep import expressions as ex
+from manisweep.errors import ExpressionError
+from manisweep.expressions import Bin, Fun, Neg, Num, Var
+
+# operator -> (binding level, level its left operand needs, its right operand);
+# 1 sum, 2 term, 3 unary minus, 4 power, 5 atom
+_LEVELS = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3), "^": (4, 5, 3)}
+
+
+def _text(e):
+    """``e`` written with ``^`` and minimal parentheses, and its binding level."""
+    if isinstance(e, Num):
+        s = repr(e.value)
+        return s, 3 if s.startswith("-") else 5
+    if isinstance(e, Var):
+        return e.name, 5
+    if isinstance(e, Fun):
+        return f"{e.name}({_text(e.arg)[0]})", 5
+    if isinstance(e, Neg):
+        return f"-{_wrap(e.arg, 3)}", 3
+    level, left, right = _LEVELS[e.op]
+    return f"{_wrap(e.lhs, left)} {e.op} {_wrap(e.rhs, right)}", level
+
+
+def _wrap(e, need):
+    s, level = _text(e)
+    return s if level >= need else f"({s})"
+
+
+# the trees the parser builds: ``-`` folds into a literal and cancels a ``-``
+_trees = st.recursive(
+    st.one_of(
+        st.builds(Num, st.floats(allow_nan=False, allow_infinity=False)),
+        st.builds(Var, st.sampled_from(["x1", "x2", "t"])),
+    ),
+    lambda inner: st.one_of(
+        st.builds(Bin, st.sampled_from("+-*/^"), inner, inner),
+        st.builds(Neg, inner.filter(lambda e: not isinstance(e, (Num, Neg)))),
+        st.builds(Fun, st.sampled_from(["sin", "cos", "exp"]), inner),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(tree=_trees)
+def test_written_tree_parses_back(tree):
+    got = ex.parse(_text(tree)[0])
+    assert got == tree
+    assert got.emit() == tree.emit()
+
+
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        ("-2", Num(-2.0)),
+        ("--x1", Var("x1")),
+        ("+x1", Var("x1")),
+        ("-+x1", Neg(Var("x1"))),
+        ("2^-x1", Bin("^", Num(2.0), Neg(Var("x1")))),
+        ("-x1^2", Neg(Bin("^", Var("x1"), Num(2.0)))),
+        ("2^3^2", Bin("^", Num(2.0), Bin("^", Num(3.0), Num(2.0)))),
+        ("1. + .5e1", Bin("+", Num(1.0), Num(5.0))),
+        ("sin (x1)", Fun("sin", Var("x1"))),
+    ],
+)
+def test_parse_builds_the_grammar_tree(text, tree):
+    assert ex.parse(text) == tree
+
+
+def test_whitespace_separates_tokens_newlines_included():
+    assert ex.parse("x1\n+ x2") == Bin("+", Var("x1"), Var("x2"))
+    assert ex.parse("\t x1 ^\r\n2 ") == Bin("^", Var("x1"), Num(2.0))
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("x1**2", 3),
+        ("x1 % 2", 3),
+        ("x1 // 2", 3),
+        ("x1 @ x2", 3),
+        ("x1 < 2", 3),
+        ("x1 if t else x2", 3),
+        ("not x1", 0),
+        ("True", 0),
+        ("0x1F", 0),
+        ("1_0", 0),
+        ("1j", 0),
+        ("sin(x1, x2)", 6),
+        ("sin", 0),
+        ("x1.real", 2),
+        ("x1 # c", 3),
+        ("2^+x1", 2),
+        ("2^ - -+x1", 6),
+        ("ｘ1", 0),  # full-width x
+        ("x1\\", 2),
+        # positions index the text as written: ``^`` and leading blanks count once
+        ("x1^2 // 2", 5),
+        ("x1^2^3 if t else 0", 7),
+        ("  x1 // 2", 5),
+        ("x1\n// 2", 3),
+        ("x1^2 + )", 7),
+        ("sin(x1)(2)", 7),
+        # text that ends too soon is rejected at its end
+        ("x1 + + ", 7),
+        ("x1 ^", 4),
+        ("", 0),
+    ],
+)
+def test_python_syntax_outside_the_grammar_is_rejected_where_it_starts(text, position):
+    with pytest.raises(ExpressionError) as err:
+        ex.parse(text)
+    assert err.value.position == position
+
+
+def test_integer_literals_with_leading_zeros_are_rejected():
+    # Python's tokenizer rejects them; a decimal point or exponent makes them floats
+    with pytest.raises(ExpressionError):
+        ex.parse("007")
+    assert ex.parse("007.5 + 00 + 0e5") == Bin("+", Bin("+", Num(7.5), Num(0.0)), Num(0.0))

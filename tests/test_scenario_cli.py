@@ -10,6 +10,7 @@ import pytest
 
 from manisweep.cli import main
 from manisweep.errors import StructuralError
+from manisweep.geometry import BACKENDS
 from manisweep.moving_sets import CATALOG, half_space, make_moving_set
 from manisweep.scenario import (
     PERTURBATIONS,
@@ -323,6 +324,49 @@ def test_perturbation_fields_come_from_the_builder(kind):
         partial = {k: v for k, v in block.items() if k != name}
         with pytest.raises(StructuralError, match=f"missing required field.*'{name}'"):
             Scenario(dict(doc, perturbation=partial))
+
+
+# one valid manifold block per backend kind, with a point on the manifold
+MANIFOLD_KINDS = {
+    "euclidean": ({"kind": "euclidean", "dim": 2}, [0.0, 0.0]),
+    "sphere": ({"kind": "sphere", "dim": 2}, [0.0, 0.0, 1.0]),
+    "hyperbolic": ({"kind": "hyperbolic", "dim": 2}, [1.0, 0.0, 0.0]),
+    "implicit": ({"kind": "implicit", "dim": 2, "equalities": ["x1^2 + x2^2 - 1"]},
+                 [1.0, 0.0]),
+}
+
+
+def manifold_document(kind, **manifold_changes):
+    manifold, x0 = MANIFOLD_KINDS[kind]
+    return dict(MINIMAL_HALFLINE, manifold=dict(manifold, **manifold_changes),
+                set={"kind": "inequalities", "exprs": ["1"]}, initial_point=x0)
+
+
+def test_every_backend_has_a_test_document():
+    assert set(MANIFOLD_KINDS) == set(BACKENDS)
+
+
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+def test_manifold_fields_come_from_the_backend_constructor(kind):
+    scn = Scenario(manifold_document(kind))
+    assert type(scn.backend) is BACKENDS[kind]
+    with pytest.raises(StructuralError, match=r"bogus.* in manifold"):
+        Scenario(manifold_document(kind, bogus=1))
+    doc = manifold_document(kind)
+    del doc["manifold"]["dim"]
+    with pytest.raises(StructuralError, match="missing required field.*'dim'"):
+        Scenario(doc)
+    for bad in (True, 0, 1.5):
+        with pytest.raises(StructuralError, match="manifold.dim must be a positive integer"):
+            Scenario(manifold_document(kind, dim=bad))
+    if "equalities" not in MANIFOLD_KINDS[kind][0]:
+        return
+    del doc["manifold"]["equalities"]
+    with pytest.raises(StructuralError, match="missing required field.*'dim', 'equalities'"):
+        Scenario(doc)
+    for bad in ("x1^2 + x2^2 - 1", [1.0], [["x1"]], {"g": "x1"}):
+        with pytest.raises(StructuralError, match="manifold.equalities must be a list"):
+            Scenario(manifold_document(kind, equalities=bad))
 
 
 @pytest.mark.parametrize("kind", sorted(CATALOG))

@@ -20,6 +20,7 @@ from manisweep import (
 )
 from manisweep.artifacts import dumps
 from manisweep.errors import StructuralError
+from manisweep.regularity import probe_projection_uniqueness
 from manisweep.scenario import Scenario, bundled_scenario
 
 
@@ -270,6 +271,25 @@ def test_diagnose_on_the_hyperbolic_ball_stays_inside_the_validated_radius(monke
     rep = studies.diagnose_scenario(Scenario(doc), None, 120)
     assert rep.warnings == []
     assert rep.reports["projection_uniqueness"].empirical_radius == pytest.approx(0.5)
+
+
+def test_untested_probe_distances_are_not_disagreements(monkeypatch):
+    # from the geodesic ball of radius 1, every query at distance s > rho - 1
+    # leaves the validated radius, and s >= 0.98 rho is not probed at all:
+    # nothing is tested there, so nothing disagrees
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.workloads import HYPERBOLIC_BALL
+
+    scn = Scenario(HYPERBOLIC_BALL)
+    rep = studies.diagnose_scenario(scn, None, 120).reports["projection_uniqueness"]
+    assert rep.agreement == [True] * 5 + [None] * 5
+    assert all(s < 1e-12 for s in rep.scatter[:5]) and rep.scatter[5:] == [None] * 5
+    assert rep.empirical_radius == pytest.approx(0.5)
+    region = Region(scn.x0, 0.5)
+    rep = probe_projection_uniqueness(scn.moving_set, 0.0, region, distances=[0.1, 1.6])
+    assert rep.agreement == [True, None] and rep.scatter[1] is None
+    assert rep.empirical_radius == pytest.approx(0.1)
+    assert '"agreement": [\n    true,\n    null\n  ]' in dumps(rep)
 
 
 def test_certify_warns_when_the_perturbation_exceeds_its_bound():
