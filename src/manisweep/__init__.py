@@ -23,7 +23,7 @@ from .geometry import (
     log_map,
     parallel_transport,
 )
-from .moving_sets import MovingSet, ProjectionResult, make_moving_set
+from .moving_sets import MovingSet, ProjectionResult
 from .scenario import Scenario, bundled_scenario, bundled_scenario_path, load_scenario
 from .studies import RateStudy, certify_scenario, run_rate_study
 from .sweep import (

@@ -34,6 +34,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="integrate one trajectory")
+    sim.set_defaults(run=_cmd_simulate)
     sim.add_argument("--scenario", required=True)
     sim.add_argument("--h", type=float, required=True, help="time step")
     sim.add_argument("--out", required=True, help="trajectory CSV path")
@@ -41,6 +42,7 @@ def build_parser():
     sim.add_argument("--strict", action="store_true")
 
     rates = sub.add_parser("rates", help="convergence-rate study")
+    rates.set_defaults(run=_cmd_rates)
     rates.add_argument("--scenario", required=True)
     rates.add_argument("--levels", type=int, default=7, help="number of dyadic step levels")
     rates.add_argument("--h0", type=float, default=2.0**-4, help="coarsest step")
@@ -52,6 +54,7 @@ def build_parser():
     rates.add_argument("--strict", action="store_true")
 
     diag = sub.add_parser("diagnose", help="regularity diagnostics near x0")
+    diag.set_defaults(run=_cmd_diagnose)
     diag.add_argument("--scenario", required=True)
     diag.add_argument("--radius", type=float, default=None, help="probe region radius")
     diag.add_argument("--samples", type=int, default=400)
@@ -59,12 +62,14 @@ def build_parser():
     diag.add_argument("--strict", action="store_true")
 
     cert = sub.add_parser("certify", help="run and certify a scenario")
+    cert.set_defaults(run=_cmd_certify)
     cert.add_argument("--scenario", required=True)
     cert.add_argument("--h", type=float, default=None)
     cert.add_argument("--out", default=None, help="JSON report path (default: stdout)")
     cert.add_argument("--strict", action="store_true")
 
     val = sub.add_parser("validate", help="validate a scenario file")
+    val.set_defaults(run=_cmd_validate)
     val.add_argument("--scenario", required=True)
     val.add_argument("--echo", action="store_true", help="print the normalized document")
     return p
@@ -125,21 +130,10 @@ def _cmd_validate(args):
     return "pass"
 
 
-#: each command returns its verdict: "pass", "warn" or "fail"
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "rates": _cmd_rates,
-    "diagnose": _cmd_diagnose,
-    "certify": _cmd_certify,
-    "validate": _cmd_validate,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        verdict = _COMMANDS[args.command](args)
+        verdict = args.run(args)  # the command's verdict: "pass", "warn" or "fail"
     except (
         StructuralError, DomainError, NumericsError, ExpressionError, FileNotFoundError
     ) as err:

@@ -243,6 +243,13 @@ _OUTSIDE = re.compile(r"[^0-9A-Za-z_.+\-*/^() ]|\*\*|\^[ -]*\+")
 #: a decimal literal, the only constant the grammar has
 _LITERAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+#: deepest parenthesis nesting Python compiles; ``parse`` rejects deeper trees
+MAX_NESTING = 200
+
+
+def _nesting(e):
+    """Parenthesis depth of ``e.emit()``: each operator and call opens one."""
+    return max((1 + _nesting(v) for v in vars(e).values() if isinstance(v, Expr)), default=0)
 
 
 def _position(line, lead, q):
@@ -273,8 +280,9 @@ def parse(text, allowed_vars=None):
     The text is read by Python's own parser with ``^`` for ``**``, and
     its tree is converted node by node; any construct the grammar lacks
     raises an :class:`ExpressionError` whose ``position`` indexes
-    ``text``.  When ``allowed_vars`` is given, any other identifier
-    raises too.
+    ``text``, and so does a tree whose emitted source would nest more
+    than ``MAX_NESTING`` parentheses.  When ``allowed_vars`` is given,
+    any other identifier raises too.
     """
     line = re.sub(r"\s", " ", text)  # one for one, so positions stay put
     bad = _OUTSIDE.search(line)
@@ -282,14 +290,6 @@ def parse(text, allowed_vars=None):
         raise ExpressionError(f"unexpected character {bad[0][-1]!r}", position=bad.end() - 1)
     lead = len(line) - len(line.lstrip())
     src = line[lead:].replace("^", "**")
-    try:
-        with warnings.catch_warnings():  # ``1if``: rejected below anyway
-            warnings.simplefilter("ignore", SyntaxWarning)
-            body = ast.parse(src, mode="eval").body
-    except SyntaxError as err:
-        # Python gives no offset (0) for input that ends too soon
-        at = _position(line, lead, err.offset - 1 if err.offset else len(src))
-        raise ExpressionError(f"invalid expression: {err.msg}", position=at) from None
 
     def convert(node):
         if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
@@ -309,7 +309,20 @@ def parse(text, allowed_vars=None):
         at = _position(line, lead, _offending(node, src))
         raise ExpressionError(f"{line[at:]!r} is outside the expression grammar", position=at)
 
-    tree = convert(body)
+    try:
+        with warnings.catch_warnings():  # ``1if``: rejected below anyway
+            warnings.simplefilter("ignore", SyntaxWarning)
+            body = ast.parse(src, mode="eval").body
+        tree = convert(body)
+        deep = _nesting(tree) > MAX_NESTING
+    except SyntaxError as err:
+        # Python gives no offset (0) for input that ends too soon
+        at = _position(line, lead, err.offset - 1 if err.offset else len(src))
+        raise ExpressionError(f"invalid expression: {err.msg}", position=at) from None
+    except RecursionError:
+        deep = True
+    if deep:
+        raise ExpressionError(f"expression nests more than {MAX_NESTING} levels deep")
     if allowed_vars is not None:
         extra = tree.variables() - frozenset(allowed_vars)
         if extra:
@@ -328,7 +341,11 @@ def run_emitted(src) -> dict:
     implicit backend's kernels.
     """
     ns = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "exp": math.exp}
-    exec(src, ns)  # noqa: S102 - source is emitted from our own AST
+    try:
+        exec(src, ns)  # noqa: S102 - source is emitted from our own AST
+    except (SyntaxError, RecursionError) as err:
+        # a derivative tree may nest deeper than the tree it came from
+        raise ExpressionError(f"emitted source does not compile: {err}") from None
     return ns
 
 
@@ -340,7 +357,7 @@ def compile_tree(tree, arg_names):
 
 def compile_many(trees, arg_names):
     """Compile several trees into one ``f(*args) -> tuple`` function."""
-    body = ", ".join(t.emit() for t in trees)
-    src = f"def _f({', '.join(arg_names)}):\n    return ({body},)\n"
+    body = "".join(f"{t.emit()}, " for t in trees)  # a bare tuple adds no nesting
+    src = f"def _f({', '.join(arg_names)}):\n    return {body}\n"
     return run_emitted(src)["_f"]
 

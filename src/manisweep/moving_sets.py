@@ -377,64 +377,53 @@ def halfline(backend, offset: float = 0.0, speed: float = 0.0, **kw):
     return MovingSet(backend, [con], closed_project=proj, **kw)
 
 
-def ball(backend, center: Vector, radius: float, velocity: Optional[Vector] = None, **kw):
-    """Geodesic ball {d(x, c(t)) <= r}; a moving center is Euclidean-only."""
-    center = np.asarray(center, dtype=float)
-    if velocity is not None and backend.key[0] != "euclidean":
-        raise StructuralError("moving ball centers are supported on the Euclidean backend")
-    vel = np.zeros_like(center) if velocity is None else np.asarray(velocity, dtype=float)
-    fixed = backend.point(center) if velocity is None else None
+def _geodesic_ball(backend, center, radius, sign, velocity=None, **kw):
+    """{sign (r - d(x, c(t))) >= 0}: the closed geodesic ball for sign +1, the
+    complement of the open one for sign -1.  Negating r - d, or a gradient
+    before its division by d, is exact: the two signs give bitwise negatives."""
+    noun, side = ("ball", "inside") if sign > 0 else ("complement", "outside")
+    c0 = np.asarray(center, dtype=float)
+    fixed = backend.point(c0) if velocity is None else None
+    vel = None if velocity is None else np.asarray(velocity, dtype=float)
 
     def center_at(t):
-        return fixed if fixed is not None else backend.point(center + t * vel)
+        return fixed if fixed is not None else backend.point(c0 + t * vel)
 
     def value(t, xc):
-        return radius - backend._distance(xc, center_at(t).coords)
+        return sign * (radius - backend._distance(xc, center_at(t).coords))
 
     def amb_grad(t, xc):
         c = center_at(t)
         x = Point(backend, xc)
         d = backend._distance(xc, c.coords)
         if d < 1e-14:
-            raise NumericsError("ball constraint gradient undefined at the center")
-        return log_map(x, c).components / d
+            raise NumericsError(f"{noun} constraint gradient undefined at the center")
+        return sign * log_map(x, c).components / d
 
     def proj(t, y):
         c = center_at(t)
+        if sign < 0 and distance(c, y) < 1e-14:  # a ball's queries lie outside it
+            # every boundary point is equidistant; pick one deterministically
+            v = Tangent(c, backend.tangent_basis(c)[0] * radius)
+            return exp_map(c, v), "projection is multivalued at the ball center"
         gam = log_map(c, y)
         return exp_map(c, gam.scaled(radius / gam.norm())), None
 
-    kw.setdefault("lipschitz_const", float(np.linalg.norm(vel)))
-    con = Constraint(value, amb_grad, "inside geodesic ball")
+    con = Constraint(value, amb_grad, f"{side} geodesic ball")
     return MovingSet(backend, [con], closed_project=proj, **kw)
+
+
+def ball(backend, center: Vector, radius: float, velocity: Optional[Vector] = None, **kw):
+    """Geodesic ball {d(x, c(t)) <= r}; a moving center is Euclidean-only."""
+    if velocity is not None and backend.key[0] != "euclidean":
+        raise StructuralError("moving ball centers are supported on the Euclidean backend")
+    kw.setdefault("lipschitz_const", 0.0 if velocity is None else float(np.linalg.norm(velocity)))
+    return _geodesic_ball(backend, center, radius, 1.0, velocity, **kw)
 
 
 def ball_complement(backend, center: Vector, radius: float, **kw):
     """Complement of an open geodesic ball: {d(x, c) >= r}."""
-    center_pt = backend.point(np.asarray(center, dtype=float))
-
-    def value(t, xc):
-        return backend._distance(xc, center_pt.coords) - radius
-
-    def amb_grad(t, xc):
-        x = Point(backend, xc)
-        d = backend._distance(xc, center_pt.coords)
-        if d < 1e-14:
-            raise NumericsError("complement constraint gradient undefined at the center")
-        return -log_map(x, center_pt).components / d
-
-    def proj(t, y):
-        d = distance(center_pt, y)
-        if d < 1e-14:
-            # every boundary point is equidistant; pick one deterministically
-            basis = backend.tangent_basis(center_pt)
-            v = Tangent(center_pt, basis[0] * radius)
-            return exp_map(center_pt, v), "projection is multivalued at the ball center"
-        gam = log_map(center_pt, y)
-        return exp_map(center_pt, gam.scaled(radius / gam.norm())), None
-
-    con = Constraint(value, amb_grad, "outside geodesic ball")
-    return MovingSet(backend, [con], closed_project=proj, **kw)
+    return _geodesic_ball(backend, center, radius, -1.0, **kw)
 
 
 def half_space(backend, normal: Vector, offset: float = 0.0, speed: float = 0.0, **kw):
@@ -493,12 +482,6 @@ def sphere_cap(
             last[:] = t, a
         return last[1]
 
-    def value(t, xc):
-        return float(np.dot(xc, axis_at(t)) - height)
-
-    def amb_grad(t, xc):
-        return axis_at(t).copy()
-
     sin_cap = math.sqrt(1.0 - height * height)
 
     def proj(t, y):
@@ -516,7 +499,10 @@ def sphere_cap(
         return backend.point(height * a + sin_cap * (perp / n)), None
 
     kw.setdefault("lipschitz_const", abs(omega))
-    con = Constraint(value, amb_grad, "spherical cap")
+    con = Constraint(
+        lambda t, x: float(np.dot(x, axis_at(t)) - height), lambda t, x: axis_at(t).copy(),
+        "spherical cap",
+    )
     return MovingSet(backend, [con], closed_project=proj, **kw)
 
 
@@ -529,13 +515,13 @@ def inequalities(backend, exprs: Sequence[str], **kw):
     for s in exprs:
         tree = ex.parse(s, allowed_vars=allowed)
         fn = ex.compile_tree(tree, ["t"] + names)
-        grads = [ex.compile_tree(tree.diff(v), ["t"] + names) for v in names]
+        grad = ex.compile_many([tree.diff(v) for v in names], ["t"] + names)
 
         def value(t, xc, fn=fn):
             return float(fn(t, *xc))
 
-        def amb_grad(t, xc, grads=grads):
-            return np.array([g(t, *xc) for g in grads])
+        def amb_grad(t, xc, grad=grad):
+            return np.array(grad(t, *xc))
 
         cons.append(Constraint(value, amb_grad, s))
     return MovingSet(backend, cons, **kw)
@@ -549,14 +535,3 @@ CATALOG = {
     "sphere_cap": sphere_cap,
     "inequalities": inequalities,
 }
-
-
-def make_moving_set(backend, block: dict, **kw) -> MovingSet:
-    """Construct a moving set from a scenario ``set`` block: a kind plus its builder's fields."""
-    spec = dict(block)
-    kind = spec.pop("kind", None)
-    if kind not in CATALOG:
-        raise StructuralError(
-            f"unknown set kind {kind!r}; available: {sorted(CATALOG)}"
-        )
-    return CATALOG[kind](backend, **spec, **kw)

@@ -327,20 +327,16 @@ def test_cone_membership(
         if found < max(3, n_samples // 10):
             break  # too few members at this radius: the sweep stops short
         max_ratios.append(best)
+    swept = radii[: len(max_ratios)]
     for k in range(len(max_ratios) - 2):
         a, b = max_ratios[k], max_ratios[k + 2]
         if a > 0 and b >= 4.0 * a:
-            return ConeMembershipResult(
-                "not_member", float(max(max_ratios)), radii[: len(max_ratios)], max_ratios, seed
-            )
+            fitted = float(max(max_ratios))
+            return ConeMembershipResult("not_member", fitted, swept, max_ratios, seed)
     if len(max_ratios) < 4:
-        return ConeMembershipResult(
-            "inconclusive", float("nan"), radii[: len(max_ratios)], max_ratios, seed
-        )
+        return ConeMembershipResult("inconclusive", float("nan"), swept, max_ratios, seed)
     fitted = max(0.0, float(max(max_ratios)))
-    return ConeMembershipResult(
-        "member", fitted, radii[: len(max_ratios)], max_ratios, seed
-    )
+    return ConeMembershipResult("member", fitted, swept, max_ratios, seed)
 
 
 def probe_projection_uniqueness(

@@ -23,7 +23,7 @@ import numpy as np
 from .artifacts import dumps as dumps_document  # the scenario document's text
 from .errors import StructuralError
 from .geometry import BACKENDS, ManifoldBackend, Point
-from .moving_sets import CATALOG, MovingSet, Tolerances, Vector, make_moving_set
+from .moving_sets import CATALOG, MovingSet, Tolerances, Vector
 from .sweep import Perturbation, expression_perturbation, require_x0_in_C0, zero_perturbation
 
 SCHEMA_VERSION = 1
@@ -136,11 +136,9 @@ class Scenario:
         self.backend: ManifoldBackend = BACKENDS[man.pop("kind")](**man)
         self.tolerances = Tolerances(**self.document["tolerances"])
         _check_vector_lengths(self.document["set"], self.backend.ambient_dim)
-        self.moving_set: MovingSet = make_moving_set(
-            self.backend,
-            self.document["set"],
-            tolerances=self.tolerances,
-            **self.document["constants"],
+        st = dict(self.document["set"])
+        self.moving_set: MovingSet = CATALOG[st.pop("kind")](
+            self.backend, **st, tolerances=self.tolerances, **self.document["constants"]
         )
         # omitted constants take the defaults of the set that was built
         self.document["constants"] = {k: getattr(self.moving_set, k) for k in _CONSTANT_KEYS}

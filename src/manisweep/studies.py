@@ -61,11 +61,11 @@ class RateStudy(Report):
         return "\n".join(f"{h!r} {e!r}" for h, e in zip(self.steps, self.errors)) + "\n"
 
 
-def _sup_error(traj: Trajectory, reference, horizon: float) -> float:
-    times = np.linspace(0.0, horizon, ERROR_SAMPLE_TIMES)
+def _sup_error(traj: Trajectory, times, reference: list) -> float:
+    """Largest distance from the interpolant at ``times`` to the reference points there."""
     worst = 0.0
-    for t in times:
-        worst = max(worst, distance(traj.interpolate(t), reference(t)))
+    for t, r in zip(times, reference):
+        worst = max(worst, distance(traj.interpolate(t), r))
     return worst
 
 
@@ -81,22 +81,21 @@ def run_rate_study(scenario, steps, reference: str = "analytic") -> RateStudy:
         raise StructuralError("steps must be strictly decreasing")
     if len(steps) < 4:
         raise StructuralError("a rate study needs at least 4 step levels")
-    horizon = scenario.horizon
 
     if reference == "analytic":
-        solution = scenario.analytic_solution()
-        if solution is None:
+        ref_fn = scenario.analytic_solution()
+        if ref_fn is None:
             raise StructuralError(
                 "no analytic solution is known for this scenario; "
                 "use reference='finest'"
             )
-        ref_fn = solution
     elif reference == "finest":
-        h_ref = min(steps) / 8.0
-        ref_traj = catching_up(scenario, h_ref)
-        ref_fn = ref_traj.interpolate
+        ref_fn = catching_up(scenario, min(steps) / 8.0).interpolate
     else:
         raise StructuralError("reference must be 'analytic' or 'finest'")
+    # the reference is a function of t alone: sample it once for every level
+    times = np.linspace(0.0, scenario.horizon, ERROR_SAMPLE_TIMES)
+    ref_points = [ref_fn(t) for t in times]
 
     errors = []
     for k, h in enumerate(steps):
@@ -110,7 +109,7 @@ def run_rate_study(scenario, steps, reference: str = "analytic") -> RateStudy:
             raise NumericsError(
                 f"rate study aborted at h = {h}: {err}", best=partial
             ) from err
-        errors.append(_sup_error(traj, ref_fn, horizon))
+        errors.append(_sup_error(traj, times, ref_points))
 
     excluded = []
     included = []

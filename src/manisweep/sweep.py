@@ -72,13 +72,11 @@ def expression_perturbation(
             f"perturbation needs {n} ambient components, got {len(components)}"
         )
     names = [f"x{i}" for i in range(1, n + 1)]
-    fns = [
-        ex.compile_tree(ex.parse(s, allowed_vars=set(names) | {"t"}), ["t"] + names)
-        for s in components
-    ]
+    trees = [ex.parse(s, allowed_vars=set(names) | {"t"}) for s in components]
+    fn = ex.compile_many(trees, ["t"] + names)
 
     def f(t, x):
-        amb = np.array([fn(t, *x.coords) for fn in fns])
+        amb = np.array(fn(t, *x.coords))
         return Tangent(x, backend._project_tangent(x.coords, amb))
 
     return Perturbation(f, sup_norm, lipschitz)

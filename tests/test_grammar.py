@@ -124,3 +124,31 @@ def test_integer_literals_with_leading_zeros_are_rejected():
     with pytest.raises(ExpressionError):
         ex.parse("007")
     assert ex.parse("007.5 + 00 + 0e5") == Bin("+", Bin("+", Num(7.5), Num(0.0)), Num(0.0))
+
+
+# inputs nested deeper than Python compiles
+DEEP_NEGATION = "-" * 3000 + "x1 + 1"
+SUM_300 = " + ".join(["x1"] * 300) + " + 1"
+PRODUCT_100 = "(x1+x2)^2*" * 100 + "0.001 + 1"
+
+
+@pytest.mark.parametrize("text", [DEEP_NEGATION, SUM_300], ids=["negation_3000", "sum_300"])
+def test_parse_rejects_trees_nested_deeper_than_python_compiles(text):
+    with pytest.raises(ExpressionError, match="nests more than 200 levels deep"):
+        ex.parse(text, allowed_vars={"x1", "x2", "t"})
+
+
+def test_a_gradient_nested_deeper_than_python_compiles_is_an_expression_error():
+    tree = ex.parse(PRODUCT_100, allowed_vars={"x1", "x2", "t"})  # the tree itself compiles
+    ex.compile_tree(tree, ["t", "x1", "x2"])
+    with pytest.raises(ExpressionError, match="emitted source does not compile"):
+        ex.compile_many([tree.diff("x1"), tree.diff("x2")], ["t", "x1", "x2"])
+
+
+def test_the_nesting_limit_is_the_one_python_compiles():
+    # a sum of n terms nests n - 1 levels; compile_many adds none around them
+    deepest = ex.parse(" + ".join(["x1"] * (ex.MAX_NESTING + 1)))
+    assert ex.compile_tree(deepest, ["x1"])(1.0) == ex.MAX_NESTING + 1
+    assert ex.compile_many([deepest, deepest], ["x1"])(1.0) == (ex.MAX_NESTING + 1,) * 2
+    with pytest.raises(ExpressionError, match="nests more than 200 levels deep"):
+        ex.parse(" + ".join(["x1"] * (ex.MAX_NESTING + 2)))

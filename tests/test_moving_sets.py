@@ -13,12 +13,12 @@ from manisweep import (
 )
 from manisweep.errors import NumericsError, StructuralError
 from manisweep.moving_sets import (
+    CATALOG,
     ball,
     ball_complement,
     halfline,
     half_space,
     inequalities,
-    make_moving_set,
     sphere_cap,
 )
 from manisweep.scenario import Scenario
@@ -242,13 +242,42 @@ def test_empty_set_evidence():
         s.project(0.0, E.point([0.3, 0.2]))
 
 
-def test_make_moving_set_dispatch():
+# backend, a fixed center, a radius and the sampling radius around the center
+BALL_BACKENDS = {
+    "euclidean": (EuclideanBackend(2), [0.5, -0.25], 0.75, 1.5),
+    "sphere": (SphereBackend(2), [0.0, 0.0, 1.0], 0.5, 1.2),
+    "hyperbolic": (HyperbolicBackend(2), [1.0, 0.0, 0.0], 0.5, 1.2),
+    "implicit": (ImplicitBackend(2, ["x1^2 + x2^2 - 1"]), [1.0, 0.0], 0.4, 0.9),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BALL_BACKENDS))
+def test_ball_and_its_complement_are_exact_negatives(kind):
+    backend, center, radius, spread = BALL_BACKENDS[kind]
+    inside = ball(backend, center=center, radius=radius)
+    outside = ball_complement(backend, center=center, radius=radius)
+    g, h = inside.constraints[0], outside.constraints[0]
+    c = backend.point(center)
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        x = backend.random_point(rng, c, spread)
+        if distance(c, x) < 1e-3:
+            continue
+        assert g.value(0.0, x.coords) == -h.value(0.0, x.coords)
+        assert np.array_equal(g.ambient_gradient(0.0, x.coords), -h.ambient_gradient(0.0, x.coords))
+        p, q = inside.closed_project(0.0, x), outside.closed_project(0.0, x)
+        assert np.array_equal(p[0].coords, q[0].coords) and p[1] is q[1] is None
+
+
+def test_catalog_dispatch():
     E = EuclideanBackend(1)
-    s = make_moving_set(E, {"kind": "halfline", "offset": 0.0, "speed": 1.0})
+    s = CATALOG["halfline"](E, offset=0.0, speed=1.0)
     assert s.lipschitz_const == 1.0
     assert s.project(0.0, E.point([-0.5])).point.coords[0] == 0.0
-    with pytest.raises(StructuralError):
-        make_moving_set(E, {"kind": "nonsense"})
+    doc = {"schema": 1, "manifold": {"kind": "euclidean", "dim": 1},
+           "set": {"kind": "nonsense"}, "horizon": 1.0, "initial_point": [0.0]}
+    with pytest.raises(StructuralError, match="unknown set kind 'nonsense'"):
+        Scenario(doc)
 
 
 def test_projection_warning_beyond_working_radius(disk):

@@ -11,7 +11,7 @@ import pytest
 from manisweep.cli import main
 from manisweep.errors import StructuralError
 from manisweep.geometry import BACKENDS
-from manisweep.moving_sets import CATALOG, half_space, make_moving_set
+from manisweep.moving_sets import CATALOG, half_space
 from manisweep.scenario import (
     PERTURBATIONS,
     Scenario,
@@ -171,6 +171,21 @@ def test_cli_json_errors(tmp_path, capsys):
     assert payload["error"] == "StructuralError"
 
 
+def e2_inequality(expr):
+    """A flat 2-d document whose set is the one inequality ``expr >= 0``."""
+    return {"manifold": {"kind": "euclidean", "dim": 2},
+            "set": {"kind": "inequalities", "exprs": [expr]}, "initial_point": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "expr", [" + ".join(["x1"] * 150) + " + 1", "(x1+x2)^2*" * 50 + "0.001 + 1"],
+    ids=["sum_150", "product_50"],
+)
+def test_deep_expressions_within_the_nesting_limit_validate(tmp_path, expr):
+    doc = dict(MINIMAL_HALFLINE, **e2_inequality(expr))
+    assert main(["validate", "--scenario", str(write(tmp_path, doc))]) == 0
+
+
 E2_BALL = {
     "manifold": {"kind": "euclidean", "dim": 2},
     "set": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
@@ -222,13 +237,20 @@ HALFLINE_FLOW = {
         ({"initial_point": [True]}, "StructuralError", "initial_point"),
         ({"seed": True}, "StructuralError", "seed"),
         ({"manifold": {"kind": "euclidean", "dim": True}}, "StructuralError", "manifold.dim"),
+        # expressions nested deeper than Python compiles, the last only in its gradient
+        (e2_inequality("-" * 3000 + "x1 + 1"), "ExpressionError", "nests more than 200"),
+        (e2_inequality(" + ".join(["x1"] * 300) + " + 1"), "ExpressionError",
+         "nests more than 200"),
+        (e2_inequality("(x1+x2)^2*" * 100 + "0.001 + 1"), "ExpressionError",
+         "does not compile"),
     ],
     ids=["no_tangent_direction", "three_equalities", "bad_expression",
          "radius_not_a_number", "center_not_numbers", "lipschitz_const_not_a_number",
          "prox_radius_hint_not_a_number", "sup_norm_not_a_number",
          "ball_without_radius", "half_space_without_normal", "inequalities_without_exprs",
          "normal_wrong_length", "radius_a_list", "set_a_list",
-         "horizon_infinite", "initial_point_bool", "seed_bool", "dim_bool"],
+         "horizon_infinite", "initial_point_bool", "seed_bool", "dim_bool",
+         "negation_3000", "sum_300", "gradient_of_product_100"],
 )
 def test_cli_json_errors_are_typed(tmp_path, capsys, changes, error, names):
     doc = dict(MINIMAL_HALFLINE, **changes)
@@ -372,7 +394,8 @@ def test_manifold_fields_come_from_the_backend_constructor(kind):
 @pytest.mark.parametrize("kind", sorted(CATALOG))
 def test_omitted_constants_are_the_constructors_defaults(kind):
     scn = Scenario(set_document(kind))
-    built = make_moving_set(scn.backend, scn.document["set"])
+    fields = dict(scn.document["set"])
+    built = CATALOG[fields.pop("kind")](scn.backend, **fields)
     assert scn.moving_set.lipschitz_const == built.lipschitz_const
     assert scn.moving_set.prox_radius_hint == built.prox_radius_hint == 1.0
     assert scn.document["constants"] == {

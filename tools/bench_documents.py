@@ -14,6 +14,8 @@ and scenario NAME it writes, with the prefix ``sS.NAME``:
 * ``.certify.json``: ``certify``;
 * ``.diagnose.json``: ``diagnose --samples 120``;
 * ``.csv``, ``.meta.json``: ``simulate --h 1e-2`` and its sidecar;
+* ``.rates.json``, ``.rates.dat``: ``rates --levels 4`` and its ``--data``
+  file;
 
 and one file ``exit_codes.txt`` with a line ``sS NAME COMMAND CODE`` per
 call.  Two checkouts produce the same artifacts and exit codes when
@@ -40,6 +42,8 @@ def _calls(scenario: Path, prefix: Path):
         ("diagnose", ["diagnose", *s, "--samples", "120", "--out", f"{prefix}.diagnose.json"]),
         ("simulate", ["simulate", *s, "--h", "1e-2", "--out", f"{prefix}.csv",
                       "--metadata", f"{prefix}.meta.json"]),
+        ("rates", ["rates", *s, "--levels", "4", "--out", f"{prefix}.rates.json",
+                   "--data", f"{prefix}.rates.dat"]),
     ]
 
 
