@@ -302,6 +302,9 @@ def parse(text, allowed_vars=None):
             return Var(node.id)
         literal = src[node.col_offset : node.end_col_offset]
         if isinstance(node, ast.Constant) and _LITERAL.fullmatch(literal):
+            if not math.isfinite(float(literal)):
+                at = _position(line, lead, node.col_offset)
+                raise ExpressionError(f"literal {literal} is not a finite number", position=at)
             return Num(float(literal))
         call = isinstance(node, ast.Call) and len(node.args) == 1 and not node.keywords
         if call and isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS:
@@ -336,11 +339,13 @@ def parse(text, allowed_vars=None):
 def run_emitted(src) -> dict:
     """Execute source emitted from our own trees; returns its namespace.
 
-    The namespace holds the functions emitted code may call: the
-    grammar's ``sin``, ``cos`` and ``exp``, and ``sqrt`` for the
-    implicit backend's kernels.
+    The namespace holds the names emitted code may use: the grammar's
+    ``sin``, ``cos`` and ``exp``, ``sqrt`` for the implicit backend's
+    kernels, and ``inf`` and ``nan``, the reprs of constants that fold to
+    non-finite values.
     """
-    ns = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "exp": math.exp}
+    ns = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "exp": math.exp,
+          "inf": math.inf, "nan": math.nan}
     try:
         exec(src, ns)  # noqa: S102 - source is emitted from our own AST
     except (SyntaxError, RecursionError) as err:

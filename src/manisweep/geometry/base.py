@@ -11,6 +11,7 @@ silently.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,13 @@ _RADIUS_SLACK = 1.0 + 1e-9
 
 #: two points closer than this (ambient 2-norm) count as the same base
 SAME_POINT_TOL = 1e-9
+
+
+def _norm(a) -> float:
+    """``np.linalg.norm(a)`` of a float array, bit for bit: the same ravel, dot
+    and correctly rounded square root, without the per-call dispatch."""
+    a = a.ravel(order="K")
+    return math.sqrt(a.dot(a))
 
 
 def _freeze(a):
@@ -126,6 +134,8 @@ def check_same_backend(a, b):
 
 
 def check_same_base(v: Tangent, x: Point):
+    if v.base is x:
+        return
     check_same_backend(v.base, x)
     delta = float(np.max(np.abs(v.base.coords - x.coords)))
     if delta > SAME_POINT_TOL:
@@ -139,9 +149,13 @@ class ManifoldBackend(abc.ABC):
     """Metric operations of one concrete finite-dimensional manifold.
 
     Every operation is a pure function of its inputs.  Backends are not
-    thread-safe: the implicit backend fills its log-map and budget caches
-    as it runs.
+    thread-safe: ``random_tangent`` memoizes the last tangent basis, and
+    the implicit backend fills its log-map and budget caches as it runs.
     """
+
+    #: ``random_tangent``'s one-entry memo: the last base point's coordinates
+    #: and its basis; points are immutable and a basis is a pure function of them
+    _basis_memo: tuple = (None, None)
 
     #: hashable identifier; two backends with equal keys are interchangeable
     key: tuple
@@ -189,10 +203,10 @@ class ManifoldBackend(abc.ABC):
 
     def inner(self, x: Point, u: np.ndarray, v: np.ndarray) -> float:
         """Riemannian inner product at x; Euclidean unless overridden."""
-        return float(np.dot(u, v))
+        return float(u.dot(v))
 
     def norm(self, x: Point, u: np.ndarray) -> float:
-        return float(np.sqrt(max(self.inner(x, u, u), 0.0)))
+        return math.sqrt(max(self.inner(x, u, u), 0.0))
 
     # -- public wrapped operations ----------------------------------------
 
@@ -202,7 +216,7 @@ class ManifoldBackend(abc.ABC):
             raise StructuralError(
                 f"expected {self.ambient_dim} coordinates, got shape {coords.shape}"
             )
-        if not np.isfinite(coords).all():
+        if not all(map(math.isfinite, coords.tolist())):
             raise StructuralError(f"coordinates must be finite, got {coords}")
         resid = self.feasibility_residual(coords)
         if not resid <= self.feasibility_tol:  # a NaN residual fails too
@@ -270,9 +284,13 @@ class ManifoldBackend(abc.ABC):
 
     def random_tangent(self, rng: np.random.Generator, x: Point, max_norm: float) -> Tangent:
         """Uniform direction, radius ~ U^(1/dim) * max_norm."""
-        basis = self.tangent_basis(x)
+        # keyed by the point's own frozen coordinates, not the point, so the
+        # memo holds no reference cycle back to this backend
+        if self._basis_memo[0] is not x.coords:
+            self._basis_memo = (x.coords, self.tangent_basis(x))
+        basis = self._basis_memo[1]
         u = rng.standard_normal(self.dim)
-        nu = np.linalg.norm(u)
+        nu = _norm(u)
         if nu == 0.0:
             u[0] = 1.0
             nu = 1.0

@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import StructuralError
-from .base import GeometryBudget, ManifoldBackend, Point, Region
+from .base import GeometryBudget, ManifoldBackend, Point, Region, _norm
 
 #: stand-in for the infinite flat working radius, so preconditions stay checkable
 RADIUS_CEILING = 1e6
+#: curvature 0; rho would be infinite, capped at the fixed ceiling
+_BUDGET = GeometryBudget(rho=RADIUS_CEILING, curvature_bound=0.0)
 
 
 class EuclideanBackend(ManifoldBackend):
@@ -20,7 +22,7 @@ class EuclideanBackend(ManifoldBackend):
         self.key = ("euclidean", dim)
 
     def _distance(self, xc, yc):
-        return float(np.linalg.norm(yc - xc))
+        return _norm(yc - xc)
 
     def _exp(self, xc, vc):
         return xc + vc
@@ -41,5 +43,4 @@ class EuclideanBackend(ManifoldBackend):
         return 0.0
 
     def budget(self, region: Region | None = None) -> GeometryBudget:
-        # curvature 0; rho would be infinite, capped at the fixed ceiling
-        return GeometryBudget(rho=RADIUS_CEILING, curvature_bound=0.0)
+        return _BUDGET

@@ -15,10 +15,12 @@ from ..errors import DomainError, StructuralError
 from .base import GeometryBudget, ManifoldBackend, Point, Region
 
 _EPS_ANGLE = 1e-12
+#: i = c = +inf; the |K| = 1 term caps rho at pi/2
+_BUDGET = GeometryBudget(rho=math.pi / 2.0, curvature_bound=1.0)
 
 
 def mink(u, v):
-    return float(np.dot(u[1:], v[1:]) - u[0] * v[0])
+    return float(u[1:].dot(v[1:]) - u[0] * v[0])
 
 
 class HyperbolicBackend(ManifoldBackend):
@@ -107,5 +109,4 @@ class HyperbolicBackend(ManifoldBackend):
         return abs(mink(coords, coords) + 1.0)
 
     def budget(self, region: Region | None = None) -> GeometryBudget:
-        # i = c = +inf; the |K| = 1 term caps rho at pi/2
-        return GeometryBudget(rho=math.pi / 2.0, curvature_bound=1.0)
+        return _BUDGET

@@ -34,7 +34,7 @@ import numpy as np
 
 from .. import expressions as ex
 from ..errors import NumericsError, StructuralError
-from .base import GeometryBudget, ManifoldBackend, Point, Region
+from .base import GeometryBudget, ManifoldBackend, Point, Region, _norm
 
 #: fine-path RK4 substeps per unit arc length (doubled pass added on top)
 FINE_STEPS_PER_UNIT = 16
@@ -292,7 +292,7 @@ class ImplicitBackend(ManifoldBackend):
     # -- integration --------------------------------------------------------
 
     def _integrate_geo(self, xc, vc, fine: bool):
-        speed = float(np.linalg.norm(vc))
+        speed = _norm(vc)
         if speed == 0.0:
             return np.array(xc), np.array(vc)
         state = (xc, vc)
@@ -304,7 +304,7 @@ class ImplicitBackend(ManifoldBackend):
         d = self.ambient_dim
         x = self._project_point(np.array(out[:d]))
         v = self._project_tangent(x, np.array(out[d:]))
-        nv = np.linalg.norm(v)
+        nv = _norm(v)
         if nv > 0:
             v = v * (speed / nv)
         return x, v
@@ -320,7 +320,7 @@ class ImplicitBackend(ManifoldBackend):
             return hit.copy()
         basis = self.tangent_basis(Point(self, xc))
         c = basis @ (yc - xc)  # seed: ambient chord projected onto T_x
-        scale = 1.0 + float(np.linalg.norm(yc))
+        scale = 1.0 + _norm(yc)
 
         def resid(cvec, fine):
             x_end, _ = self._integrate_geo(xc, cvec @ basis, fine=fine)
@@ -329,9 +329,9 @@ class ImplicitBackend(ManifoldBackend):
         r = resid(c, fine=False)
         jac = None
         fine = False
-        best = (float(np.linalg.norm(r)), c.copy())
+        best = (_norm(r), c.copy())
         for _ in range(SHOOTING_MAX_ITER):
-            rn = float(np.linalg.norm(r))
+            rn = _norm(r)
             if rn < best[0]:
                 best = (rn, c.copy())
             if fine and rn <= SHOOTING_TOL * scale:
@@ -344,7 +344,7 @@ class ImplicitBackend(ManifoldBackend):
                 continue
             if jac is None:
                 jac = np.empty((self.ambient_dim, self.dim))
-                eps = 1e-6 * max(1.0, float(np.linalg.norm(c)))
+                eps = 1e-6 * max(1.0, _norm(c))
                 for j in range(self.dim):
                     cp = c.copy()
                     cp[j] += eps
@@ -354,7 +354,7 @@ class ImplicitBackend(ManifoldBackend):
             for _ in range(8):
                 cand = c + damp * step
                 r_cand = resid(cand, fine=fine)
-                if np.linalg.norm(r_cand) < rn:
+                if _norm(r_cand) < rn:
                     c, r = cand, r_cand
                     break
                 damp *= 0.5
@@ -371,10 +371,10 @@ class ImplicitBackend(ManifoldBackend):
                 residual=best[0],
                 best=best[1] @ basis,
             )
-        if float(np.linalg.norm(r)) > SHOOTING_TOL * scale * 10.0:
+        if _norm(r) > SHOOTING_TOL * scale * 10.0:
             raise NumericsError(
                 "shooting iteration for the log map did not converge",
-                residual=float(np.linalg.norm(r)),
+                residual=_norm(r),
                 best=c @ basis,
             )
         v = c @ basis
@@ -386,18 +386,18 @@ class ImplicitBackend(ManifoldBackend):
     def _distance(self, xc, yc):
         if np.array_equal(xc, yc):
             return 0.0
-        return float(np.linalg.norm(self._log(xc, yc)))
+        return _norm(self._log(xc, yc))
 
     def _transport(self, xc, yc, vc):
         gamma = self._log(xc, yc)
-        speed = float(np.linalg.norm(gamma))
-        w_norm = float(np.linalg.norm(vc))
+        speed = _norm(gamma)
+        w_norm = _norm(vc)
         if speed == 0.0 or w_norm == 0.0:
             return self._project_tangent(yc, vc)
         out = _richardson(self._k_rk4_par, (xc, gamma, vc), speed)
         d = self.ambient_dim
         w = self._project_tangent(yc, out[2 * d :])
-        nw = float(np.linalg.norm(w))
+        nw = _norm(w)
         if nw > 0:
             w = w * (w_norm / nw)  # transport is an isometry; remove drift
         return w
@@ -445,10 +445,10 @@ class ImplicitBackend(ManifoldBackend):
                 p = self._project_point(pt)
             basis = self.tangent_basis(Point(self, p))
             u = rng.standard_normal(self.dim)
-            u = u / np.linalg.norm(u)
+            u = u / _norm(u)
             vec = u @ basis
             a = _call_on_floats(lambda s: self._k_acc(*s), (p, vec))
-            worst = max(worst, float(np.linalg.norm(a)))
+            worst = max(worst, _norm(a))
         return worst
 
 

@@ -7,9 +7,11 @@ import math
 import numpy as np
 
 from ..errors import DomainError, StructuralError
-from .base import GeometryBudget, ManifoldBackend, Point, Region
+from .base import GeometryBudget, ManifoldBackend, Point, Region, _norm
 
 _EPS_ANGLE = 1e-12
+#: min(i, c, pi/(2 sqrt|K|)) = min(pi, pi/2, pi/2)
+_BUDGET = GeometryBudget(rho=math.pi / 2.0, curvature_bound=1.0)
 
 
 class SphereBackend(ManifoldBackend):
@@ -28,25 +30,25 @@ class SphereBackend(ManifoldBackend):
 
     def _distance(self, xc, yc):
         # 2 arcsin(|y-x|/2) is exact near zero, unlike arccos(<x,y>)
-        chord = float(np.linalg.norm(yc - xc))
+        chord = _norm(yc - xc)
         if chord >= 2.0:
             return math.pi
         return 2.0 * math.asin(0.5 * chord)
 
     def _exp(self, xc, vc):
-        s = float(np.linalg.norm(vc))
+        s = _norm(vc)
         if s < _EPS_ANGLE:
             out = xc + vc
         else:
             out = math.cos(s) * xc + (math.sin(s) / s) * vc
-        return out / np.linalg.norm(out)
+        return out / _norm(out)
 
     def _log(self, xc, yc):
         theta = self._distance(xc, yc)
         if theta < _EPS_ANGLE:
-            return yc - np.dot(xc, yc) * xc
-        w = yc - np.dot(xc, yc) * xc
-        nw = float(np.linalg.norm(w))
+            return yc - xc.dot(yc) * xc
+        w = yc - xc.dot(yc) * xc
+        nw = _norm(w)
         if nw == 0.0:
             raise DomainError("log map undefined for antipodal points")
         return (theta / nw) * w
@@ -54,15 +56,15 @@ class SphereBackend(ManifoldBackend):
     def _transport(self, xc, yc, vc):
         theta = self._distance(xc, yc)
         if theta < _EPS_ANGLE:
-            return vc - np.dot(vc, yc) * yc
+            return vc - vc.dot(yc) * yc
         u = self._log(xc, yc) / theta
-        a = float(np.dot(vc, u))
+        a = float(vc.dot(u))
         perp = vc - a * u
         return perp + a * (math.cos(theta) * u - math.sin(theta) * xc)
 
     def _project_tangent(self, xc, amb):
         amb = np.asarray(amb, dtype=float)
-        return amb - np.dot(amb, xc) * xc
+        return amb - amb.dot(xc) * xc
 
     def tangent_basis(self, x: Point):
         # null space of x^T via a deterministic Householder reflection
@@ -77,8 +79,7 @@ class SphereBackend(ManifoldBackend):
         return H[:, cols].T
 
     def feasibility_residual(self, coords):
-        return abs(float(np.linalg.norm(coords)) - 1.0)
+        return abs(_norm(coords) - 1.0)
 
     def budget(self, region: Region | None = None) -> GeometryBudget:
-        # min(i, c, pi/(2 sqrt|K|)) = min(pi, pi/2, pi/2)
-        return GeometryBudget(rho=math.pi / 2.0, curvature_bound=1.0)
+        return _BUDGET

@@ -31,6 +31,7 @@ from .geometry import (
     grad_sq_distance,
     log_map,
 )
+from .geometry.base import _norm
 
 #: annotation of a builder field that holds one ambient-space vector; a
 #: scenario checks its length against the manifold's ambient dimension
@@ -110,12 +111,27 @@ class MovingSet:
     def constraint_values(self, t: float, x: Point) -> np.ndarray:
         return np.array([c.value(t, x.coords) for c in self.constraints])
 
+    # membership and activity read each value as a float: on a few
+    # constraints, numpy's per-call dispatch costs more than the test
+    def _holds(self, values) -> bool:
+        feasibility = -self.tolerances.feasibility
+        return all(v >= feasibility for v in values)  # a NaN fails
+
+    @staticmethod
+    def _active(values) -> tuple:
+        return tuple(i for i, v in enumerate(values) if abs(v) <= ACTIVITY_TOL)
+
     def member(self, t: float, x: Point) -> bool:
-        return bool(np.all(self.constraint_values(t, x) >= -self.tolerances.feasibility))
+        return self._holds(c.value(t, x.coords) for c in self.constraints)
 
     def active_set(self, t: float, x: Point) -> tuple:
-        vals = self.constraint_values(t, x)
-        return tuple(int(i) for i in np.flatnonzero(np.abs(vals) <= ACTIVITY_TOL))
+        return self._active([c.value(t, x.coords) for c in self.constraints])
+
+    def active_set_and_distance(self, t: float, x: Point) -> tuple:
+        """``(active_set(t, x), dist_to_set(t, x))`` from one evaluation of the constraints."""
+        values = [c.value(t, x.coords) for c in self.constraints]
+        dist = 0.0 if self._holds(values) else self.project(t, x).dist
+        return self._active(values), dist
 
     def constraint_gradient(self, t: float, x: Point, i: int) -> Tangent:
         """Riemannian gradient of g_i at x (ambient gradient projected to T_x)."""
@@ -345,14 +361,17 @@ class MovingSet:
 
 def _rotate(vec, axis, angle):
     axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
+    n = _norm(axis)
     if n == 0:
         raise StructuralError("rotation axis must be nonzero")
     k = axis / n
+    (k0, k1, k2), (v0, v1, v2) = k.tolist(), vec.tolist()
+    # np.cross(k, vec) on floats: numpy rounds each component as fl(fl(ab) - fl(cd))
+    cross = np.array([k1 * v2 - k2 * v1, k2 * v0 - k0 * v2, k0 * v1 - k1 * v0])
     return (
         vec * math.cos(angle)
-        + np.cross(k, vec) * math.sin(angle)
-        + k * np.dot(k, vec) * (1.0 - math.cos(angle))
+        + cross * math.sin(angle)
+        + k * k.dot(vec) * (1.0 - math.cos(angle))
     )
 
 
@@ -439,12 +458,12 @@ def half_space(backend, normal: Vector, offset: float = 0.0, speed: float = 0.0,
         return offset + speed * t
 
     def proj(t, y):
-        gap = bound(t) - float(np.dot(a, y.coords))
+        gap = bound(t) - float(a.dot(y.coords))
         return backend.point(y.coords + (gap / na2) * a), None
 
     kw.setdefault("lipschitz_const", abs(speed) / math.sqrt(na2))
     con = Constraint(
-        lambda t, x: float(np.dot(a, x) - bound(t)), lambda t, x: a.copy(), "half-space"
+        lambda t, x: float(a.dot(x) - bound(t)), lambda t, x: a.copy(), "half-space"
     )
     return MovingSet(backend, [con], closed_project=proj, **kw)
 
@@ -467,6 +486,8 @@ def sphere_cap(
         raise StructuralError("sphere_cap requires the sphere backend")
     if not -1.0 < height < 1.0:
         raise StructuralError("cap height must lie in (-1, 1)")
+    if omega != 0.0 and backend.dim != 2:
+        raise StructuralError("a rotating cap requires the 2-sphere")
     axis0 = np.asarray(axis, dtype=float)
     axis0 = axis0 / np.linalg.norm(axis0)
     axis0.setflags(write=False)
@@ -486,9 +507,9 @@ def sphere_cap(
 
     def proj(t, y):
         a = axis_at(t)
-        s = float(np.dot(y.coords, a))
+        s = float(y.coords.dot(a))
         perp = y.coords - s * a
-        n = float(np.linalg.norm(perp))
+        n = _norm(perp)
         if n < 1e-12:
             basis = backend.tangent_basis(backend.point(a))
             w = basis[0]
@@ -500,7 +521,7 @@ def sphere_cap(
 
     kw.setdefault("lipschitz_const", abs(omega))
     con = Constraint(
-        lambda t, x: float(np.dot(x, axis_at(t)) - height), lambda t, x: axis_at(t).copy(),
+        lambda t, x: float(x.dot(axis_at(t)) - height), lambda t, x: axis_at(t).copy(),
         "spherical cap",
     )
     return MovingSet(backend, [con], closed_project=proj, **kw)

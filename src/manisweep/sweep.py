@@ -206,9 +206,9 @@ class Trajectory:
         lines = [",".join(cols)]
         for i, (t, x) in enumerate(zip(self.times, self.nodes)):
             v = self.discrete_velocities[i] if i < len(self.discrete_velocities) else 0.0
-            active = ";".join(str(j) for j in self.set_.active_set(t, x))
+            active, dist = self.set_.active_set_and_distance(t, x)
             vals = [repr(float(t))] + [repr(float(c)) for c in x.coords]
-            vals += [repr(float(v)), repr(self.set_.dist_to_set(t, x)), active]
+            vals += [repr(float(v)), repr(dist), ";".join(str(j) for j in active)]
             lines.append(",".join(vals))
         text = "\n".join(lines) + "\n"
         with open(path, "w") as fh:

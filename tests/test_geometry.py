@@ -207,6 +207,12 @@ def test_budget_values():
     assert S.budget(region) == S.budget()
 
 
+def test_closed_form_backends_share_one_budget():
+    # every exp, log and transport checks its radius against budget()
+    for backend in (EuclideanBackend(2), SphereBackend(2), HyperbolicBackend(2)):
+        assert backend.budget() is backend.budget() is type(backend)(3).budget()
+
+
 def test_backend_mismatch_is_structural_error():
     E2, E3 = EuclideanBackend(2), EuclideanBackend(3)
     with pytest.raises(StructuralError):

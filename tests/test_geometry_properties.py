@@ -6,7 +6,9 @@ sampling of ``test_criterion_01_geometry_identities``, whose tolerances
 these tests keep.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from manisweep import (
     parallel_transport,
 )
 from manisweep.errors import DomainError, StructuralError
+from manisweep.geometry.base import _norm
 
 BACKENDS = {
     "euclidean": (EuclideanBackend(3), [0.0, 0.0, 0.0]),
@@ -122,3 +125,68 @@ def test_tangent_rejects_non_finite_components(kind, bad):
 def test_hyperbolic_projection_of_a_nan_vector_is_a_domain_error():
     with pytest.raises(DomainError, match="not timelike"):
         HyperbolicBackend(2)._project_point([math.nan, 0.0, 0.0])
+
+
+def same_float(a, b):
+    """Equal as IEEE doubles: NaN matches NaN, and the signs of zeros agree."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+# finite doubles of every magnitude, subnormals and overflowing squares included
+WIDE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(WIDE, min_size=1, max_size=5), stride=st.integers(1, 3))
+def test_norm_helper_is_numpys_norm_bit_for_bit(values, stride):
+    a = np.array(values)
+    strided = np.repeat(a, stride)[::stride]  # the same values, not contiguous
+    with np.errstate(over="ignore"):
+        assert same_float(_norm(a), float(np.linalg.norm(a)))
+        assert same_float(_norm(strided), float(np.linalg.norm(strided)))
+
+
+@pytest.mark.parametrize("values", [[math.nan], [1.0, math.nan, 2.0], [math.inf],
+                                    [-math.inf, 1.0], [math.inf, math.nan], [-0.0], [0.0, -0.0]])
+def test_norm_helper_is_numpys_norm_on_non_finite_input(values):
+    a = np.array(values)
+    assert same_float(_norm(a), float(np.linalg.norm(a)))
+
+
+COLD = {
+    "euclidean": lambda: EuclideanBackend(3),
+    "sphere": lambda: SphereBackend(2),
+    "hyperbolic": lambda: HyperbolicBackend(2),
+    "implicit": lambda: ImplicitBackend(2, ["x1^2 + x2^2 - 1"]),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_warm_basis_memo_draws_the_tangents_of_a_cold_backend(kind):
+    _, x, y, _ = draw(kind, 7)
+    warm = COLD[kind]()
+    x, y = warm.point(x.coords), warm.point(y.coords)
+    rng_warm, rng_cold = np.random.default_rng(3), np.random.default_rng(3)
+    for p in (x, y, x, x):
+        drawn = warm.random_tangent(rng_warm, p, 0.5)
+        reference = COLD[kind]().random_tangent(rng_cold, p, 0.5)
+        assert drawn.base is p
+        assert drawn.components.tobytes() == reference.components.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_basis_memo_keeps_no_reference_cycle_to_its_backend(kind):
+    # a cycle would keep each scenario's backend, caches included, alive
+    # until the cycle collector runs
+    backend = COLD[kind]()
+    x = backend.point(BACKENDS[kind][1])
+    backend.random_tangent(np.random.default_rng(0), x, 0.5)
+    gone = weakref.ref(backend)
+    gc.disable()
+    try:
+        del backend, x
+        assert gone() is None
+    finally:
+        gc.enable()

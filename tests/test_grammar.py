@@ -1,5 +1,7 @@
 """The expression grammar's edges: what it parses, what it rejects and where."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -152,3 +154,18 @@ def test_the_nesting_limit_is_the_one_python_compiles():
     assert ex.compile_many([deepest, deepest], ["x1"])(1.0) == (ex.MAX_NESTING + 1,) * 2
     with pytest.raises(ExpressionError, match="nests more than 200 levels deep"):
         ex.parse(" + ".join(["x1"] * (ex.MAX_NESTING + 2)))
+
+
+@pytest.mark.parametrize("text, position", [("1e999 - x1", 0), ("2*x1 + 1e999", 7),
+                                            ("x1 - 2e400^2", 5)])
+def test_a_literal_that_overflows_is_rejected_where_it_starts(text, position):
+    with pytest.raises(ExpressionError, match="is not a finite number") as err:
+        ex.parse(text)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_constant_that_folds_to_a_non_finite_value_compiles(value):
+    # a derivative may fold finite literals into one; its repr must resolve
+    out = ex.compile_tree(Num(value), ["x1"])(1.0)
+    assert out == value or (math.isnan(out) and math.isnan(value))

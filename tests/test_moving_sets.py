@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from manisweep import (
@@ -13,7 +15,11 @@ from manisweep import (
 )
 from manisweep.errors import NumericsError, StructuralError
 from manisweep.moving_sets import (
+    ACTIVITY_TOL,
     CATALOG,
+    Constraint,
+    MovingSet,
+    _rotate,
     ball,
     ball_complement,
     halfline,
@@ -195,6 +201,71 @@ def test_rotating_cap_interleaved_times_match_a_fresh_set():
         assert s.active_set(t, on) == ref.active_set(t, on)
         grad = s.constraint_gradient(t, on, 0)
         assert np.array_equal(grad.components, ref.constraint_gradient(t, on, 0).components)
+
+
+def numpy_rotate(vec, axis, angle):
+    """The rotation as written with np.cross: the reference for ``_rotate``."""
+    axis = np.asarray(axis, dtype=float)
+    k = axis / np.linalg.norm(axis)
+    return (
+        vec * math.cos(angle)
+        + np.cross(k, vec) * math.sin(angle)
+        + k * np.dot(k, vec) * (1.0 - math.cos(angle))
+    )
+
+
+COORD = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(vec=st.lists(COORD, min_size=3, max_size=3), axis=st.lists(COORD, min_size=3, max_size=3),
+       angle=st.floats(min_value=-100.0, max_value=100.0))
+def test_rotation_matches_the_cross_product_formula_bit_for_bit(vec, axis, angle):
+    assume(np.linalg.norm(axis) > 0.0)
+    vec = np.array(vec)
+    with np.errstate(all="ignore"):
+        assert _rotate(vec, axis, angle).tobytes() == numpy_rotate(vec, axis, angle).tobytes()
+
+
+def test_a_rotating_cap_requires_the_2_sphere():
+    with pytest.raises(StructuralError, match="2-sphere"):
+        sphere_cap(SphereBackend(3), axis=[0, 0, 0, 1], omega=0.3,
+                   rotation_axis=[0, 1, 0, 0])
+    sphere_cap(SphereBackend(3), axis=[0, 0, 0, 1])  # a fixed cap works on any sphere
+
+
+VALUE = st.sampled_from([math.nan, 0.0, -0.0, 1e-7, -1e-7, 2e-7, -1e-10, -2e-10, 1.0, -1.0])
+
+
+def fixed_values_set(values, calls):
+    """Three constraints returning the given values, counting their evaluations."""
+    def constraint(v):
+        def value(t, x):
+            calls.append(v)
+            return v
+        return Constraint(value, lambda t, x: np.zeros(2))
+
+    return MovingSet(EuclideanBackend(2), [constraint(v) for v in values])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(VALUE, min_size=3, max_size=3))
+def test_membership_and_activity_agree_with_the_array_formulation(values):
+    s = fixed_values_set(values, [])
+    x = s.backend.point([0.0, 0.0])
+    vals = s.constraint_values(0.0, x)
+    assert s.member(0.0, x) == bool(np.all(vals >= -s.tolerances.feasibility))
+    active = tuple(int(i) for i in np.flatnonzero(np.abs(vals) <= ACTIVITY_TOL))
+    assert s.active_set(0.0, x) == active
+    if s.member(0.0, x):
+        assert s.active_set_and_distance(0.0, x) == (active, 0.0)
+
+
+def test_membership_stops_at_the_first_violated_constraint():
+    calls = []
+    s = fixed_values_set([1.0, -1.0, math.nan], calls)
+    assert not s.member(0.0, s.backend.point([0.0, 0.0]))
+    assert calls == [1.0, -1.0]
 
 
 def test_hausdorff_lipschitz_self_check():

@@ -228,6 +228,20 @@ def test_determinism_bit_identical_csv(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_csv_evaluates_each_node_once_and_projects_only_non_members(tmp_path):
+    E = EuclideanBackend(1)
+    line = halfline(E, offset=0.0)
+    value, calls = line.constraints[0].value, []
+    line.constraints[0].value = lambda t, x: calls.append(t) or value(t, x)
+    nodes = [E.point([0.5]), E.point([0.0]), E.point([-0.25])]
+    traj = Trajectory(line, zero_perturbation(), np.array([0.0, 0.5, 1.0]), nodes, 0.5,
+                      np.zeros(2), {}, [])
+    rows = traj.to_csv(tmp_path / "n.csv").splitlines()[1:]
+    assert [r.split(",")[-2:] for r in rows] == [["0.0", ""], ["0.0", "0"], ["0.25", ""]]
+    # one evaluation per node, and the projection's own membership test
+    assert len(calls) == len(nodes) + 1
+
+
 def test_oversized_step_is_warned_not_fatal():
     scn = bundled_scenario("sphere_rotating_cap")
     traj = catching_up(scn, 2.5)  # beyond the admissible bound

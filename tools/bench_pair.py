@@ -1,0 +1,152 @@
+"""Paired benchmark runs of two checkouts, with medians, wins and bounds.
+
+Usage::
+
+    python3 tools/bench_pair.py PARENT_DIR CHANGE_DIR --workload W --pairs N \\
+        --out BENCH.json [--first-seed S]
+
+Runs the command of ``BENCHMARK.json`` (``perfbench/run.py``) with
+``--trace 0`` once in each checkout per pair, on seeds ``S .. S+N-1``.
+The parent runs first in even-numbered pairs and the change in odd ones,
+so a drift in machine load does not favour one side.  Each run lasts the
+file's ``run_seconds``, the same on both sides.
+
+Every run's end-to-end metrics are printed as it finishes.  Then, per
+metric: the median and quartiles of each side, how many pairs the change
+wins, the relative change of the medians, whether the median gap exceeds
+the parent's interquartile range, and whether the change stays within the
+metric's bound (a relative worsening of the parent's median).  A pair's
+``artifact_sha256`` maps must be equal.
+
+The summary goes under ``workloads.W`` of the ``--out`` JSON file; other
+workloads already in the file are kept, so one file can hold both.  The
+exit status is 1 when a bound is broken, a run fails an operation or a
+pair's artifacts differ, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, command, workload, seed, seconds) -> dict:
+    """One benchmark run: its metric values, failed share, artifact sums and provenance."""
+    argv = [*command, "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    if argv[0] == "python3":
+        argv[0] = sys.executable
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
+    last = json.loads(done.stdout.strip().splitlines()[-1])
+    report = json.loads(
+        (checkout / "perfbench" / "_results" / f"{workload}-seed{seed}-trace0.json").read_text()
+    )
+    return {
+        "metrics": {name: m["value"] for name, m in last["metrics"].items()},
+        "failed_ratio": report["failed_ratio"],
+        "artifact_sha256": report["artifact_sha256"],
+        "git_sha": report["provenance"]["git_sha"],
+        "passes": report["provenance"]["passes"],
+    }
+
+
+def summarize(runs, spec) -> dict:
+    """Per declared metric: medians, quartiles, wins and the bound check."""
+    out = {}
+    for m in spec["end_to_end"]:
+        name, lower = m["name"], m["better"] == "lower"
+        sides = {s: [r[s]["metrics"][name] for r in runs] for s in SIDES}
+        p1, pm, p3 = statistics.quantiles(sides["parent"], n=4, method="inclusive")
+        c1, cm, c3 = statistics.quantiles(sides["change"], n=4, method="inclusive")
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(*sides.values()))
+        worse = (cm - pm) if lower else (pm - cm)  # positive when the change is worse
+        out[name] = {
+            "better": m["better"],
+            "bound": m["bound"],
+            "parent_median": pm, "parent_q1": p1, "parent_q3": p3,
+            "change_median": cm, "change_q1": c1, "change_q3": c3,
+            "change_wins": wins,
+            "pairs": len(runs),
+            "relative_change": (cm - pm) / pm if pm else 0.0,
+            "gap_exceeds_parent_iqr": abs(cm - pm) > p3 - p1,
+            "within_bound": worse <= m["bound"] * abs(pm),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--first-seed", type=int, default=1)
+    args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2 to give quartiles")
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    runs = []
+    for k in range(args.pairs):
+        seed = args.first_seed + k
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_once(dirs[side], spec["command"], args.workload, seed, seconds)
+            values = "  ".join(f"{n}={v:.4f}" for n, v in pair[side]["metrics"].items())
+            print(f"seed {seed} {side:<6s} {values}  failed={pair[side]['failed_ratio']:.3f}",
+                  flush=True)
+        pair["artifact_sha256_equal"] = (
+            pair["parent"]["artifact_sha256"] == pair["change"]["artifact_sha256"]
+        )
+        runs.append(pair)
+
+    summary = summarize(runs, spec)
+    same = sum(r["artifact_sha256_equal"] for r in runs)
+    failed = sum(r[s]["failed_ratio"] > 0 for r in runs for s in SIDES)
+    print(f"\n{args.workload}: {len(runs)} pairs, seeds {args.first_seed}.."
+          f"{args.first_seed + len(runs) - 1}, {seconds:g} s per run")
+    print(f"{'metric':<20s} {'parent median [q1, q3]':>29s} {'change median [q1, q3]':>30s}"
+          f" {'rel':>8s} {'wins':>6s} {'>IQR':>5s} {'bound':>9s}")
+    for name, s in summary.items():
+        print(f"{name:<20s} {s['parent_median']:>10.4f} [{s['parent_q1']:.4f}, "
+              f"{s['parent_q3']:.4f}] {s['change_median']:>10.4f} [{s['change_q1']:.4f}, "
+              f"{s['change_q3']:.4f}] {s['relative_change']:>+8.1%} {s['change_wins']:>3d}/"
+              f"{s['pairs']:<2d} {'yes' if s['gap_exceeds_parent_iqr'] else 'no':>5s} "
+              f"{'ok' if s['within_bound'] else 'BROKEN':>9s}")
+    print(f"artifact_sha256 equal in {same}/{len(runs)} pairs; runs with a failed "
+          f"operation: {failed}")
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
+    doc["workloads"][args.workload] = {
+        "seconds": seconds,
+        "seeds": [r["seed"] for r in runs],
+        "parent_git_sha": runs[0]["parent"]["git_sha"],
+        "change_git_sha": runs[0]["change"]["git_sha"],
+        "artifact_sha256_equal_pairs": same,
+        "runs_with_failures": failed,
+        "summary": summary,
+        "runs": [
+            {"seed": r["seed"], "first": r["first"],
+             "artifact_sha256_equal": r["artifact_sha256_equal"],
+             **{s: {"metrics": r[s]["metrics"], "failed_ratio": r[s]["failed_ratio"],
+                    "passes": r[s]["passes"]} for s in SIDES}}
+            for r in runs
+        ],
+    }
+    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    ok = all(s["within_bound"] for s in summary.values()) and same == len(runs) and not failed
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
