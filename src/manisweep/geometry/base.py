@@ -39,29 +39,41 @@ def _freeze(a):
     return arr
 
 
-@dataclass(frozen=True)
-class Point:
+class _Frozen:
+    """Slots set once by ``__init__``; values compare and hash by identity."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # a copy is built from the same fields
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Point(_Frozen):
     """A point on a manifold, in the backend's working coordinates."""
 
-    backend: "ManifoldBackend"
-    coords: np.ndarray
+    __slots__ = ("backend", "coords")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _freeze(self.coords))
+    def __init__(self, backend: "ManifoldBackend", coords):
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "coords", _freeze(coords))
 
     def __repr__(self):
         return f"Point({self.backend.key[0]}, {np.array2string(self.coords, precision=6)})"
 
 
-@dataclass(frozen=True)
-class Tangent:
+class Tangent(_Frozen):
     """A tangent vector tagged with its base point."""
 
-    base: Point
-    components: np.ndarray
+    __slots__ = ("base", "components")
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", _freeze(self.components))
+    def __init__(self, base: Point, components):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "components", _freeze(components))
 
     @property
     def backend(self):
@@ -251,13 +263,16 @@ class ManifoldBackend(abc.ABC):
         if not b.admits_radius(r):
             raise DomainError(f"{what} = {r:.6g} exceeds the validated radius rho = {b.rho:.6g}")
 
+    def _exp_coords(self, x: Point, vc: np.ndarray) -> np.ndarray:
+        """The coordinates of ``exp_map`` at x of components vc: ``x.coords`` itself at speed 0."""
+        speed = self.norm(x, vc)
+        self._require_radius(speed, "|v|")
+        return x.coords if speed == 0.0 else self._exp(x.coords, vc)
+
     def exp_map(self, x: Point, v: Tangent) -> Point:
         check_same_base(v, x)
-        speed = v.norm()
-        self._require_radius(speed, "|v|")
-        if speed == 0.0:
-            return x
-        return Point(self, self._exp(x.coords, v.components))
+        yc = self._exp_coords(x, v.components)
+        return x if yc is x.coords else Point(self, yc)
 
     def log_map(self, x: Point, y: Point) -> Tangent:
         check_same_backend(x, y)

@@ -92,7 +92,7 @@ class MovingSet:
         *,
         lipschitz_const: float = 0.0,
         prox_radius_hint: float = 1.0,
-        closed_project: Optional[Callable[[float, Point], tuple]] = None,
+        closed_project: Optional[Callable[[float, np.ndarray], tuple]] = None,
         tolerances: Optional[Tolerances] = None,
     ):
         if lipschitz_const < 0:
@@ -127,9 +127,10 @@ class MovingSet:
     def active_set(self, t: float, x: Point) -> tuple:
         return self._active([c.value(t, x.coords) for c in self.constraints])
 
-    def active_set_and_distance(self, t: float, x: Point) -> tuple:
-        """``(active_set(t, x), dist_to_set(t, x))`` from one evaluation of the constraints."""
-        values = [c.value(t, x.coords) for c in self.constraints]
+    def active_set_and_distance(self, t: float, x: Point, values=None) -> tuple:
+        """``(active_set(t, x), dist_to_set(t, x))`` from the constraints' ``values`` at (t, x)."""
+        if values is None:
+            values = [c.value(t, x.coords) for c in self.constraints]
         dist = 0.0 if self._holds(values) else self.project(t, x).dist
         return self._active(values), dist
 
@@ -169,8 +170,9 @@ class MovingSet:
         if self.member(t, y):
             return ProjectionResult(y, 0.0, 0, True)
         if method == "auto" and self.closed_project is not None:
-            point, warning = self.closed_project(t, y)
-            d = distance(y, point)
+            coords, warning = self.closed_project(t, y.coords)
+            point = self.backend.point(coords)
+            d = self.backend._distance(y.coords, point.coords)
             return ProjectionResult(point, d, 0, True, warning or self._radius_warning(d))
         return self._project_iterative(t, y, initial, max_iter)
 
@@ -365,14 +367,15 @@ def _rotate(vec, axis, angle):
     if n == 0:
         raise StructuralError("rotation axis must be nonzero")
     k = axis / n
+    kd, c, s = float(k.dot(vec)), math.cos(angle), math.sin(angle)
     (k0, k1, k2), (v0, v1, v2) = k.tolist(), vec.tolist()
-    # np.cross(k, vec) on floats: numpy rounds each component as fl(fl(ab) - fl(cd))
-    cross = np.array([k1 * v2 - k2 * v1, k2 * v0 - k0 * v2, k0 * v1 - k1 * v0])
-    return (
-        vec * math.cos(angle)
-        + cross * math.sin(angle)
-        + k * k.dot(vec) * (1.0 - math.cos(angle))
-    )
+    # vec cos + (k x vec) sin + k <k, vec> (1 - cos) on floats, each operation
+    # rounded as numpy's elementwise one; the dot stays numpy's
+    return np.array([
+        v0 * c + (k1 * v2 - k2 * v1) * s + k0 * kd * (1.0 - c),
+        v1 * c + (k2 * v0 - k0 * v2) * s + k1 * kd * (1.0 - c),
+        v2 * c + (k0 * v1 - k1 * v0) * s + k2 * kd * (1.0 - c),
+    ])
 
 
 def halfline(backend, offset: float = 0.0, speed: float = 0.0, **kw):
@@ -389,8 +392,8 @@ def halfline(backend, offset: float = 0.0, speed: float = 0.0, **kw):
         label="x1 >= moving bound",
     )
 
-    def proj(t, y):
-        return backend.point([max(y.coords[0], bound(t))]), None
+    def proj(t, yc):
+        return [max(yc[0], bound(t))], None
 
     kw.setdefault("lipschitz_const", abs(speed))
     return MovingSet(backend, [con], closed_project=proj, **kw)
@@ -402,11 +405,14 @@ def _geodesic_ball(backend, center, radius, sign, velocity=None, **kw):
     before its division by d, is exact: the two signs give bitwise negatives."""
     noun, side = ("ball", "inside") if sign > 0 else ("complement", "outside")
     c0 = np.asarray(center, dtype=float)
-    fixed = backend.point(c0) if velocity is None else None
     vel = None if velocity is None else np.asarray(velocity, dtype=float)
+    last = [None, backend.point(c0) if vel is None else None]  # the last t and c(t)
 
     def center_at(t):
-        return fixed if fixed is not None else backend.point(c0 + t * vel)
+        # t = 0 is not memoized: -0.0 == 0.0, yet they may round differently
+        if vel is not None and (t != last[0] or t == 0.0):
+            last[:] = t, backend.point(c0 + t * vel)
+        return last[1]
 
     def value(t, xc):
         return sign * (radius - backend._distance(xc, center_at(t).coords))
@@ -419,14 +425,17 @@ def _geodesic_ball(backend, center, radius, sign, velocity=None, **kw):
             raise NumericsError(f"{noun} constraint gradient undefined at the center")
         return sign * log_map(x, c).components / d
 
-    def proj(t, y):
+    # the closed form exp_c(r log_c(y) / |log_c(y)|), on coordinates
+    def proj(t, yc):
         c = center_at(t)
-        if sign < 0 and distance(c, y) < 1e-14:  # a ball's queries lie outside it
+        d = backend._distance(c.coords, yc)
+        if sign < 0 and d < 1e-14:  # a ball's queries lie outside it
             # every boundary point is equidistant; pick one deterministically
-            v = Tangent(c, backend.tangent_basis(c)[0] * radius)
-            return exp_map(c, v), "projection is multivalued at the ball center"
-        gam = log_map(c, y)
-        return exp_map(c, gam.scaled(radius / gam.norm())), None
+            v = backend.tangent_basis(c)[0] * radius
+            return backend._exp_coords(c, v), "projection is multivalued at the ball center"
+        backend._require_radius(d, "d(x, y)")
+        gam = np.zeros(backend.ambient_dim) if d == 0.0 else backend._log(c.coords, yc)
+        return backend._exp_coords(c, (radius / backend.norm(c, gam)) * gam), None
 
     con = Constraint(value, amb_grad, f"{side} geodesic ball")
     return MovingSet(backend, [con], closed_project=proj, **kw)
@@ -457,9 +466,9 @@ def half_space(backend, normal: Vector, offset: float = 0.0, speed: float = 0.0,
     def bound(t):
         return offset + speed * t
 
-    def proj(t, y):
-        gap = bound(t) - float(a.dot(y.coords))
-        return backend.point(y.coords + (gap / na2) * a), None
+    def proj(t, yc):
+        gap = bound(t) - float(a.dot(yc))
+        return yc + (gap / na2) * a, None
 
     kw.setdefault("lipschitz_const", abs(speed) / math.sqrt(na2))
     con = Constraint(
@@ -505,19 +514,15 @@ def sphere_cap(
 
     sin_cap = math.sqrt(1.0 - height * height)
 
-    def proj(t, y):
+    def proj(t, yc):
         a = axis_at(t)
-        s = float(y.coords.dot(a))
-        perp = y.coords - s * a
+        s = float(yc.dot(a))
+        perp = yc - s * a
         n = _norm(perp)
         if n < 1e-12:
-            basis = backend.tangent_basis(backend.point(a))
-            w = basis[0]
-            return (
-                backend.point(height * a + sin_cap * w),
-                "projection is multivalued at the cap antipode",
-            )
-        return backend.point(height * a + sin_cap * (perp / n)), None
+            w = backend.tangent_basis(backend.point(a))[0]
+            return height * a + sin_cap * w, "projection is multivalued at the cap antipode"
+        return height * a + sin_cap * (perp / n), None
 
     kw.setdefault("lipschitz_const", abs(omega))
     con = Constraint(

@@ -34,30 +34,27 @@ STEP_CEILING = 1e6
 class Perturbation:
     """Tangent field f(t, x) with declared bound and Lipschitz modulus.
 
-    Declared constants are trusted; ``catching_up`` checks each step's
-    evaluation against the declared bound and records a violation as a
-    warning, which leaves the run uncertified.
+    ``components(t, xc)`` are its tangent components at coordinates xc;
+    ``None`` is the zero field.  Declared constants are trusted;
+    ``catching_up`` records a step over the declared bound as a warning,
+    which leaves the run uncertified.
     """
 
-    def __init__(self, func, sup_norm: float, lipschitz: float):
+    def __init__(self, components, sup_norm: float, lipschitz: float):
         if sup_norm < 0 or lipschitz < 0:
             raise StructuralError("perturbation constants must be nonnegative")
-        self._func = func
+        self.components = components
         self.sup_norm = float(sup_norm)
         self.lipschitz = float(lipschitz)
 
     def __call__(self, t: float, x: Point) -> Tangent:
-        v = self._func(t, x)
-        if v.base is not x:
-            raise StructuralError("perturbation field must return tangents at the query point")
-        return v
+        if self.components is None:
+            return Tangent(x, np.zeros(x.backend.ambient_dim))
+        return Tangent(x, self.components(t, x.coords))
 
 
 def zero_perturbation() -> Perturbation:
-    def f(t, x):
-        return Tangent(x, np.zeros(x.backend.ambient_dim))
-
-    return Perturbation(f, 0.0, 0.0)
+    return Perturbation(None, 0.0, 0.0)
 
 
 def expression_perturbation(
@@ -75,11 +72,10 @@ def expression_perturbation(
     trees = [ex.parse(s, allowed_vars=set(names) | {"t"}) for s in components]
     fn = ex.compile_many(trees, ["t"] + names)
 
-    def f(t, x):
-        amb = np.array(fn(t, *x.coords))
-        return Tangent(x, backend._project_tangent(x.coords, amb))
+    def components_at(t, xc):
+        return backend._project_tangent(xc, np.array(fn(t, *xc)))
 
-    return Perturbation(f, sup_norm, lipschitz)
+    return Perturbation(components_at, sup_norm, lipschitz)
 
 
 @dataclass
@@ -146,6 +142,7 @@ class Trajectory:
     metadata: dict
     warnings: list
     _segment_logs: list = field(default_factory=list, repr=False)
+    _node_values: list = field(default_factory=list, repr=False)  # per node, for the CSV
 
     def __post_init__(self):
         if not self._segment_logs:
@@ -204,11 +201,13 @@ class Trajectory:
             "active_set",
         ]
         lines = [",".join(cols)]
-        for i, (t, x) in enumerate(zip(self.times, self.nodes)):
-            v = self.discrete_velocities[i] if i < len(self.discrete_velocities) else 0.0
-            active, dist = self.set_.active_set_and_distance(t, x)
-            vals = [repr(float(t))] + [repr(float(c)) for c in x.coords]
-            vals += [repr(float(v)), repr(dist), ";".join(str(j) for j in active)]
+        values = self._node_values or [None] * len(self.nodes)
+        speeds = self.discrete_velocities.tolist()
+        speeds += [0.0] * (len(self.nodes) - len(speeds))
+        for t, x, v, node_values in zip(self.times.tolist(), self.nodes, speeds, values):
+            active, dist = self.set_.active_set_and_distance(t, x, node_values)
+            vals = [repr(t)] + [repr(c) for c in x.coords.tolist()]
+            vals += [repr(v), repr(dist), ";".join(str(j) for j in active)]
             lines.append(",".join(vals))
         text = "\n".join(lines) + "\n"
         with open(path, "w") as fh:
@@ -229,16 +228,17 @@ class Trajectory:
         }
 
 
-def require_x0_in_C0(set_: MovingSet, x0: Point):
-    """Raise a structural error naming the worst constraint unless x0 is in C(0)."""
-    if not set_.member(0.0, x0):
-        vals = set_.constraint_values(0.0, x0)
+def require_x0_in_C0(set_: MovingSet, x0: Point) -> list:
+    """The constraint values at (0, x0); raises naming the worst one unless x0 is in C(0)."""
+    vals = [c.value(0.0, x0.coords) for c in set_.constraints]
+    if not set_._holds(vals):
         bad = int(np.argmin(vals))
         raise StructuralError(
             "scenario violates the invariant x0 in C(0): constraint "
             f"{bad} ({set_.constraints[bad].label or 'unnamed'}) "
             f"evaluates to {vals[bad]:.6g} at t = 0"
         )
+    return vals
 
 
 def catching_up(scenario, h: float) -> Trajectory:
@@ -257,7 +257,7 @@ def catching_up(scenario, h: float) -> Trajectory:
     horizon = float(scenario.horizon)
     if not h > 0:
         raise StructuralError("step must be positive")
-    require_x0_in_C0(set_, x0)
+    node_values = [require_x0_in_C0(set_, x0)]
 
     n = max(1, math.ceil(horizon / h - 1e-12))
     times = np.minimum(np.arange(n + 1) * h, horizon)
@@ -271,34 +271,47 @@ def catching_up(scenario, h: float) -> Trajectory:
             "run continues uncertified"
         )
 
+    # exp_map, project's member test and distance on coordinates, op for op
+    backend = set_.backend
     nodes = [x0]
     velocities = np.zeros(n)
     projector_iterations = 0
     exceeded = 0
+    tl = times.tolist()  # float arithmetic rounds like numpy's float64 scalars
     for i in range(n):
-        t_next = float(times[i + 1])
-        hi = float(times[i + 1] - times[i])
-        f = pert(float(times[i]), nodes[i])
-        if f.norm() > pert.sup_norm + 1e-9:
-            exceeded += 1
+        t_next = tl[i + 1]
+        hi = t_next - tl[i]
+        x = nodes[i]
+        xc = yc = x.coords
+        if pert.components is not None:
+            fc = pert.components(tl[i], xc)
+            exceeded += backend.norm(x, fc) > pert.sup_norm + 1e-9
         try:
-            drifted = exp_map(nodes[i], f.scaled(hi))
-            res = set_.project(t_next, drifted)
+            if pert.components is not None:
+                yc = backend._exp_coords(x, hi * fc)
+            values = [c.value(t_next, yc) for c in set_.constraints]
+            if set_._holds(values):
+                node = x if yc is xc else Point(backend, yc)
+            else:
+                res = set_.project(t_next, Point(backend, yc))
+                projector_iterations += res.iterations
+                if res.warning is not None:
+                    warnings.append(f"step {i}: {res.warning}")
+                node = res.point
+                values = [c.value(t_next, node.coords) for c in set_.constraints]
         except (NumericsError, DomainError) as err:
             partial = Trajectory(
                 set_, pert, times[: i + 1], nodes, h, velocities[:i],
                 _metadata(scenario, h, adm, projector_iterations),
-                warnings + [f"failed at step {i}: {err}"],
+                warnings + [f"failed at step {i}: {err}"], _node_values=node_values,
             )
             raise NumericsError(
                 f"catching-up step {i} (t = {t_next:.6g}) failed: {err}",
                 best=partial,
             ) from err
-        projector_iterations += res.iterations
-        if res.warning is not None:
-            warnings.append(f"step {i}: {res.warning}")
-        nodes.append(res.point)
-        velocities[i] = distance(nodes[i], nodes[i + 1]) / hi
+        nodes.append(node)
+        node_values.append(values)
+        velocities[i] = backend._distance(xc, node.coords) / hi
     if exceeded:
         warnings.append(
             f"the perturbation exceeded its declared bound {pert.sup_norm:.6g} "
@@ -308,6 +321,7 @@ def catching_up(scenario, h: float) -> Trajectory:
     traj = Trajectory(
         set_, pert, times, nodes, h, velocities,
         _metadata(scenario, h, adm, projector_iterations), warnings,
+        _node_values=node_values,
     )
     bound = velocity_bound(scenario)
     vmax = traj.max_velocity()

@@ -1,5 +1,6 @@
 """Analytic backends: flat space, unit sphere, hyperboloid."""
 
+import copy
 import math
 
 import numpy as np
@@ -241,6 +242,53 @@ def test_log_beyond_budget_radius_is_domain_error():
     far = S.point([math.sin(2.0), 0, math.cos(2.0)])
     with pytest.raises(DomainError):
         log_map(n, far)
+
+
+def test_points_and_tangents_are_immutable_values_compared_by_identity():
+    E = EuclideanBackend(2)
+    p, q = E.point([1, 2]), E.point([1, 2])
+    v = E.tangent(p, [0.5, 0.0])
+    assert p == p and p != q and not (p == q)
+    assert len({p, q, p}) == 2 and hash(p) == hash(p)
+    assert v == v and v != E.tangent(p, [0.5, 0.0])
+    for obj, name in ((p, "coords"), (p, "backend"), (v, "components"), (v, "base"), (p, "x")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    with pytest.raises(AttributeError):
+        del p.coords
+    for arr in (p.coords, v.components):
+        with pytest.raises(ValueError):
+            arr[0] = 9.0
+    coords = np.array([3.0, 4.0])
+    r = E.point(coords)
+    coords[0] = 0.0  # the point keeps its own copy
+    assert r.coords.tolist() == [3.0, 4.0]
+
+
+def test_copies_of_points_and_tangents_keep_their_values():
+    S = SphereBackend(2)
+    p = S.point([0.0, 0.0, 1.0])
+    v = S.tangent(p, [0.1, 0.2, 0.0])
+    for dup in (copy.copy, copy.deepcopy):
+        q, w = dup(p), dup(v)
+        assert q.backend.key == p.backend.key and q.coords.tobytes() == p.coords.tobytes()
+        assert w.components.tobytes() == v.components.tobytes()
+        assert w.base.coords.tobytes() == p.coords.tobytes()
+        assert not q.coords.flags.writeable and not w.components.flags.writeable
+    assert copy.copy(v).base is p
+
+
+def test_random_tangent_memo_draws_a_cold_backends_tangents():
+    warm, cold = SphereBackend(2), SphereBackend(2)
+    x, other = warm.point([0.0, 0.0, 1.0]), warm.point([1.0, 0.0, 0.0])
+    warm.random_tangent(np.random.default_rng(3), other, 1.0)
+    for backend in (cold, warm):
+        v = backend.random_tangent(np.random.default_rng(5), x, 0.5)
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(2)
+        r = 0.5 * rng.uniform() ** 0.5
+        want = (r / np.linalg.norm(u)) * (u @ backend.tangent_basis(x))
+        assert v.base is x and v.components.tobytes() == want.tobytes()
 
 
 def test_point_off_manifold_rejected():

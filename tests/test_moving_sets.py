@@ -12,6 +12,8 @@ from manisweep import (
     ImplicitBackend,
     SphereBackend,
     distance,
+    exp_map,
+    log_map,
 )
 from manisweep.errors import NumericsError, StructuralError
 from manisweep.moving_sets import (
@@ -336,8 +338,91 @@ def test_ball_and_its_complement_are_exact_negatives(kind):
             continue
         assert g.value(0.0, x.coords) == -h.value(0.0, x.coords)
         assert np.array_equal(g.ambient_gradient(0.0, x.coords), -h.ambient_gradient(0.0, x.coords))
-        p, q = inside.closed_project(0.0, x), outside.closed_project(0.0, x)
-        assert np.array_equal(p[0].coords, q[0].coords) and p[1] is q[1] is None
+        p, q = inside.closed_project(0.0, x.coords), outside.closed_project(0.0, x.coords)
+        assert np.array_equal(p[0], q[0]) and p[1] is q[1] is None
+
+
+# closed projectors work on coordinates; each must give the point-level
+# formula's bits and a point that passes the backend's validation
+
+CLOSED = dict(deadline=None, derandomize=True, database=None)
+UNIT = st.floats(min_value=-1.0, max_value=1.0)
+TIME = st.floats(min_value=0.0, max_value=5.0)
+
+
+def _projects_to(set_, t, y, want):
+    got = set_.project(t, y).point
+    assert got.coords.tobytes() == want.coords.tobytes()
+    set_.backend.point(got.coords)
+
+
+def _ball_formula(c, y, radius):
+    gam = log_map(c, y)
+    return exp_map(c, gam.scaled(radius / gam.norm()))
+
+
+@pytest.mark.parametrize("kind", sorted(BALL_BACKENDS))
+@settings(max_examples=25, **CLOSED)
+@given(seed=st.integers(0, 2**32 - 1), complement=st.booleans())
+def test_closed_ball_projection_is_the_point_level_formula(kind, seed, complement):
+    backend, center, radius, spread = BALL_BACKENDS[kind]
+    set_ = (ball_complement if complement else ball)(backend, center=center, radius=radius)
+    c = backend.point(center)
+    y = backend.random_point(np.random.default_rng(seed), c, spread)
+    assume(not set_.member(0.0, y) and distance(c, y) > 1e-14)
+    _projects_to(set_, 0.0, y, _ball_formula(c, y, radius))
+
+
+# one set across examples, so its center memo sees times in any order
+MOVING_BALL = ball(EuclideanBackend(2), center=[0.5, -0.25], radius=0.75, velocity=[0.3, -0.2])
+
+
+@settings(max_examples=60, **CLOSED)
+@given(y=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2), t=TIME)
+def test_moving_ball_projection_is_the_point_level_formula(y, t):
+    E = MOVING_BALL.backend
+    y = E.point(y)
+    c = E.point(np.array([0.5, -0.25]) + t * np.array([0.3, -0.2]))
+    assume(not MOVING_BALL.member(t, y))
+    _projects_to(MOVING_BALL, t, y, _ball_formula(c, y, 0.75))
+
+
+@settings(max_examples=60, **CLOSED)
+@given(y=st.floats(-5.0, 5.0), t=TIME, offset=UNIT, speed=UNIT)
+def test_halfline_projection_is_the_point_level_formula(y, t, offset, speed):
+    E = EuclideanBackend(1)
+    set_, y = halfline(E, offset=offset, speed=speed), E.point([y])
+    assume(not set_.member(t, y))
+    _projects_to(set_, t, y, E.point([max(y.coords[0], offset + speed * t)]))
+
+
+@settings(max_examples=60, **CLOSED)
+@given(y=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+       normal=st.lists(UNIT, min_size=2, max_size=2), t=TIME, offset=UNIT, speed=UNIT)
+def test_half_space_projection_is_the_point_level_formula(y, normal, t, offset, speed):
+    a = np.array(normal)
+    assume(float(a.dot(a)) > 1e-6)
+    E = EuclideanBackend(2)
+    set_, y = half_space(E, normal=normal, offset=offset, speed=speed), E.point(y)
+    assume(not set_.member(t, y))
+    gap = offset + speed * t - float(a.dot(y.coords))
+    _projects_to(set_, t, y, E.point(y.coords + (gap / float(np.dot(a, a))) * a))
+
+
+@settings(max_examples=60, **CLOSED)
+@given(y=st.lists(UNIT, min_size=3, max_size=3), axis=st.lists(UNIT, min_size=3, max_size=3),
+       height=st.floats(-0.9, 0.9), omega=UNIT, t=TIME)
+def test_sphere_cap_projection_is_the_point_level_formula(y, axis, height, omega, t):
+    y, axis = np.array(y), np.array(axis)
+    assume(np.linalg.norm(y) > 1e-3 and np.linalg.norm(axis) > 1e-3)
+    S = SphereBackend(2)
+    set_, y = sphere_cap(S, axis=axis, height=height, omega=omega), S.point(y / np.linalg.norm(y))
+    assume(not set_.member(t, y))
+    a = set_.constraints[0].ambient_gradient(t, y.coords)  # the axis a(t)
+    perp = y.coords - float(y.coords.dot(a)) * a
+    assume(np.linalg.norm(perp) >= 1e-12)
+    want = S.point(height * a + math.sqrt(1.0 - height * height) * (perp / np.linalg.norm(perp)))
+    _projects_to(set_, t, y, want)
 
 
 def test_catalog_dispatch():

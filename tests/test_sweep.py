@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,16 @@ from manisweep import (
 from manisweep.errors import DomainError, NumericsError, StructuralError
 from manisweep.moving_sets import ball, halfline, sphere_cap
 from manisweep.scenario import Scenario, bundled_scenario
-from manisweep.sweep import Perturbation, Trajectory, expression_perturbation
+from manisweep.sweep import (
+    Perturbation,
+    Trajectory,
+    _metadata,
+    expression_perturbation,
+    velocity_bound,
+)
+
+GOLDENS = ("halfline", "static_convex", "disk_moving_center", "sphere_rotating_cap",
+           "implicit_ellipse_cap")
 
 
 def make_scenario(**overrides):
@@ -93,9 +103,8 @@ def test_admissible_step_examples():
     S = SphereBackend(2)
     cap = sphere_cap(S, axis=[0, 0, 1], height=0.0, prox_radius_hint=10.0)
 
-    def unit_field(t, x):
-        basis = S.tangent_basis(x)
-        return x.backend.tangent(x, basis[0])
+    def unit_field(t, xc):
+        return S.tangent_basis(S.point(xc))[0]
 
     f = Perturbation(unit_field, 1.0, 0.0)
     adm = admissible_step(cap, f, 0.1, S.point([0, 0, 1]))
@@ -107,7 +116,7 @@ def test_admissible_step_examples():
     fast = ball(
         E2, center=[0.0, 0.0], radius=3.0, lipschitz_const=2.0, prox_radius_hint=0.1
     )
-    f2 = Perturbation(lambda t, x: x.backend.tangent(x, [1.0, 0.0]), 1.0, 0.0)
+    f2 = Perturbation(lambda t, xc: np.array([1.0, 0.0]), 1.0, 0.0)
     adm2 = admissible_step(fast, f2, 1.0, E2.point([0.0, 0.0]))
     assert adm2.sub_horizon == pytest.approx(0.0125, rel=1e-6)
     assert adm2.sub_horizon < 0.0125
@@ -308,3 +317,79 @@ def test_perturbation_over_its_bound_decertifies_each_run():
         assert not traj.certified
         assert traj.warnings == [warning]
         assert traj.metadata_document()["warnings"] == [warning]
+
+
+def reference_catching_up(scenario, h):
+    """The catching-up scheme written with the public Point API, step by step:
+    pert(t, x), exp_map, MovingSet.project and distance; its CSV evaluates
+    each node's active set and distance after the run."""
+    set_, pert, x0 = scenario.moving_set, scenario.perturbation, scenario.x0
+    horizon = float(scenario.horizon)
+    n = max(1, math.ceil(horizon / h - 1e-12))
+    times = np.minimum(np.arange(n + 1) * h, horizon)
+    times[-1] = horizon
+    adm = admissible_step(set_, pert, horizon, x0)
+    warnings = []
+    if h > adm.h_max * (1 + 1e-12):
+        warnings.append(
+            f"step {h:.3g} exceeds the admissible bound {adm.h_max:.3g}; "
+            "run continues uncertified"
+        )
+    nodes, velocities, iterations, exceeded = [x0], np.zeros(n), 0, 0
+    for i in range(n):
+        t_next, hi = float(times[i + 1]), float(times[i + 1] - times[i])
+        f = pert(float(times[i]), nodes[i])
+        exceeded += f.norm() > pert.sup_norm + 1e-9
+        res = set_.project(t_next, exp_map(nodes[i], f.scaled(hi)))
+        iterations += res.iterations
+        if res.warning is not None:
+            warnings.append(f"step {i}: {res.warning}")
+        nodes.append(res.point)
+        velocities[i] = distance(nodes[i], nodes[i + 1]) / hi
+    if exceeded:
+        warnings.append(
+            f"the perturbation exceeded its declared bound {pert.sup_norm:.6g} "
+            f"at {exceeded} of {n} steps"
+        )
+    traj = Trajectory(set_, pert, times, nodes, h, velocities,
+                      _metadata(scenario, h, adm, iterations), warnings)
+    if traj.max_velocity() > velocity_bound(scenario):
+        traj.warnings.append(
+            f"discrete velocity {traj.max_velocity():.6g} exceeds the bound "
+            f"2||f|| + K_L = {velocity_bound(scenario):.6g}"
+        )
+    return traj
+
+
+def _hyperbolic_ball(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.workloads import HYPERBOLIC_BALL
+
+    return Scenario(HYPERBOLIC_BALL)
+
+
+def _assert_bit_identical(scn, h, tmp_path):
+    got, want = catching_up(scn, h), reference_catching_up(scn, h)
+    assert [x.coords.tobytes() for x in got.nodes] == [x.coords.tobytes() for x in want.nodes]
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.discrete_velocities.tobytes() == want.discrete_velocities.tobytes()
+    assert got.warnings == want.warnings
+    assert repr(got.metadata_document()) == repr(want.metadata_document())
+    assert got.to_csv(tmp_path / "got.csv") == want.to_csv(tmp_path / "want.csv")
+    return got
+
+
+@pytest.mark.parametrize("h", [1e-2, 2.5e-3])
+@pytest.mark.parametrize("name", GOLDENS + ("hyperbolic_ball",))
+def test_catching_up_is_bit_identical_to_the_point_level_scheme(name, h, tmp_path, monkeypatch):
+    scn = _hyperbolic_ball(monkeypatch) if name == "hyperbolic_ball" else bundled_scenario(name)
+    _assert_bit_identical(scn, h, tmp_path)
+
+
+def test_oversized_and_over_bound_runs_are_bit_identical_to_the_point_level_scheme(tmp_path):
+    oversized = _assert_bit_identical(bundled_scenario("sphere_rotating_cap"), 2.5, tmp_path)
+    assert any("admissible" in w for w in oversized.warnings)
+    doc = dict(bundled_scenario("disk_moving_center").document)
+    doc["perturbation"] = dict(doc["perturbation"], components=["0.2", "0.0"])
+    over = _assert_bit_identical(Scenario(doc), 1e-2, tmp_path)
+    assert any("exceeded its declared bound" in w for w in over.warnings)

@@ -16,7 +16,9 @@ metric: the median and quartiles of each side, how many pairs the change
 wins, the relative change of the medians, whether the median gap exceeds
 the parent's interquartile range, and whether the change stays within the
 metric's bound (a relative worsening of the parent's median).  A pair's
-``artifact_sha256`` maps must be equal.
+``artifact_sha256`` maps must be equal.  A side that is not a git
+checkout is named by ``src_sha256``, a sha256 over the sorted paths and
+bytes of its ``src`` files (``__pycache__`` left out).
 
 The summary goes under ``workloads.W`` of the ``--out`` JSON file; other
 workloads already in the file are kept, so one file can hold both.  The
@@ -27,6 +29,7 @@ pair's artifacts differ, else 0.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -54,6 +57,16 @@ def run_once(checkout: Path, command, workload, seed, seconds) -> dict:
         "git_sha": report["provenance"]["git_sha"],
         "passes": report["provenance"]["passes"],
     }
+
+
+def src_sha256(checkout: Path) -> str:
+    """sha256 over the sorted ``src`` file paths and bytes of a checkout."""
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src").rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            digest.update(path.relative_to(checkout).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def summarize(runs, spec) -> dict:
@@ -127,11 +140,15 @@ def main(argv=None) -> int:
           f"operation: {failed}")
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
+    names = {}
+    for side in SIDES:
+        names[f"{side}_git_sha"] = runs[0][side]["git_sha"]
+        if names[f"{side}_git_sha"].startswith("unknown"):
+            names[f"{side}_src_sha256"] = src_sha256(dirs[side])
     doc["workloads"][args.workload] = {
         "seconds": seconds,
         "seeds": [r["seed"] for r in runs],
-        "parent_git_sha": runs[0]["parent"]["git_sha"],
-        "change_git_sha": runs[0]["change"]["git_sha"],
+        **names,
         "artifact_sha256_equal_pairs": same,
         "runs_with_failures": failed,
         "summary": summary,
