@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -25,6 +26,8 @@ from dataclasses import dataclass
 from .errors import ExpressionError
 
 _FUNCTIONS = ("sin", "cos", "exp")
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": operator.pow}
 
 
 class Expr:
@@ -37,11 +40,16 @@ class Expr:
         raise NotImplementedError
 
     def variables(self):
-        raise NotImplementedError
+        return frozenset().union(*(c.variables() for c in self.children()))
+
+    def children(self):
+        """The operand nodes, in the order the source writes them."""
+        return tuple(v for v in vars(self).values() if isinstance(v, Expr))
 
     def emit(self):
-        """Python source fragment computing this node."""
-        raise NotImplementedError
+        """Python source fragment computing this node, which ``render`` writes
+        from its operands' fragments."""
+        return self.render()
 
     def __str__(self):
         return self.emit()
@@ -57,10 +65,7 @@ class Num(Expr):
     def diff(self, var):
         return Num(0.0)
 
-    def variables(self):
-        return frozenset()
-
-    def emit(self):
+    def render(self):
         return repr(self.value)
 
 
@@ -80,7 +85,7 @@ class Var(Expr):
     def variables(self):
         return frozenset((self.name,))
 
-    def emit(self):
+    def render(self):
         return self.name
 
 
@@ -94,11 +99,11 @@ class Neg(Expr):
     def diff(self, var):
         return _neg(self.arg.diff(var))
 
-    def variables(self):
-        return self.arg.variables()
-
     def emit(self):
-        return f"(-{self.arg.emit()})"
+        return self.render(self.arg.emit())
+
+    def render(self, arg):
+        return f"(-{arg})"
 
 
 @dataclass(frozen=True)
@@ -108,19 +113,7 @@ class Bin(Expr):
     rhs: Expr
 
     def evaluate(self, env):
-        a = self.lhs.evaluate(env)
-        b = self.rhs.evaluate(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            return a / b
-        if self.op == "^":
-            return a ** b
-        raise AssertionError(self.op)
+        return _BINARY[self.op](self.lhs.evaluate(env), self.rhs.evaluate(env))
 
     def diff(self, var):
         a, b = self.lhs, self.rhs
@@ -143,12 +136,12 @@ class Bin(Expr):
             return _mul(_mul(Num(c), _pow(a, Num(c - 1.0))), da)
         raise AssertionError(self.op)
 
-    def variables(self):
-        return self.lhs.variables() | self.rhs.variables()
-
     def emit(self):
+        return self.render(self.lhs.emit(), self.rhs.emit())
+
+    def render(self, lhs, rhs):
         op = "**" if self.op == "^" else self.op
-        return f"({self.lhs.emit()} {op} {self.rhs.emit()})"
+        return f"({lhs} {op} {rhs})"
 
 
 @dataclass(frozen=True)
@@ -170,11 +163,11 @@ class Fun(Expr):
             return _mul(self, da)
         raise AssertionError(self.name)
 
-    def variables(self):
-        return self.arg.variables()
-
     def emit(self):
-        return f"{self.name}({self.arg.emit()})"
+        return self.render(self.arg.emit())
+
+    def render(self, arg):
+        return f"{self.name}({arg})"
 
 
 def _is_const(e, value=None):
@@ -249,7 +242,7 @@ MAX_NESTING = 200
 
 def _nesting(e):
     """Parenthesis depth of ``e.emit()``: each operator and call opens one."""
-    return max((1 + _nesting(v) for v in vars(e).values() if isinstance(v, Expr)), default=0)
+    return max((1 + _nesting(c) for c in e.children()), default=0)
 
 
 def _position(line, lead, q):

@@ -10,18 +10,14 @@ space after every step.  The log map is a damped shooting iteration on
 the endpoint residual; parallel transport integrates the transport
 equation jointly with its geodesic.
 
-The kernels are generated as scalar Python source specialized to the
-constraint trees, which keeps a geodesic integration well under a
-millisecond.  The standalone kernels (geodesic acceleration ``acc``,
-transport correction ``acc_w``, restoration ``proj_x``, tangential
-projection ``proj_t``) are also written out in place inside the fused
-RK4 loops ``rk4_geo`` and ``rk4_par``: each stage evaluates the Jacobian
-and Gram matrix once on its renamed inputs, ``h/2`` and ``h/6`` are
-computed once per call, and a step's last Jacobian starts the next step.
-Every statement is the one the standalone kernels execute, so the fused
-loops round exactly as stage-by-stage calls do.  Kernels run on Python
-floats (see ``_call_on_floats``).  Only one or two equality constraints
-are supported; more are rejected with a structural error.
+The kernels are scalar Python source emitted from the derivative DAGs
+of the constraint trees, which keeps a geodesic integration well under
+a millisecond.  The fused RK4 loops ``rk4_geo`` and ``rk4_par`` write
+out the statements of the standalone kernels (``acc``, ``acc_w``,
+``proj_x``, ``proj_t``), so they round exactly as stage-by-stage calls
+do, and each stage evaluates the Jacobian once.  Kernels run on Python
+floats (see ``_call_on_floats``).  One or two equality constraints are
+supported; more are a structural error.
 """
 
 from __future__ import annotations
@@ -44,32 +40,70 @@ COARSE_STEPS_PER_UNIT = 12
 #: finite differences of the squared distance with step 1e-5 stay clean
 SHOOTING_TOL = 3e-11
 SHOOTING_MAX_ITER = 100
+#: nesting depth at which a subexpression's source moves to a temporary
+INLINE_DEPTH = 50
 
 
 def _emit_kernels(g_trees, d):
     """Emit scalar kernels specialized to the constraint trees (m <= 2).
 
-    ``acc``, ``acc_w``, ``proj_x`` and ``proj_t`` are the standalone
-    building blocks.  ``rk4_geo`` and ``rk4_par`` write the same
-    statements out in place, on renamed stage inputs, and share the
-    Jacobian and Gram matrix between every computation at one point, so
-    they round exactly as the stage-by-stage calls would.
+    ``g`` and ``jac`` evaluate the constraints and their Jacobian.  Each
+    block (a Jacobian and Gram matrix, curvature terms, a restoration
+    residual) is emitted at one point, whose coordinate names a name map
+    gives.  There, a subexpression read twice or nested ``INLINE_DEPTH``
+    deep becomes a temporary ``_tK``; the rest is inline, as in ``emit``.
+    Temporaries stay in their block: ``proj_x``'s early exit skips the
+    Jacobian.
     """
     m = len(g_trees)
-    xs = [f"x{i}" for i in range(d)]
-    J = [[t.diff(x) for x in xs] for t in g_trees]
-    H = [[[J[i][j].diff(xs[k]) for k in range(d)] for j in range(d)] for i in range(m)]
 
     def vec(prefix):
-        return [f"{prefix}{i}" for i in range(d)]
+        return [f"{prefix}{i}" for i in range(1, d + 1)]
 
-    def at(tree, xn):
-        # source of the tree evaluated at the coordinates named xn
-        return (tree if xn == xs else _rename(tree, dict(zip(xs, xn)))).emit()
+    xs = vec("x")  # the trees' own variables
+    J = [[t.diff(x) for x in xs] for t in g_trees]
+    H = {(i, j, k): J[i][j].diff(xs[k]) for i in range(m) for j in range(d) for k in range(j, d)}
+    # the curvature terms (i, j, k, d2g_i/dx_j dx_k) whose derivative is not the constant 0
+    hess = [(i, j, k, H[i, min(j, k), max(j, k)]) for i in range(m) for j in range(d)
+            for k in range(d) if H[i, min(j, k), max(j, k)] != ex.Num(0.0)]
+    jacobian = [t for row in J for t in row]
+    jn = [f"j_{i}_{j}" for i in range(m) for j in range(d)]
+    # hash-consing: structurally equal subtrees share a key, above its operands'
+    keys, interned, nodes = {}, {}, {}
+    todo = [*g_trees, *jacobian, *H.values()]
+    while todo:  # a loop, for derivative trees nest deeper than Python recurses
+        e = todo[-1]
+        fresh = [c for c in e.children() if id(c) not in keys]
+        todo += fresh
+        if not fresh:
+            todo.pop()
+            ops = [keys[id(c)] for c in e.children()]
+            sig = (type(e), *ops, *(repr(v) for v in vars(e).values() if not isinstance(v, ex.Expr)))
+            k = keys[id(e)] = interned.setdefault(sig, len(interned))
+            nodes.setdefault(k, (e, ops))
+
+    def block(ind, trees, xn):
+        # temporaries for the trees at the coordinates named xn, and each tree's text
+        names, uses, todo = dict(zip(xs, xn)), {}, [keys[id(t)] for t in trees]
+        while todo:  # a node's uses: the trees and distinct nodes that read it
+            k = todo.pop()
+            uses[k] = uses.get(k, 0) + 1
+            if uses[k] == 1:
+                todo += nodes[k][1]
+        text, depth, lines = {}, {}, []
+        for k in sorted(uses):  # operands first
+            e, ops = nodes[k]
+            src = names[e.name] if isinstance(e, ex.Var) else e.render(*map(text.get, ops))
+            text[k], depth[k] = src, 1 + max(map(depth.get, ops), default=-1)
+            if ops and (uses[k] > 1 or depth[k] >= INLINE_DEPTH):
+                text[k], depth[k] = f"_t{k}", 0
+                lines.append(f"{ind}_t{k} = {src}")
+        return lines, [text[keys[id(t)]] for t in trees]
 
     def jac_gram(ind, xn):
         # j_i_j = dg_i/dx_j at xn, the Gram matrix G = J J^T and (m = 2) det G
-        out = [f"{ind}j_{i}_{j} = {at(J[i][j], xn)}" for i in range(m) for j in range(d)]
+        out, text = block(ind, jacobian, xn)
+        out += [f"{ind}{n} = {s}" for n, s in zip(jn, text)]
         for a in range(m):
             for b in range(a, m):
                 s = " + ".join(f"j_{a}_{j}*j_{b}_{j}" for j in range(d))
@@ -97,16 +131,10 @@ def _emit_kernels(g_trees, d):
 
     def curvature(ind, out, xn, left, right):
         # out = J^T lam with G lam = -left^T H(xn) right; needs J and G at xn
-        lines = []
+        lines, text = block(ind, [h for *_, h in hess], xn)
         for i in range(m):
-            terms = []
-            for j in range(d):
-                for k in range(d):
-                    tree = H[i][min(j, k)][max(j, k)]
-                    if isinstance(tree, ex.Num) and tree.value == 0.0:
-                        continue
-                    terms.append(f"({at(tree, xn)})*{left[j]}*{right[k]}")
-            lines.append(f"{ind}q_{i} = " + (" + ".join(terms) if terms else "0.0"))
+            terms = [f"({s})*{left[j]}*{right[k]}" for (r, j, k, _), s in zip(hess, text) if r == i]
+            lines.append(f"{ind}q_{i} = " + (" + ".join(terms) or "0.0"))
         return lines + solve(ind, "-q_", "l_") + normal(ind, out, "l_")
 
     def tangential(ind, ws):
@@ -119,8 +147,9 @@ def _emit_kernels(g_trees, d):
 
     def restore(ind, loop):
         # Gauss-Newton restoration of feasibility: x -= J^T G^-1 g
-        lines = [f"{ind}for {loop} in range(4):"]
-        lines += [f"{ind}    gv_{i} = {g_trees[i].emit()}" for i in range(m)]
+        pre, text = block(ind + "    ", g_trees, xs)
+        lines = [f"{ind}for {loop} in range(4):", *pre]
+        lines += [f"{ind}    gv_{i} = {s}" for i, s in enumerate(text)]
         cond = " and ".join(f"abs(gv_{i}) < 1e-14" for i in range(m))
         lines += [f"{ind}    if {cond}:", f"{ind}        break"]
         lines += jac_gram(ind + "    ", xs) + solve(ind + "    ", "gv_", "r_")
@@ -130,7 +159,11 @@ def _emit_kernels(g_trees, d):
         return ", ".join(n for g in groups for n in g)
 
     vs, ws = vec("v"), vec("w")
-    L = [f"def acc({sig(xs, vs)}):"]  # geodesic acceleration
+    L = []
+    for name, trees in (("g", g_trees), ("jac", jacobian)):
+        lines, text = block("    ", trees, xs)
+        L += [f"def {name}({sig(xs)}):", *lines, f"    return ({sig(text)},)", ""]
+    L += [f"def acc({sig(xs, vs)}):"]  # geodesic acceleration
     L += jac_gram("    ", xs) + curvature("    ", vec("a"), xs, vs, vs)
     L += [f"    return {sig(vec('a'))}", ""]
     L += [f"def acc_w({sig(xs, vs, ws)}):"]  # transport correction w'
@@ -149,7 +182,7 @@ def _emit_kernels(g_trees, d):
         out = [
             f"def {name}(state, n, h):",
             f"    {sig(*state)} = state",
-            f"    spd = sqrt({' + '.join(f'v{i}*v{i}' for i in range(d))})",
+            f"    spd = sqrt({' + '.join(f'{v}*{v}' for v in vs)})",
             "    hh = 0.5*h",
             "    h6 = h/6.0",
         ]
@@ -162,7 +195,7 @@ def _emit_kernels(g_trees, d):
             if c is not None:
                 sx, sv, sw = vec(f"_x{stage}_"), vec(f"_v{stage}_"), vec(f"_w{stage}_")
                 for p, names in zip(parts, (sx, sv, sw)):
-                    out += [f"{ind}{names[i]} = {p}{i} + {c}*{k[p][-1][i]}" for i in range(d)]
+                    out += [f"{ind}{n} = {b} + {c}*{s}" for n, b, s in zip(names, vec(p), k[p][-1])]
                 out += jac_gram(ind, sx)
             k["x"].append(sv)
             k["v"].append(vec(f"k{stage}v"))
@@ -171,26 +204,20 @@ def _emit_kernels(g_trees, d):
                 k["w"].append(vec(f"k{stage}w"))
                 out += curvature(ind, k["w"][-1], sx, sv, sw)
         for p in parts:
-            k1, k2, k3, k4 = k[p]
             out += [
-                f"{ind}{p}{i} = {p}{i} + h6*({k1[i]} + 2.0*{k2[i]} + 2.0*{k3[i]} + {k4[i]})"
-                for i in range(d)
+                f"{ind}{b} = {b} + h6*({k1} + 2.0*{k2} + 2.0*{k3} + {k4})"
+                for b, k1, k2, k3, k4 in zip(vec(p), *k[p])
             ]
         out += restore(ind, "_it") + jac_gram(ind, xs) + tangential(ind, vs)
-        out.append(f"{ind}_s = sqrt({' + '.join(f'v{i}*v{i}' for i in range(d))})")
+        out.append(f"{ind}_s = sqrt({' + '.join(f'{v}*{v}' for v in vs)})")
         out += [f"{ind}if _s > 0.0:", f"{ind}    _c = spd/_s"]
-        out += [f"{ind}    v{i} = v{i}*_c" for i in range(d)]
+        out += [f"{ind}    {v} = {v}*_c" for v in vs]
         if with_w:
             out += tangential(ind, ws)
         return out + [f"    return ({sig(*state)})", ""]
 
     L += rk4("rk4_geo", False) + rk4("rk4_par", True)
     return "\n".join(L)
-
-
-def _compile_kernels(g_trees, d) -> dict:
-    """Execute the emitted kernel source; returns name -> function."""
-    return ex.run_emitted(_emit_kernels(g_trees, d))
 
 
 class ImplicitBackend(ManifoldBackend):
@@ -219,17 +246,9 @@ class ImplicitBackend(ManifoldBackend):
         self.key = ("implicit", dim, exprs)
 
         names = [f"x{i}" for i in range(1, dim + 1)]
-        trees = [ex.parse(s, allowed_vars=names) for s in exprs]
-        # kernels work with 0-based names
-        ren = {old: f"x{i}" for i, old in enumerate(names)}
-        self._g_trees = [_rename(t, ren) for t in trees]
-        self._g_fn = ex.compile_many(self._g_trees, [f"x{i}" for i in range(dim)])
-        jac_trees = [
-            t.diff(f"x{j}") for t in self._g_trees for j in range(dim)
-        ]
-        self._jac_fn = ex.compile_many(jac_trees, [f"x{i}" for i in range(dim)])
-
-        ns = _compile_kernels(self._g_trees, dim)
+        self._g_trees = [ex.parse(s, allowed_vars=names) for s in exprs]
+        ns = ex.run_emitted(_emit_kernels(self._g_trees, dim))
+        self._g_fn, self._jac_fn = ns["g"], ns["jac"]
         self._k_acc = ns["acc"]
         self._k_proj_x = ns["proj_x"]
         self._k_proj_t = ns["proj_t"]
@@ -475,16 +494,3 @@ def _call_on_floats(kernel, arrays, *args):
     except (ZeroDivisionError, OverflowError, TypeError):
         return np.array(kernel(tuple(state), *args), dtype=float)
 
-
-def _rename(tree, mapping):
-    if isinstance(tree, ex.Var):
-        return ex.Var(mapping.get(tree.name, tree.name))
-    if isinstance(tree, ex.Num):
-        return tree
-    if isinstance(tree, ex.Neg):
-        return ex.Neg(_rename(tree.arg, mapping))
-    if isinstance(tree, ex.Bin):
-        return ex.Bin(tree.op, _rename(tree.lhs, mapping), _rename(tree.rhs, mapping))
-    if isinstance(tree, ex.Fun):
-        return ex.Fun(tree.name, _rename(tree.arg, mapping))
-    raise AssertionError(type(tree))

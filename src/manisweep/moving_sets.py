@@ -177,8 +177,6 @@ class MovingSet:
         return self._project_iterative(t, y, initial, max_iter)
 
     def dist_to_set(self, t: float, y: Point) -> float:
-        if self.member(t, y):
-            return 0.0
         return self.project(t, y).dist
 
     @property
@@ -498,6 +496,8 @@ def sphere_cap(
     if omega != 0.0 and backend.dim != 2:
         raise StructuralError("a rotating cap requires the 2-sphere")
     axis0 = np.asarray(axis, dtype=float)
+    if not axis0.any():
+        raise StructuralError("cap axis must be nonzero")
     axis0 = axis0 / np.linalg.norm(axis0)
     axis0.setflags(write=False)
     last = [None, None]  # one-entry memo: the last t and a(t)

@@ -1,5 +1,6 @@
 """Level-set backend on the unit circle and the 2:1 ellipse."""
 
+import json
 import math
 
 import numpy as np
@@ -15,8 +16,10 @@ from manisweep import (
     log_map,
     parallel_transport,
 )
+from manisweep import expressions as ex
+from manisweep.cli import main
 from manisweep.errors import NumericsError, StructuralError
-from manisweep.geometry.implicit import _call_on_floats, _compile_kernels
+from manisweep.geometry.implicit import _call_on_floats, _emit_kernels
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +54,8 @@ def test_exp_against_independent_integrator(ellipse):
     def rhs(t, s):
         p, vel = s[:2], s[2:]
         jac = ellipse.constraint_jacobian(p)[0]
-        flat = [ellipse._g_trees[0].diff(f"x{i}").diff(f"x{j}") for i in range(2) for j in range(2)]
-        H = np.array([f.evaluate({"x0": p[0], "x1": p[1]}) for f in flat]).reshape(2, 2)
+        flat = [ellipse._g_trees[0].diff(f"x{i}").diff(f"x{j}") for i in (1, 2) for j in (1, 2)]
+        H = np.array([f.evaluate({"x1": p[0], "x2": p[1]}) for f in flat]).reshape(2, 2)
         lam = -(vel @ H @ vel) / (jac @ jac)
         return np.concatenate([vel, lam * jac])
 
@@ -170,10 +173,23 @@ def test_two_constraint_manifold_in_r3():
 
 # -- generated kernels ---------------------------------------------------------
 
+
+def nested_quotient(depth):
+    """``x1^2 + x2^2 - 1 + x1/(x1/(...x2))`` with ``depth`` nested quotients."""
+    inner = "x2"
+    for _ in range(depth):
+        inner = f"x1/({inner})"
+    return f"x1^2 + x2^2 - 1 + {inner}"
+
+
 KERNEL_MANIFOLDS = {
     "ellipse_golden": (2, ["x1^2/4 + x2^2 - 1"]),
     "acceptance_circle": (2, ["x1^2 + x2^2 - 1"]),
     "two_equalities": (4, ["x1^2 + x2^2 + x3^2 + x4^2 - 1", "x4 - 0.3*x1*x2"]),
+    # sin(x1) and x1*x2 recur in the derivatives: the kernels hold temporaries
+    "shared_subexpressions": (3, ["sin(x1)*x2 + exp(x3/2) - cos(x1*x2) - 1 + x1^3"]),
+    # second derivatives nest past INLINE_DEPTH: the kernels split them into temporaries
+    "nested_quotient_20": (3, [nested_quotient(20)]),
 }
 
 
@@ -228,7 +244,7 @@ def test_fused_rk4_kernels_equal_stagewise_calls(name):
     # stage by stage; == on every output, not approx
     d, eqs = KERNEL_MANIFOLDS[name]
     b = ImplicitBackend(d, eqs)
-    k = _compile_kernels(b._g_trees, d)
+    k = ex.run_emitted(_emit_kernels(b._g_trees, d))
     rng = np.random.default_rng(20)
     for _ in range(40):
         x = b._project_point(rng.standard_normal(d))
@@ -285,6 +301,31 @@ def test_kernels_on_floats_equal_kernels_on_numpy_scalars(name):
         assert np.array_equal(got, np.array(b._k_rk4_geo(state, 9, 1.0 / 9)))
 
 
+@pytest.mark.parametrize("name", sorted(KERNEL_MANIFOLDS))
+def test_kernels_agree_with_a_walk_of_the_derivative_trees(name):
+    # Expr.evaluate walks each tree with no emitted code and no temporaries;
+    # g and jac perform its operations exactly, acc agrees to rounding
+    d, eqs = KERNEL_MANIFOLDS[name]
+    b = ImplicitBackend(d, eqs)
+    xs = [f"x{i}" for i in range(1, d + 1)]
+    J = [[t.diff(x) for x in xs] for t in b._g_trees]
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        x = b._project_point(rng.standard_normal(d)).tolist()
+        v = b._project_tangent(np.array(x), rng.standard_normal(d)).tolist()
+        env = dict(zip(xs, x))
+        jac = np.array([[t.evaluate(env) for t in row] for row in J])
+        assert b._g_fn(*x) == tuple(t.evaluate(env) for t in b._g_trees)
+        assert b._jac_fn(*x) == tuple(jac.ravel().tolist())
+        hess = [
+            np.array([[row[min(j, k)].diff(xs[max(j, k)]).evaluate(env) for k in range(d)]
+                      for j in range(d)])
+            for row in J
+        ]
+        lam = np.linalg.solve(jac @ jac.T, [-(np.array(v) @ h @ np.array(v)) for h in hess])
+        np.testing.assert_allclose(b._k_acc(*x, *v), jac.T @ lam, rtol=1e-9, atol=1e-12)
+
+
 @pytest.mark.parametrize(
     "eqs, x, v",
     [
@@ -302,3 +343,34 @@ def test_kernels_on_floats_fall_back_to_numpy_semantics(eqs, x, v):
         expected = np.array(b._k_rk4_geo(tuple(np.concatenate((x, v))), 4, 0.25), dtype=float)
         got = _call_on_floats(b._k_rk4_geo, (x, v), 4, 0.25)
     np.testing.assert_array_equal(got, expected)  # nan where numpy gives nan
+
+
+def test_shared_subexpressions_are_emitted_once_per_block():
+    src = _emit_kernels([ex.parse(KERNEL_MANIFOLDS["shared_subexpressions"][1][0])], 3)
+    # dg/dx1 and dg/dx2 both read sin(x1*x2): one temporary computes it
+    jac = src[src.index("def jac(") : src.index("def acc(")]
+    assert jac.count("sin((x1 * x2))") == 1
+    # the Jacobian's temporaries follow the restoration loop's early exit
+    head, tail = src[src.index("def proj_x(") : src.index("def proj_t(")].split("break")
+    assert "_t" not in head and "sin((x1 * x2))" in tail
+
+
+def test_kernel_source_grows_linearly_with_quotient_depth():
+    def size(depth):
+        return len(_emit_kernels([ex.parse(nested_quotient(depth))], 3))
+
+    assert size(16) <= 2.5 * size(8)
+
+
+def test_sixty_nested_quotients_validate(tmp_path):
+    # at even depth the quotient is x2, so (0.5, 0.5, 0) lies on the level set
+    doc = {
+        "schema": 1,
+        "manifold": {"kind": "implicit", "dim": 3, "equalities": [nested_quotient(60)]},
+        "set": {"kind": "inequalities", "exprs": ["1"]},
+        "horizon": 1.0,
+        "initial_point": [0.5, 0.5, 0.0],
+    }
+    path = tmp_path / "quotient.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(path)]) == 0

@@ -245,6 +245,11 @@ HALFLINE_FLOW = {
          "does not compile"),
         # a literal that overflows to infinity
         (e2_inequality("1e999 - x1"), "ExpressionError", "1e999 is not a finite number"),
+        # a zero cap axis has no direction to normalize
+        ({"manifold": {"kind": "sphere", "dim": 2},
+          "set": {"kind": "sphere_cap", "axis": [0.0, 0.0, 0.0]},
+          "initial_point": [0.0, 0.0, 1.0]},
+         "StructuralError", "cap axis must be nonzero"),
     ],
     ids=["no_tangent_direction", "three_equalities", "bad_expression",
          "radius_not_a_number", "center_not_numbers", "lipschitz_const_not_a_number",
@@ -252,7 +257,8 @@ HALFLINE_FLOW = {
          "ball_without_radius", "half_space_without_normal", "inequalities_without_exprs",
          "normal_wrong_length", "radius_a_list", "set_a_list",
          "horizon_infinite", "initial_point_bool", "seed_bool", "dim_bool",
-         "negation_3000", "sum_300", "gradient_of_product_100", "overflowing_literal"],
+         "negation_3000", "sum_300", "gradient_of_product_100", "overflowing_literal",
+         "cap_axis_zero"],
 )
 def test_cli_json_errors_are_typed(tmp_path, capsys, changes, error, names):
     doc = dict(MINIMAL_HALFLINE, **changes)

@@ -13,9 +13,13 @@ file's ``run_seconds``, the same on both sides.
 
 Every run's end-to-end metrics are printed as it finishes.  Then, per
 metric: the median and quartiles of each side, how many pairs the change
-wins, the relative change of the medians, whether the median gap exceeds
-the parent's interquartile range, and whether the change stays within the
-metric's bound (a relative worsening of the parent's median).  A pair's
+wins, the relative change of the medians, the median and interquartile
+range of the per-pair relative differences (change / parent - 1, pairs
+with a zero parent value left out), whether the median gap exceeds the
+parent's interquartile range, and whether the change stays within the
+metric's bound (a relative worsening of the parent's median).  The paired
+differences cancel machine load that both runs of a pair share, which the
+unpaired medians do not.  A pair's
 ``artifact_sha256`` maps must be equal.  A side that is not a git
 checkout is named by ``src_sha256``, a sha256 over the sorted paths and
 bytes of its ``src`` files (``__pycache__`` left out).
@@ -78,6 +82,9 @@ def summarize(runs, spec) -> dict:
         p1, pm, p3 = statistics.quantiles(sides["parent"], n=4, method="inclusive")
         c1, cm, c3 = statistics.quantiles(sides["change"], n=4, method="inclusive")
         wins = sum((c < p) if lower else (c > p) for p, c in zip(*sides.values()))
+        rel = [c / p - 1.0 for p, c in zip(*sides.values()) if p]
+        r1, rm, r3 = (statistics.quantiles(rel, n=4, method="inclusive") if len(rel) > 1
+                      else (None, rel[0] if rel else None, None))
         worse = (cm - pm) if lower else (pm - cm)  # positive when the change is worse
         out[name] = {
             "better": m["better"],
@@ -87,6 +94,8 @@ def summarize(runs, spec) -> dict:
             "change_wins": wins,
             "pairs": len(runs),
             "relative_change": (cm - pm) / pm if pm else 0.0,
+            "paired_relative_median": rm,
+            "paired_relative_iqr": None if r1 is None else r3 - r1,
             "gap_exceeds_parent_iqr": abs(cm - pm) > p3 - p1,
             "within_bound": worse <= m["bound"] * abs(pm),
         }
@@ -129,12 +138,15 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}: {len(runs)} pairs, seeds {args.first_seed}.."
           f"{args.first_seed + len(runs) - 1}, {seconds:g} s per run")
     print(f"{'metric':<20s} {'parent median [q1, q3]':>29s} {'change median [q1, q3]':>30s}"
-          f" {'rel':>8s} {'wins':>6s} {'>IQR':>5s} {'bound':>9s}")
+          f" {'rel':>8s} {'paired rel [IQR]':>18s} {'wins':>6s} {'>IQR':>5s} {'bound':>9s}")
     for name, s in summary.items():
+        rm, iqr = s["paired_relative_median"], s["paired_relative_iqr"]
+        paired = "n/a" if rm is None else f"{rm:+.1%} [{'n/a' if iqr is None else f'{iqr:.1%}'}]"
         print(f"{name:<20s} {s['parent_median']:>10.4f} [{s['parent_q1']:.4f}, "
               f"{s['parent_q3']:.4f}] {s['change_median']:>10.4f} [{s['change_q1']:.4f}, "
-              f"{s['change_q3']:.4f}] {s['relative_change']:>+8.1%} {s['change_wins']:>3d}/"
-              f"{s['pairs']:<2d} {'yes' if s['gap_exceeds_parent_iqr'] else 'no':>5s} "
+              f"{s['change_q3']:.4f}] {s['relative_change']:>+8.1%} {paired:>18s} "
+              f"{s['change_wins']:>3d}/{s['pairs']:<2d} "
+              f"{'yes' if s['gap_exceeds_parent_iqr'] else 'no':>5s} "
               f"{'ok' if s['within_bound'] else 'BROKEN':>9s}")
     print(f"artifact_sha256 equal in {same}/{len(runs)} pairs; runs with a failed "
           f"operation: {failed}")
