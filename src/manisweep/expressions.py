@@ -33,6 +33,8 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
 class Expr:
     """Base class for expression-tree nodes."""
 
+    _operands = ()  # the attribute names of the operands, in source order
+
     def evaluate(self, env):
         raise NotImplementedError
 
@@ -40,11 +42,11 @@ class Expr:
         raise NotImplementedError
 
     def variables(self):
-        return frozenset().union(*(c.variables() for c in self.children()))
+        return frozenset().union(*[c.variables() for c in self.children()])
 
     def children(self):
         """The operand nodes, in the order the source writes them."""
-        return tuple(v for v in vars(self).values() if isinstance(v, Expr))
+        return tuple([getattr(self, name) for name in self._operands])
 
     def emit(self):
         """Python source fragment computing this node, which ``render`` writes
@@ -92,6 +94,7 @@ class Var(Expr):
 @dataclass(frozen=True)
 class Neg(Expr):
     arg: Expr
+    _operands = ("arg",)
 
     def evaluate(self, env):
         return -self.arg.evaluate(env)
@@ -111,6 +114,7 @@ class Bin(Expr):
     op: str
     lhs: Expr
     rhs: Expr
+    _operands = ("lhs", "rhs")
 
     def evaluate(self, env):
         return _BINARY[self.op](self.lhs.evaluate(env), self.rhs.evaluate(env))
@@ -148,6 +152,7 @@ class Bin(Expr):
 class Fun(Expr):
     name: str
     arg: Expr
+    _operands = ("arg",)
 
     def evaluate(self, env):
         x = self.arg.evaluate(env)

@@ -33,6 +33,16 @@ def _norm(a) -> float:
     return math.sqrt(a.dot(a))
 
 
+def _max_abs(values) -> float:
+    """``float(np.max(np.abs(values)))`` of a nonempty float sequence: a NaN stays the maximum."""
+    worst = 0.0
+    for v in values:
+        v = abs(v)
+        if v > worst or v != v:
+            worst = v
+    return float(worst)
+
+
 def _freeze(a):
     arr = np.array(a, dtype=float)
     arr.setflags(write=False)
@@ -161,12 +171,12 @@ class ManifoldBackend(abc.ABC):
     """Metric operations of one concrete finite-dimensional manifold.
 
     Every operation is a pure function of its inputs.  Backends are not
-    thread-safe: ``random_tangent`` memoizes the last tangent basis, and
+    thread-safe: ``_basis_at`` memoizes the last tangent basis, and
     the implicit backend fills its log-map and budget caches as it runs.
     """
 
-    #: ``random_tangent``'s one-entry memo: the last base point's coordinates
-    #: and its basis; points are immutable and a basis is a pure function of them
+    #: ``_basis_at``'s one-entry memo: the bytes of the last base point's
+    #: coordinates and its basis, a pure function of them
     _basis_memo: tuple = (None, None)
 
     #: hashable identifier; two backends with equal keys are interchangeable
@@ -182,16 +192,17 @@ class ManifoldBackend(abc.ABC):
     #: scenario's default ``tolerances.feasibility``
     feasibility_tol: float = 1e-10
 
-    # -- required primitive operations ---------------------------------
+    # -- required primitive operations; ``_exp`` is given the nonzero norm of
+    # vc and ``_log`` the distance d(x, y) that their callers found ----------
 
     @abc.abstractmethod
     def _distance(self, xc: np.ndarray, yc: np.ndarray) -> float: ...
 
     @abc.abstractmethod
-    def _exp(self, xc: np.ndarray, vc: np.ndarray) -> np.ndarray: ...
+    def _exp(self, xc: np.ndarray, vc: np.ndarray, speed: float) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def _log(self, xc: np.ndarray, yc: np.ndarray) -> np.ndarray: ...
+    def _log(self, xc: np.ndarray, yc: np.ndarray, d: float) -> np.ndarray: ...
 
     @abc.abstractmethod
     def _transport(self, xc: np.ndarray, yc: np.ndarray, vc: np.ndarray) -> np.ndarray: ...
@@ -214,7 +225,8 @@ class ManifoldBackend(abc.ABC):
     # -- metric ----------------------------------------------------------
 
     def inner(self, x: Point, u: np.ndarray, v: np.ndarray) -> float:
-        """Riemannian inner product at x; Euclidean unless overridden."""
+        """Riemannian inner product at x; Euclidean unless overridden.  No
+        backend's form varies with x, so coordinate-level callers pass coordinates."""
         return float(u.dot(v))
 
     def norm(self, x: Point, u: np.ndarray) -> float:
@@ -263,24 +275,28 @@ class ManifoldBackend(abc.ABC):
         if not b.admits_radius(r):
             raise DomainError(f"{what} = {r:.6g} exceeds the validated radius rho = {b.rho:.6g}")
 
-    def _exp_coords(self, x: Point, vc: np.ndarray) -> np.ndarray:
-        """The coordinates of ``exp_map`` at x of components vc: ``x.coords`` itself at speed 0."""
-        speed = self.norm(x, vc)
+    def _exp_coords(self, xc: np.ndarray, vc: np.ndarray) -> np.ndarray:
+        """The coordinates of ``exp_map`` at xc of components vc: ``xc`` itself at speed 0."""
+        speed = self.norm(xc, vc)
         self._require_radius(speed, "|v|")
-        return x.coords if speed == 0.0 else self._exp(x.coords, vc)
+        return xc if speed == 0.0 else self._exp(xc, vc, speed)
+
+    def _moved(self, x: Point, yc: np.ndarray) -> Point:
+        """The point at coordinates yc found from x: x itself when yc is ``x.coords``."""
+        return x if yc is x.coords else Point(self, yc)
 
     def exp_map(self, x: Point, v: Tangent) -> Point:
         check_same_base(v, x)
-        yc = self._exp_coords(x, v.components)
-        return x if yc is x.coords else Point(self, yc)
+        return self._moved(x, self._exp_coords(x.coords, v.components))
+
+    def _log_coords(self, xc: np.ndarray, yc: np.ndarray, d: float) -> np.ndarray:
+        """The components of ``log_map`` at xc of yc, given d = ``_distance(xc, yc)``."""
+        self._require_radius(d, "d(x, y)")
+        return np.zeros(self.ambient_dim) if d == 0.0 else self._log(xc, yc, d)
 
     def log_map(self, x: Point, y: Point) -> Tangent:
         check_same_backend(x, y)
-        d = self._distance(x.coords, y.coords)
-        self._require_radius(d, "d(x, y)")
-        if d == 0.0:
-            return Tangent(x, np.zeros(self.ambient_dim))
-        return Tangent(x, self._log(x.coords, y.coords))
+        return Tangent(x, self._log_coords(x.coords, y.coords, self._distance(x.coords, y.coords)))
 
     def parallel_transport(self, x: Point, y: Point, v: Tangent) -> Tangent:
         check_same_base(v, x)
@@ -297,21 +313,32 @@ class ManifoldBackend(abc.ABC):
 
     # -- sampling helpers (seeded, for tests and diagnostics) -------------
 
-    def random_tangent(self, rng: np.random.Generator, x: Point, max_norm: float) -> Tangent:
-        """Uniform direction, radius ~ U^(1/dim) * max_norm."""
-        # keyed by the point's own frozen coordinates, not the point, so the
-        # memo holds no reference cycle back to this backend
-        if self._basis_memo[0] is not x.coords:
-            self._basis_memo = (x.coords, self.tangent_basis(x))
-        basis = self._basis_memo[1]
+    def _basis_at(self, xc: np.ndarray) -> np.ndarray:
+        """``tangent_basis`` at coordinates xc, memoized by their bytes: no reference cycle."""
+        key = xc.tobytes()
+        if self._basis_memo[0] != key:
+            self._basis_memo = (key, self.tangent_basis(Point(self, xc)))
+        return self._basis_memo[1]
+
+    def _random_components(self, rng: np.random.Generator, x: Point, max_norm: float):
+        """The components of ``random_tangent``."""
+        basis = self._basis_at(x.coords)
         u = rng.standard_normal(self.dim)
         nu = _norm(u)
         if nu == 0.0:
             u[0] = 1.0
             nu = 1.0
-        r = max_norm * rng.uniform() ** (1.0 / self.dim)
-        return Tangent(x, (r / nu) * (u @ basis))
+        # rng.random() is rng.uniform()'s 0.0 + 1.0 * u, bit for bit, without its argument checks
+        r = max_norm * rng.random() ** (1.0 / self.dim)
+        return (r / nu) * (u @ basis)
+
+    def random_tangent(self, rng: np.random.Generator, x: Point, max_norm: float) -> Tangent:
+        """Uniform direction, radius ~ U^(1/dim) * max_norm."""
+        return Tangent(x, self._random_components(rng, x, max_norm))
+
+    def _random_coords(self, rng: np.random.Generator, center: Point, radius: float):
+        """The coordinates of ``random_point``."""
+        return self._exp_coords(center.coords, self._random_components(rng, center, radius))
 
     def random_point(self, rng: np.random.Generator, center: Point, radius: float) -> Point:
-        v = self.random_tangent(rng, center, radius)
-        return self.exp_map(center, v)
+        return self._moved(center, self._random_coords(rng, center, radius))

@@ -24,10 +24,10 @@ class EuclideanBackend(ManifoldBackend):
     def _distance(self, xc, yc):
         return _norm(yc - xc)
 
-    def _exp(self, xc, vc):
+    def _exp(self, xc, vc, speed):
         return xc + vc
 
-    def _log(self, xc, yc):
+    def _log(self, xc, yc, d):
         return yc - xc
 
     def _transport(self, xc, yc, vc):

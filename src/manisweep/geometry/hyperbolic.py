@@ -43,16 +43,16 @@ class HyperbolicBackend(ManifoldBackend):
         q = max(mink(w, w), 0.0)
         return 2.0 * math.asinh(0.5 * math.sqrt(q))
 
-    def _exp(self, xc, vc):
-        s = math.sqrt(max(mink(vc, vc), 0.0))
+    def _exp(self, xc, vc, speed):
+        s = speed
         if s < _EPS_ANGLE:
             out = xc + vc
         else:
             out = math.cosh(s) * xc + (math.sinh(s) / s) * vc
         return self._project_point(out)
 
-    def _log(self, xc, yc):
-        theta = self._distance(xc, yc)
+    def _log(self, xc, yc, d):
+        theta = d
         if theta < _EPS_ANGLE:
             return self._project_tangent(xc, yc - xc)
         w = yc + mink(xc, yc) * xc  # = y - cosh(theta) x, tangent at x
@@ -65,7 +65,7 @@ class HyperbolicBackend(ManifoldBackend):
         theta = self._distance(xc, yc)
         if theta < _EPS_ANGLE:
             return self._project_tangent(yc, vc)
-        u = self._log(xc, yc) / theta
+        u = self._log(xc, yc, theta) / theta
         a = mink(vc, u)
         perp = vc - a * u
         return perp + a * (math.sinh(theta) * xc + math.cosh(theta) * u)

@@ -16,12 +16,13 @@ a millisecond.  The fused RK4 loops ``rk4_geo`` and ``rk4_par`` write
 out the statements of the standalone kernels (``acc``, ``acc_w``,
 ``proj_x``, ``proj_t``), so they round exactly as stage-by-stage calls
 do, and each stage evaluates the Jacobian once.  Kernels run on Python
-floats (see ``_call_on_floats``).  One or two equality constraints are
+floats (see ``_on_floats``).  One or two equality constraints are
 supported; more are a structural error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from typing import Sequence
@@ -30,7 +31,7 @@ import numpy as np
 
 from .. import expressions as ex
 from ..errors import NumericsError, StructuralError
-from .base import GeometryBudget, ManifoldBackend, Point, Region, _norm
+from .base import GeometryBudget, ManifoldBackend, Point, Region, _max_abs, _norm
 
 #: fine-path RK4 substeps per unit arc length (doubled pass added on top)
 FINE_STEPS_PER_UNIT = 16
@@ -82,23 +83,40 @@ def _emit_kernels(g_trees, d):
             k = keys[id(e)] = interned.setdefault(sig, len(interned))
             nodes.setdefault(k, (e, ops))
 
-    def block(ind, trees, xn):
-        # temporaries for the trees at the coordinates named xn, and each tree's text
-        names, uses, todo = dict(zip(xs, xn)), {}, [keys[id(t)] for t in trees]
+    @functools.cache
+    def plan(roots):
+        # the nodes the trees with these root keys read, operands first, and
+        # whether each becomes a temporary: a property of the trees, not the point
+        uses, todo = {}, list(roots)
         while todo:  # a node's uses: the trees and distinct nodes that read it
             k = todo.pop()
             uses[k] = uses.get(k, 0) + 1
             if uses[k] == 1:
                 todo += nodes[k][1]
-        text, depth, lines = {}, {}, []
+        depth, order = {}, []
         for k in sorted(uses):  # operands first
+            ops = nodes[k][1]
+            depth[k] = 1 + max(map(depth.get, ops), default=-1)
+            temp = bool(ops) and (uses[k] > 1 or depth[k] >= INLINE_DEPTH)
+            depth[k] = 0 if temp else depth[k]  # a temporary's text nests no deeper
+            order.append((k, temp))
+        return order
+
+    @functools.cache
+    def render(roots, xn):
+        # the plan's temporaries at the coordinates named xn, and each tree's text
+        names, text, lines = dict(zip(xs, xn)), {}, []
+        for k, temp in plan(roots):
             e, ops = nodes[k]
             src = names[e.name] if isinstance(e, ex.Var) else e.render(*map(text.get, ops))
-            text[k], depth[k] = src, 1 + max(map(depth.get, ops), default=-1)
-            if ops and (uses[k] > 1 or depth[k] >= INLINE_DEPTH):
-                text[k], depth[k] = f"_t{k}", 0
-                lines.append(f"{ind}_t{k} = {src}")
-        return lines, [text[keys[id(t)]] for t in trees]
+            text[k] = f"_t{k}" if temp else src
+            if temp:
+                lines.append(f"_t{k} = {src}")
+        return lines, [text[k] for k in roots]
+
+    def block(ind, trees, xn):
+        lines, text = render(tuple(keys[id(t)] for t in trees), tuple(xn))
+        return [ind + line for line in lines], text
 
     def jac_gram(ind, xn):
         # j_i_j = dg_i/dx_j at xn, the Gram matrix G = J J^T and (m = 2) det G
@@ -268,19 +286,15 @@ class ImplicitBackend(ManifoldBackend):
         return flat.reshape(self.n_constraints, self.ambient_dim)
 
     def feasibility_residual(self, coords):
-        worst = 0.0
-        for g in self._g_fn(*coords):
-            g = abs(g)
-            if g > worst or g != g:  # a NaN stays the maximum, as in np.max
-                worst = g
-        return float(worst)
+        return _max_abs(self._g_fn(*coords))
 
     def _project_point(self, amb):
         x = tuple(float(c) for c in np.asarray(amb, dtype=float))
         try:
             for _ in range(12):
                 x = self._k_proj_x(*x)
-                if self.feasibility_residual(x) < 1e-13:
+                resid = self.feasibility_residual(x)
+                if resid < 1e-13:
                     break
         except (ZeroDivisionError, OverflowError) as err:
             raise NumericsError(
@@ -288,20 +302,17 @@ class ImplicitBackend(ManifoldBackend):
                 "gradient vanishes or overflows on the way",
                 best=np.array(x),
             ) from err
-        out = np.array(x)
-        resid = self.feasibility_residual(out)
         if not resid <= self.feasibility_tol:  # a NaN residual fails too
             raise NumericsError(
                 "could not restore feasibility from the given ambient point",
                 residual=resid,
-                best=out,
+                best=np.array(x),
             )
-        return out
+        return np.array(x)
 
     def _project_tangent(self, xc, amb):
-        return _call_on_floats(
-            lambda s: self._k_proj_t(*s), (xc, np.asarray(amb, dtype=float))
-        )
+        state = (*np.asarray(xc, dtype=float).tolist(), *np.asarray(amb, dtype=float).tolist())
+        return np.array(_on_floats(lambda s: self._k_proj_t(*s), state))
 
     def tangent_basis(self, x: Point):
         J = self.constraint_jacobian(x.coords)
@@ -311,39 +322,33 @@ class ImplicitBackend(ManifoldBackend):
     # -- integration --------------------------------------------------------
 
     def _integrate_geo(self, xc, vc, fine: bool):
+        """The geodesic end point from xc at velocity vc: one float tuple passes from
+        ``rk4_geo`` (fine: Richardson-extrapolated on floats) to ``_project_point``'s ``proj_x``."""
         speed = _norm(vc)
         if speed == 0.0:
-            return np.array(xc), np.array(vc)
-        state = (xc, vc)
+            return np.array(xc)
+        state = (*xc.tolist(), *vc.tolist())
         if not fine:
             n = max(6, math.ceil(speed * COARSE_STEPS_PER_UNIT))
-            out = _call_on_floats(self._k_rk4_geo, state, n, 1.0 / n)
+            out = _on_floats(self._k_rk4_geo, state, n, 1.0 / n)
         else:
             out = _richardson(self._k_rk4_geo, state, speed)
-        d = self.ambient_dim
-        x = self._project_point(np.array(out[:d]))
-        v = self._project_tangent(x, np.array(out[d:]))
-        nv = _norm(v)
-        if nv > 0:
-            v = v * (speed / nv)
-        return x, v
+        return self._project_point(out[: self.ambient_dim])
 
-    def _exp(self, xc, vc):
-        x, _ = self._integrate_geo(xc, vc, fine=True)
-        return x
+    def _exp(self, xc, vc, speed):
+        return self._integrate_geo(xc, vc, fine=True)
 
-    def _log(self, xc, yc):
+    def _log(self, xc, yc, d=None):  # shooting finds the distance: d is not read
         key = (xc.tobytes(), yc.tobytes())
         hit = self._log_cache.get(key)
         if hit is not None:
             return hit.copy()
-        basis = self.tangent_basis(Point(self, xc))
+        basis = self._basis_at(xc)
         c = basis @ (yc - xc)  # seed: ambient chord projected onto T_x
         scale = 1.0 + _norm(yc)
 
         def resid(cvec, fine):
-            x_end, _ = self._integrate_geo(xc, cvec @ basis, fine=fine)
-            return x_end - yc
+            return self._integrate_geo(xc, cvec @ basis, fine=fine) - yc
 
         r = resid(c, fine=False)
         jac = None
@@ -403,7 +408,7 @@ class ImplicitBackend(ManifoldBackend):
         return v
 
     def _distance(self, xc, yc):
-        if np.array_equal(xc, yc):
+        if xc.tolist() == yc.tolist():  # np.array_equal: -0.0 == 0.0, nan != nan
             return 0.0
         return _norm(self._log(xc, yc))
 
@@ -413,7 +418,7 @@ class ImplicitBackend(ManifoldBackend):
         w_norm = _norm(vc)
         if speed == 0.0 or w_norm == 0.0:
             return self._project_tangent(yc, vc)
-        out = _richardson(self._k_rk4_par, (xc, gamma, vc), speed)
+        out = _richardson(self._k_rk4_par, (*xc.tolist(), *gamma.tolist(), *vc.tolist()), speed)
         d = self.ambient_dim
         w = self._project_tangent(yc, out[2 * d :])
         nw = _norm(w)
@@ -466,31 +471,28 @@ class ImplicitBackend(ManifoldBackend):
             u = rng.standard_normal(self.dim)
             u = u / _norm(u)
             vec = u @ basis
-            a = _call_on_floats(lambda s: self._k_acc(*s), (p, vec))
+            a = np.array(_on_floats(lambda s: self._k_acc(*s), (*p.tolist(), *vec.tolist())))
             worst = max(worst, _norm(a))
         return worst
 
 
-def _richardson(kernel, arrays, speed):
-    """The fine path: ``n`` and ``2n`` RK4 steps over s in [0, 1], extrapolated."""
+def _richardson(kernel, state, speed):
+    """The fine path: ``n`` and ``2n`` RK4 steps over s in [0, 1], extrapolated on floats."""
     n = max(8, math.ceil(speed * FINE_STEPS_PER_UNIT))
-    s1 = _call_on_floats(kernel, arrays, n, 1.0 / n)
-    s2 = _call_on_floats(kernel, arrays, 2 * n, 0.5 / n)
-    return (16.0 * s2 - s1) / 15.0
+    s1 = _on_floats(kernel, state, n, 1.0 / n)
+    s2 = _on_floats(kernel, state, 2 * n, 0.5 / n)
+    return tuple((16.0 * b - a) / 15.0 for a, b in zip(s1, s2))
 
 
-def _call_on_floats(kernel, arrays, *args):
-    """``kernel(state, *args)`` as a float array, the state joined from ``arrays``.
+def _on_floats(kernel, state, *args):
+    """``kernel(state, *args)`` as a tuple of floats, ``state`` a tuple of floats.
 
-    The kernel runs on Python floats, which round exactly as the numpy
-    scalars in the arrays do and run several times faster.  Where floats
-    raise or turn complex instead (a division by zero, an overflowing or
-    complex power), the call is repeated on the numpy scalars, whose inf
-    and nan results the callers already handle.
+    Floats round exactly as numpy's float64 scalars do and run several
+    times faster.  Where floats raise or turn complex instead (a division
+    by zero, an overflowing or complex power), the call is repeated on
+    numpy scalars, whose inf and nan results the callers already handle.
     """
-    state = np.concatenate(arrays)
     try:
-        return np.array(kernel(tuple(state.tolist()), *args), dtype=float)
+        return tuple(map(float, kernel(state, *args)))
     except (ZeroDivisionError, OverflowError, TypeError):
-        return np.array(kernel(tuple(state), *args), dtype=float)
-
+        return tuple(map(float, kernel(tuple(map(np.float64, state)), *args)))

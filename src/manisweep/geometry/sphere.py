@@ -35,16 +35,16 @@ class SphereBackend(ManifoldBackend):
             return math.pi
         return 2.0 * math.asin(0.5 * chord)
 
-    def _exp(self, xc, vc):
-        s = _norm(vc)
+    def _exp(self, xc, vc, speed):
+        s = speed
         if s < _EPS_ANGLE:
             out = xc + vc
         else:
             out = math.cos(s) * xc + (math.sin(s) / s) * vc
         return out / _norm(out)
 
-    def _log(self, xc, yc):
-        theta = self._distance(xc, yc)
+    def _log(self, xc, yc, d):
+        theta = d
         if theta < _EPS_ANGLE:
             return yc - xc.dot(yc) * xc
         w = yc - xc.dot(yc) * xc
@@ -57,7 +57,7 @@ class SphereBackend(ManifoldBackend):
         theta = self._distance(xc, yc)
         if theta < _EPS_ANGLE:
             return vc - vc.dot(yc) * yc
-        u = self._log(xc, yc) / theta
+        u = self._log(xc, yc, theta) / theta
         a = float(vc.dot(u))
         perp = vc - a * u
         return perp + a * (math.cos(theta) * u - math.sin(theta) * xc)

@@ -22,16 +22,8 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import DomainError, NumericsError, StructuralError
-from .geometry import (
-    ManifoldBackend,
-    Point,
-    Tangent,
-    distance,
-    exp_map,
-    grad_sq_distance,
-    log_map,
-)
-from .geometry.base import _norm
+from .geometry import ManifoldBackend, Point, Tangent
+from .geometry.base import _max_abs, _norm
 
 #: annotation of a builder field that holds one ambient-space vector; a
 #: scenario checks its length against the manifold's ambient dimension
@@ -121,8 +113,15 @@ class MovingSet:
     def _active(values) -> tuple:
         return tuple(i for i, v in enumerate(values) if abs(v) <= ACTIVITY_TOL)
 
+    def _contains(self, t: float, xc) -> bool:
+        """``member`` at coordinates xc, ``_holds`` written out for the samplers' inner loops."""
+        for c in self.constraints:
+            if not c.value(t, xc) >= -self.tolerances.feasibility:  # a NaN fails
+                return False
+        return True
+
     def member(self, t: float, x: Point) -> bool:
-        return self._holds(c.value(t, x.coords) for c in self.constraints)
+        return self._contains(t, x.coords)
 
     def active_set(self, t: float, x: Point) -> tuple:
         return self._active([c.value(t, x.coords) for c in self.constraints])
@@ -134,10 +133,13 @@ class MovingSet:
         dist = 0.0 if self._holds(values) else self.project(t, x).dist
         return self._active(values), dist
 
+    def _gradient_coords(self, t, xc, i):
+        """The components of ``constraint_gradient`` at coordinates xc."""
+        return self.backend._project_tangent(xc, self.constraints[i].ambient_gradient(t, xc))
+
     def constraint_gradient(self, t: float, x: Point, i: int) -> Tangent:
         """Riemannian gradient of g_i at x (ambient gradient projected to T_x)."""
-        amb = self.constraints[i].ambient_gradient(t, x.coords)
-        return Tangent(x, self.backend._project_tangent(x.coords, amb))
+        return Tangent(x, self._gradient_coords(t, x.coords, i))
 
     def proximal_normal_generators(self, t: float, x: Point) -> list:
         """Generators {-grad g_i : i active}; empty in the interior."""
@@ -200,55 +202,52 @@ class MovingSet:
         return None
 
     def _project_iterative(self, t, y, initial, max_iter):
-        tol = self.tolerances
-        rho = self.backend.budget().rho
-        c = self.restore_feasibility(t, initial if initial is not None else y)
+        backend, tol, yc = self.backend, self.tolerances, y.coords
+        rho = backend.budget().rho
+        start = initial if initial is not None else y
+        c = self._restore(t, start.coords)
+        d = backend._distance(c, yc)  # on coordinates; the line search finds d for the next c
         iterations = 0
         for iterations in range(1, max_iter + 1):
             try:
-                grad = grad_sq_distance(c, y)
+                grad = -2.0 * backend._log_coords(c, yc, d)  # of c -> d(c, y)^2
             except DomainError:
                 raise NumericsError(
                     "projection iterate left the validated region around the query",
-                    best=c,
+                    best=backend._moved(start, c),
                 )
-            kkt = self._kkt_residual(t, c, grad)
-            if kkt <= tol.projector_kkt:
+            if self._kkt_residual(t, c, grad) <= tol.projector_kkt:
                 break
-            descent = grad.scaled(-1.0)
-            dn = descent.norm()
-            fc = distance(c, y) ** 2
-            alpha = min(0.5, 0.45 * rho / dn)
-            moved = None
+            descent = -1.0 * grad
+            fc = d**2
+            alpha = min(0.5, 0.45 * rho / backend.norm(c, descent))
             for _ in range(40):
-                cand = self.restore_feasibility(t, exp_map(c, descent.scaled(alpha)))
-                fcand = distance(cand, y) ** 2
+                cand = self._restore(t, backend._exp_coords(c, alpha * descent))
+                d_cand = backend._distance(cand, yc)
                 # sufficient decrease against the achieved projected step:
                 # restoration may cancel most of the raw gradient near the
                 # boundary, so the raw norm would stall the search
-                achieved = distance(c, cand)
-                if fcand <= fc - 1e-4 * achieved * achieved / max(alpha, 1e-300):
-                    moved = cand
+                achieved = backend._distance(c, cand)
+                if d_cand**2 <= fc - 1e-4 * achieved * achieved / max(alpha, 1e-300):
                     break
                 alpha *= 0.5
-            if moved is None:
+            else:
                 break  # no feasible descent: stationary within line-search resolution
-            step = distance(c, moved)
-            c = moved
-            if step <= tol.projector_step:
+            c, d = cand, d_cand
+            if achieved <= tol.projector_step:
                 break
         else:
-            d = distance(y, c)
+            dist = backend._distance(yc, c)
             raise NumericsError(
                 f"projection did not converge in {max_iter} iterations",
-                residual=self._kkt_residual(t, c, grad_sq_distance(c, y)),
-                best=ProjectionResult(c, d, max_iter, False),
+                residual=self._kkt_residual(t, c, -2.0 * backend._log_coords(c, yc, d)),
+                best=ProjectionResult(backend._moved(start, c), dist, max_iter, False),
             )
-        d = distance(y, c)
-        return ProjectionResult(c, d, iterations, True, self._radius_warning(d))
+        dist, point = backend._distance(yc, c), backend._moved(start, c)
+        return ProjectionResult(point, dist, iterations, True, self._radius_warning(dist))
 
     def _kkt_residual(self, t, c, grad):
-        """min over nonnegative multipliers of |grad F - sum mu_i grad g_i|.
+        """min over nonnegative multipliers of |grad F - sum mu_i grad g_i|, at coordinates c.
 
         By Caratheodory the minimum is attained on a linearly independent
         support of at most ``dim`` active gradients, where the multipliers
@@ -256,20 +255,21 @@ class MovingSet:
         all nonnegative are feasible, and the smallest residual among them
         is the nonnegative least-squares optimum.
         """
-        gens = [self.constraint_gradient(t, c, i) for i in self.active_set(t, c)]
-        best = grad.norm()
+        gens = [self._gradient_coords(t, c, i)
+                for i in self._active([k.value(t, c) for k in self.constraints])]
+        best = self.backend.norm(c, grad)
         for k in range(1, min(len(gens), self.backend.dim) + 1):
             for support in itertools.combinations(gens, k):
-                gram = [[a.inner(b) for b in support] for a in support]
+                gram = [[self.backend.inner(c, a, b) for b in support] for a in support]
                 try:
-                    mu = np.linalg.solve(gram, [a.inner(grad) for a in support])
+                    mu = np.linalg.solve(gram, [self.backend.inner(c, a, grad) for a in support])
                 except np.linalg.LinAlgError:
                     continue  # dependent gradients: a smaller support covers them
                 if np.all(mu >= 0.0):
                     r = grad
                     for m, g in zip(mu, support):
-                        r = r - g.scaled(float(m))
-                    best = min(best, r.norm())
+                        r = r - float(m) * g
+                    best = min(best, self.backend.norm(c, r))
         return best
 
     def restore_feasibility(self, t: float, x: Point) -> Point:
@@ -280,80 +280,89 @@ class MovingSet:
         polished back onto their boundary so the projector's alternating
         iteration has a clean fixed point.
         """
-        rho = self.backend.budget().rho
-        c = x
+        return self.backend._moved(x, self._restore(t, x.coords))
+
+    def _restore(self, t, c):
+        """``restore_feasibility`` on coordinates: the line search builds no point."""
+        backend = self.backend
+        rho = backend.budget().rho
         touched: set = set()
         for _ in range(60):
-            vals = self.constraint_values(t, c)
-            viol = np.flatnonzero(vals < -0.1 * self.tolerances.feasibility)
-            if viol.size == 0:
+            vals = [k.value(t, c) for k in self.constraints]
+            viol = [i for i, v in enumerate(vals) if v < -0.1 * self.tolerances.feasibility]
+            if not viol:
                 break
-            touched.update(int(i) for i in viol)
-            merit = float(np.sum(np.minimum(vals, 0.0) ** 2))
+            touched.update(viol)
+            merit = _violation(vals)
             direction = None
             for i in viol:
-                g = self.constraint_gradient(t, c, int(i))
-                gn2 = g.norm() ** 2
+                g = self._gradient_coords(t, c, i)
+                gn2 = backend.norm(c, g) ** 2
                 if gn2 < QUALIFICATION_TOL**2:
                     raise NumericsError(
                         f"degenerate gradient while restoring constraint {i}"
                     )
-                part = g.scaled(-vals[i] / gn2)
+                part = (-vals[i] / gn2) * g
                 direction = part if direction is None else direction + part
-            alpha = min(1.0, 0.45 * rho / max(direction.norm(), 1e-300))
-            improved = False
+            alpha = min(1.0, 0.45 * rho / max(backend.norm(c, direction), 1e-300))
             for _ in range(40):
-                cand = exp_map(c, direction.scaled(alpha))
-                cvals = self.constraint_values(t, cand)
-                cmerit = float(np.sum(np.minimum(cvals, 0.0) ** 2))
+                cand = backend._exp_coords(c, alpha * direction)
+                cmerit = _violation([k.value(t, cand) for k in self.constraints])
                 if cmerit < merit * (1.0 - 1e-4 * alpha):
                     c = cand
-                    improved = True
                     break
                 alpha *= 0.5
-            if not improved:
+            else:
                 break
-        vals = self.constraint_values(t, c)
-        if not np.all(vals >= -self.tolerances.feasibility):
+        if not self._contains(t, c):
             raise NumericsError(
                 "could not restore feasibility; the set may be empty near this point",
-                residual=float(-np.min(vals)),
-                best=c,
+                residual=float(-np.min([k.value(t, c) for k in self.constraints])),
+                best=Point(backend, c),
             )
         if touched:
             c = self._polish_onto_boundary(t, c, sorted(touched))
         return c
 
     def _polish_onto_boundary(self, t, c, indices):
-        """Newton steps driving g_i(t, c) to zero for the given constraints.
+        """Newton steps driving g_i(t, c) to zero for the given constraints, on coordinates.
 
         Intermediate iterates may dip microscopically onto the infeasible
         side; the last iterate that is still a member is returned.
         """
+        backend = self.backend
         best_member = c
         for _ in range(6):
-            vals = np.array([self.constraints[i].value(t, c.coords) for i in indices])
-            if float(np.max(np.abs(vals))) <= 1e-12:
+            vals = [self.constraints[i].value(t, c) for i in indices]
+            worst = _max_abs(vals)
+            if worst <= 1e-12:
                 break
-            grads = [self.constraint_gradient(t, c, i) for i in indices]
-            gram = np.array(
-                [[self.backend.inner(c, a.components, b.components) for b in grads] for a in grads]
-            )
+            grads = [self._gradient_coords(t, c, i) for i in indices]
+            gram = np.array([[backend.inner(c, a, b) for b in grads] for a in grads])
             try:
                 lam = np.linalg.solve(gram, vals)
             except np.linalg.LinAlgError:
                 break
-            step = grads[0].scaled(-float(lam[0]))
+            step = -float(lam[0]) * grads[0]
             for l, g in zip(lam[1:], grads[1:]):
-                step = step + g.scaled(-float(l))
-            cand = exp_map(c, step)
-            cvals = np.array([self.constraints[i].value(t, cand.coords) for i in indices])
-            if float(np.max(np.abs(cvals))) >= float(np.max(np.abs(vals))):
+                step = step + -float(l) * g
+            cand = backend._exp_coords(c, step)
+            if _max_abs([self.constraints[i].value(t, cand) for i in indices]) >= worst:
                 break
             c = cand
-            if self.member(t, c):
+            if self._contains(t, c):
                 best_member = c
-        return c if self.member(t, c) else best_member
+        return best_member
+
+
+def _violation(values) -> float:
+    """``float(np.sum(np.minimum(values, 0.0) ** 2))``: numpy adds fewer than 8 left to right."""
+    if len(values) >= 8:
+        return float(np.sum(np.minimum(values, 0.0) ** 2))
+    total = 0.0
+    for v in values:
+        total += min(v, 0.0) * min(v, 0.0)
+    return total
 
 
 # -- catalog ----------------------------------------------------------------
@@ -417,11 +426,10 @@ def _geodesic_ball(backend, center, radius, sign, velocity=None, **kw):
 
     def amb_grad(t, xc):
         c = center_at(t)
-        x = Point(backend, xc)
         d = backend._distance(xc, c.coords)
         if d < 1e-14:
             raise NumericsError(f"{noun} constraint gradient undefined at the center")
-        return sign * log_map(x, c).components / d
+        return sign * backend._log_coords(xc, c.coords, d) / d
 
     # the closed form exp_c(r log_c(y) / |log_c(y)|), on coordinates
     def proj(t, yc):
@@ -430,10 +438,9 @@ def _geodesic_ball(backend, center, radius, sign, velocity=None, **kw):
         if sign < 0 and d < 1e-14:  # a ball's queries lie outside it
             # every boundary point is equidistant; pick one deterministically
             v = backend.tangent_basis(c)[0] * radius
-            return backend._exp_coords(c, v), "projection is multivalued at the ball center"
-        backend._require_radius(d, "d(x, y)")
-        gam = np.zeros(backend.ambient_dim) if d == 0.0 else backend._log(c.coords, yc)
-        return backend._exp_coords(c, (radius / backend.norm(c, gam)) * gam), None
+            return backend._exp_coords(c.coords, v), "projection is multivalued at the ball center"
+        gam = backend._log_coords(c.coords, yc, d)
+        return backend._exp_coords(c.coords, (radius / backend.norm(c, gam)) * gam), None
 
     con = Constraint(value, amb_grad, f"{side} geodesic ball")
     return MovingSet(backend, [con], closed_project=proj, **kw)

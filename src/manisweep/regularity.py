@@ -27,16 +27,7 @@ import numpy as np
 
 from .artifacts import Report
 from .errors import DomainError, NumericsError, StructuralError
-from .geometry import (
-    ManifoldBackend,
-    Point,
-    Region,
-    Tangent,
-    distance,
-    exp_map,
-    log_map,
-    parallel_transport,
-)
+from .geometry import ManifoldBackend, Point, Region, Tangent, check_same_base, exp_map
 from .moving_sets import MovingSet
 
 #: boundary points are bisected to this tolerance along the probing ray
@@ -116,9 +107,9 @@ def members_in_region(set_: MovingSet, t: float, region: Region, rng, n: int):
     tries = 0
     while len(out) < n and tries < 40 * n:
         tries += 1
-        cand = backend.random_point(rng, region.center, region.radius)
-        if set_.member(t, cand):
-            out.append(cand)
+        cc = backend._random_coords(rng, region.center, region.radius)
+        if set_._contains(t, cc):
+            out.append(backend._moved(region.center, cc))
     if not out:
         raise StructuralError(
             f"found no members of the set inside the region around "
@@ -137,12 +128,16 @@ def boundary_point(
     """March a member along a geodesic ray until membership fails, then bisect.
 
     Returns the member-side boundary point, or None if the ray never
-    leaves the set within ``max_length``.
+    leaves the set within ``max_length``.  Each probe is the coordinates
+    ``exp`` gives at ``member`` for the scaled direction, tested on its
+    constraint values; only the returned point is built.
     """
+    check_same_base(direction, member)
+    backend, xc, u = set_.backend, member.coords, direction.components
     s_in, s_out = 0.0, None
     for k in range(1, 9):
         s = max_length * k / 8.0
-        if set_.member(t, exp_map(member, direction.scaled(s))):
+        if set_._contains(t, backend._exp_coords(xc, s * u)):
             s_in = s
         else:
             s_out = s
@@ -151,11 +146,11 @@ def boundary_point(
         return None
     while s_out - s_in > BOUNDARY_BISECTION_TOL:
         mid = 0.5 * (s_in + s_out)
-        if set_.member(t, exp_map(member, direction.scaled(mid))):
+        if set_._contains(t, backend._exp_coords(xc, mid * u)):
             s_in = mid
         else:
             s_out = mid
-    return exp_map(member, direction.scaled(s_in))
+    return backend._moved(member, backend._exp_coords(xc, s_in * u))
 
 
 def sample_boundary_points(set_: MovingSet, t: float, region: Region, rng, n: int):
@@ -243,28 +238,26 @@ def sample_hypomonotonicity(
     # apart far enough that the amplified error stays below ~1e-4
     floor = max(1e-6, 0.004 * region.radius, 100.0 * BOUNDARY_BISECTION_TOL)
 
-    def consider(x, v, y):
-        nonlocal max_ratio, worst, count, violations
-        d = distance(x, y)
-        if d < floor or d > 0.98 * rho:
-            return
-        ratio = v.inner(log_map(x, y)) / (d * d)
-        count += 1
-        if declared_E is not None and ratio > declared_E:
-            violations += 1
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst = {"x": x, "y": y, "v": v}
-
     # pair every boundary point that carries a normal against the whole
     # member pool: removing the pair-selection randomness keeps the
-    # fitted supremum stable across seeds
+    # fitted supremum stable across seeds.  Each pair's distance is
+    # found once and serves the log map's radius check too.
     for x in boundary:
         v = unit_normal_at(set_, t, x, rng)
         if v is None:
             continue
+        xc, vc = x.coords, v.components
         for y in members:
-            consider(x, v, y)
+            d = backend._distance(xc, y.coords)
+            if d < floor or d > 0.98 * rho:
+                continue
+            ratio = backend.inner(xc, vc, backend._log_coords(xc, y.coords, d)) / (d * d)
+            count += 1
+            if declared_E is not None and ratio > declared_E:
+                violations += 1
+            if ratio > max_ratio:
+                max_ratio = ratio
+                worst = {"x": x, "y": y, "v": v}
     if count == 0:
         raise StructuralError(
             f"no usable boundary/member pairs in the region around "
@@ -302,7 +295,8 @@ def test_cone_membership(
     rng = np.random.default_rng([seed, 0xC0DE])
     if v.norm() == 0.0:
         return ConeMembershipResult("member", 0.0, [], [], seed)
-    backend = set_.backend
+    check_same_base(v, x)
+    backend, xc, vc = set_.backend, x.coords, v.components
     r0 = set_.probe_radius
     radii = [r0 * 2.0**-k for k in range(11)]
     max_ratios = []
@@ -313,17 +307,17 @@ def test_cone_membership(
         tries = 0
         while found < n_samples and tries < 30 * n_samples:
             tries += 1
-            w = backend.random_tangent(rng, x, r)
-            if w.norm() < floor:
+            w = backend._random_components(rng, x, r)
+            if backend.norm(xc, w) < floor:
                 continue
-            y = exp_map(x, w)
-            if not set_.member(t, y):
+            yc = backend._exp_coords(xc, w)
+            if not set_._contains(t, yc):
                 continue
             found += 1
-            d = distance(x, y)
+            d = backend._distance(xc, yc)
             if d < floor:
                 continue
-            best = max(best, v.inner(log_map(x, y)) / (d * d))
+            best = max(best, backend.inner(xc, vc, backend._log_coords(xc, yc, d)) / (d * d))
         if found < max(3, n_samples // 10):
             break  # too few members at this radius: the sweep stops short
         max_ratios.append(best)
@@ -399,13 +393,13 @@ def probe_projection_uniqueness(
             for _ in range(restarts):
                 init = None
                 for _ in range(20):
-                    cand = backend.random_point(rng, query, scatter_radius)
+                    cand = backend._random_coords(rng, query, scatter_radius)
                     try:
-                        restored = set_.restore_feasibility(t, cand)
+                        restored = set_._restore(t, cand)
                     except (NumericsError, DomainError):
                         continue
-                    if distance(restored, query) < 0.9 * rho:
-                        init = restored
+                    if backend._distance(restored, query.coords) < 0.9 * rho:
+                        init = backend._moved(query, restored)
                         break
                 if init is None:
                     continue
@@ -416,10 +410,10 @@ def probe_projection_uniqueness(
                 except (NumericsError, DomainError):
                     ok = False
                     continue
-                results.append(res.point)
+                results.append(res.point.coords)
             for i in range(len(results)):
                 for j in range(i + 1, len(results)):
-                    worst_scatter = max(worst_scatter, distance(results[i], results[j]))
+                    worst_scatter = max(worst_scatter, backend._distance(results[i], results[j]))
             if worst_scatter > agree_tol or len(results) < 2:
                 ok = False
         if not tested_any:
@@ -465,27 +459,29 @@ def check_log_monotonicity(
     worst = None
     count = 0
     guard = 0
+    # on coordinates, each distance found once; the worst triple's points are built last
     while count < n_samples and guard < 50 * n_samples:
         guard += 1
-        x = backend.random_point(rng, region.center, region.radius)
-        z1 = backend.random_point(rng, region.center, region.radius)
-        z2 = backend.random_point(rng, region.center, region.radius)
-        d12 = distance(z1, z2)
+        x, z1, z2 = [backend._random_coords(rng, region.center, region.radius) for _ in range(3)]
+        d12 = backend._distance(z1, z2)
         if d12 < floor:
             continue
-        if max(distance(z1, x), distance(z2, x), d12) > 0.98 * bud.rho:
+        d1x, d2x = backend._distance(z1, x), backend._distance(z2, x)
+        if max(d1x, d2x, d12) > 0.98 * bud.rho:
             continue
-        g2x = log_map(z2, x)
-        g1x = log_map(z1, x)
-        g21 = log_map(z2, z1)
-        carried = parallel_transport(z1, z2, g1x)
-        q = (g2x - carried).inner(g21) / (d12 * d12)
+        g2x = backend._log_coords(z2, x, d2x)
+        g1x = backend._log_coords(z1, x, d1x)
+        g21 = backend._log_coords(z2, z1, backend._distance(z2, z1))
+        backend._require_radius(d12, "d(x, y)")  # parallel transport from z1 to z2
+        q = backend.inner(z2, g2x - backend._transport(z1, z2, g1x), g21) / (d12 * d12)
         count += 1
         if q < fitted:
             fitted = q
             worst = {"x": x, "z1": z1, "z2": z2}
     if count == 0:
         raise StructuralError("could not assemble any valid sample triples")
+    if worst is not None:  # None when every ratio was nan
+        worst = {k: backend._moved(region.center, c) for k, c in worst.items()}
     return LogMonotonicityReport(
         region=region,
         samples=count,

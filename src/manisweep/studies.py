@@ -203,8 +203,8 @@ def _times_region_leaves_set(scenario, region: Region, times) -> set:
     rng = np.random.default_rng([scenario.seed, 0x1D5E])
     leaves = set()
     for _ in range(200):
-        p = scenario.backend.random_point(rng, region.center, region.radius)
-        leaves.update(t for t in times if not scenario.moving_set.member(t, p))
+        pc = scenario.backend._random_coords(rng, region.center, region.radius)
+        leaves.update(t for t in times if not scenario.moving_set._contains(t, pc))
         if len(leaves) == len(times):
             break
     return leaves

@@ -288,7 +288,7 @@ def catching_up(scenario, h: float) -> Trajectory:
             exceeded += backend.norm(x, fc) > pert.sup_norm + 1e-9
         try:
             if pert.components is not None:
-                yc = backend._exp_coords(x, hi * fc)
+                yc = backend._exp_coords(xc, hi * fc)
             values = [c.value(t_next, yc) for c in set_.constraints]
             if set_._holds(values):
                 node = x if yc is xc else Point(backend, yc)
@@ -393,14 +393,15 @@ def inclusion_residual(
     tries = 0
     while found < n_members and tries < 20 * n_members:
         tries += 1
-        cand = backend.random_point(rng, p, radius)
-        if not set_.member(t, cand):
+        cc = backend._random_coords(rng, p, radius)  # candidates stay coordinates
+        if not set_._contains(t, cc):
             continue
         found += 1
-        d = distance(p, cand)
+        d = backend._distance(p.coords, cc)
         if d < 1e-9:
             continue
-        gap = w.inner(log_map(p, cand)) - fitted_E * wn * d * d
+        gap = backend.inner(p.coords, w.components, backend._log_coords(p.coords, cc, d))
+        gap -= fitted_E * wn * d * d
         worst = max(worst, gap)
     return ResidualSample(value=worst, conclusive=found >= 10)
 

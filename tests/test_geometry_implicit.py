@@ -19,7 +19,7 @@ from manisweep import (
 from manisweep import expressions as ex
 from manisweep.cli import main
 from manisweep.errors import NumericsError, StructuralError
-from manisweep.geometry.implicit import _call_on_floats, _emit_kernels
+from manisweep.geometry.implicit import _emit_kernels, _on_floats
 
 
 @pytest.fixture(scope="module")
@@ -297,7 +297,7 @@ def test_kernels_on_floats_equal_kernels_on_numpy_scalars(name):
         v = b._project_tangent(x, rng.standard_normal(d))
         state = tuple(np.concatenate((x, v)))  # numpy scalars
         assert isinstance(state[0], np.float64)
-        got = _call_on_floats(b._k_rk4_geo, (x, v), 9, 1.0 / 9)
+        got = _on_floats(b._k_rk4_geo, (*x.tolist(), *v.tolist()), 9, 1.0 / 9)
         assert np.array_equal(got, np.array(b._k_rk4_geo(state, 9, 1.0 / 9)))
 
 
@@ -341,8 +341,50 @@ def test_kernels_on_floats_fall_back_to_numpy_semantics(eqs, x, v):
     x, v = np.array(x), np.array(v)
     with np.errstate(all="ignore"):
         expected = np.array(b._k_rk4_geo(tuple(np.concatenate((x, v))), 4, 0.25), dtype=float)
-        got = _call_on_floats(b._k_rk4_geo, (x, v), 4, 0.25)
+        got = _on_floats(b._k_rk4_geo, (*x.tolist(), *v.tolist()), 4, 0.25)
     np.testing.assert_array_equal(got, expected)  # nan where numpy gives nan
+
+
+@pytest.mark.parametrize(
+    "eqs, x, v, error",
+    [
+        # the gradient vanishes at the center: floats divide by zero
+        (["x1^2 + x2^2 - 1"], [0.0, 0.0], [1.0, 0.0], ZeroDivisionError),
+        # the Jacobian's x1^2.0 leaves the float range: floats raise
+        (["x1^3 + x2^2 - 1"], [1e160, 0.0], [0.0, 1.0], OverflowError),
+    ],
+    ids=["zero_division", "overflow"],
+)
+def test_a_kernel_that_raises_on_floats_ends_in_the_restoration_error(eqs, x, v, error):
+    b = ImplicitBackend(2, eqs)
+    x, v = np.array(x), np.array(v)
+    with pytest.raises(error):
+        b._k_rk4_geo((*x.tolist(), *v.tolist()), 6, 1.0 / 6)
+    # retried on numpy scalars, the step goes nan, and restoring it fails typed
+    for fine in (False, True):
+        with np.errstate(all="ignore"), pytest.raises(NumericsError) as info:
+            b._integrate_geo(x, v, fine)
+        assert str(info.value) == "could not restore feasibility from the given ambient point"
+        assert math.isnan(info.value.residual)
+        assert info.value.best.shape == (2,) and np.isnan(info.value.best).all()
+
+
+@pytest.mark.parametrize("name", ["ellipse_golden", "two_equalities"])
+def test_log_is_the_same_with_a_cold_or_a_warm_basis_memo(name):
+    d, eqs = KERNEL_MANIFOLDS[name]
+    warm = ImplicitBackend(d, eqs)
+    rng = np.random.default_rng(41)
+    x = warm.point(warm._project_point(rng.standard_normal(d)))
+    ys = [warm.random_point(rng, x, 0.4) for _ in range(3)]
+    # each log map from x after the first finds the memo warm at x
+    for y in ys:
+        cold = ImplicitBackend(d, eqs)._log(x.coords, y.coords)
+        assert warm._log(x.coords, y.coords).tobytes() == cold.tobytes()
+    # and a memo warm at another point does not serve x
+    warm._basis_at(ys[0].coords)
+    warm._log_cache.clear()
+    cold = ImplicitBackend(d, eqs)._log(x.coords, ys[1].coords)
+    assert warm._log(x.coords, ys[1].coords).tobytes() == cold.tobytes()
 
 
 def test_shared_subexpressions_are_emitted_once_per_block():

@@ -516,7 +516,7 @@ def _kkt_set(name, exprs):
 
 
 def _assert_kkt_matches_nnls(set_, c, grad):
-    got = set_._kkt_residual(0.0, c, grad)
+    got = set_._kkt_residual(0.0, c.coords, grad.components)
     ref = _nnls_residual(set_, 0.0, c, grad)
     assert abs(got - ref) <= 1e-12 * grad.norm(), (got, ref)
     return got
@@ -541,7 +541,7 @@ def test_kkt_residual_matches_nnls(name, n_active):
         _assert_kkt_matches_nnls(set_, x, grad)
     if n_active == 0:
         grad = gens[0].scaled(2.0)
-        assert set_._kkt_residual(0.0, x, grad) == grad.norm()
+        assert set_._kkt_residual(0.0, x.coords, grad.components) == grad.norm()
 
 
 @pytest.mark.parametrize("name", sorted(KKT_CASES))

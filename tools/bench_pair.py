@@ -24,6 +24,12 @@ unpaired medians do not.  A pair's
 checkout is named by ``src_sha256``, a sha256 over the sorted paths and
 bytes of its ``src`` files (``__pycache__`` left out).
 
+Per CLI call of the workload (``certify halfline``, ...), each run's
+median time over its passes (``raw_times.call_s`` of its result file) is
+recorded, and the same medians, wins and paired relative differences are
+printed and kept under ``calls``, so a change can be read per command and
+scenario.
+
 The summary goes under ``workloads.W`` of the ``--out`` JSON file; other
 workloads already in the file are kept, so one file can hold both.  The
 exit status is 1 when a bound is broken, a run fails an operation or a
@@ -56,6 +62,8 @@ def run_once(checkout: Path, command, workload, seed, seconds) -> dict:
     )
     return {
         "metrics": {name: m["value"] for name, m in last["metrics"].items()},
+        "call_s": {call: statistics.median(times)
+                   for call, times in report["raw_times"]["call_s"].items()},
         "failed_ratio": report["failed_ratio"],
         "artifact_sha256": report["artifact_sha256"],
         "git_sha": report["provenance"]["git_sha"],
@@ -73,33 +81,48 @@ def src_sha256(checkout: Path) -> str:
     return digest.hexdigest()
 
 
+def _paired(sides, lower=True) -> dict:
+    """Medians and quartiles of both sides, the change's wins and the per-pair relative differences."""
+    p1, pm, p3 = statistics.quantiles(sides["parent"], n=4, method="inclusive")
+    c1, cm, c3 = statistics.quantiles(sides["change"], n=4, method="inclusive")
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(*sides.values()))
+    rel = [c / p - 1.0 for p, c in zip(*sides.values()) if p]
+    r1, rm, r3 = (statistics.quantiles(rel, n=4, method="inclusive") if len(rel) > 1
+                  else (None, rel[0] if rel else None, None))
+    return {
+        "parent_median": pm, "parent_q1": p1, "parent_q3": p3,
+        "change_median": cm, "change_q1": c1, "change_q3": c3,
+        "change_wins": wins,
+        "pairs": len(sides["parent"]),
+        "relative_change": (cm - pm) / pm if pm else 0.0,
+        "paired_relative_median": rm,
+        "paired_relative_iqr": None if r1 is None else r3 - r1,
+    }
+
+
 def summarize(runs, spec) -> dict:
     """Per declared metric: medians, quartiles, wins and the bound check."""
     out = {}
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
-        sides = {s: [r[s]["metrics"][name] for r in runs] for s in SIDES}
-        p1, pm, p3 = statistics.quantiles(sides["parent"], n=4, method="inclusive")
-        c1, cm, c3 = statistics.quantiles(sides["change"], n=4, method="inclusive")
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(*sides.values()))
-        rel = [c / p - 1.0 for p, c in zip(*sides.values()) if p]
-        r1, rm, r3 = (statistics.quantiles(rel, n=4, method="inclusive") if len(rel) > 1
-                      else (None, rel[0] if rel else None, None))
-        worse = (cm - pm) if lower else (pm - cm)  # positive when the change is worse
+        s = _paired({side: [r[side]["metrics"][name] for r in runs] for side in SIDES}, lower)
+        worse = (s["change_median"] - s["parent_median"]) * (1 if lower else -1)
         out[name] = {
             "better": m["better"],
             "bound": m["bound"],
-            "parent_median": pm, "parent_q1": p1, "parent_q3": p3,
-            "change_median": cm, "change_q1": c1, "change_q3": c3,
-            "change_wins": wins,
-            "pairs": len(runs),
-            "relative_change": (cm - pm) / pm if pm else 0.0,
-            "paired_relative_median": rm,
-            "paired_relative_iqr": None if r1 is None else r3 - r1,
-            "gap_exceeds_parent_iqr": abs(cm - pm) > p3 - p1,
-            "within_bound": worse <= m["bound"] * abs(pm),
+            **s,
+            "gap_exceeds_parent_iqr": (abs(s["change_median"] - s["parent_median"])
+                                       > s["parent_q3"] - s["parent_q1"]),
+            "within_bound": worse <= m["bound"] * abs(s["parent_median"]),
         }
     return out
+
+
+def summarize_calls(runs) -> dict:
+    """Per CLI call of the workload: the medians over pairs of each run's median time."""
+    calls = [c for c in runs[0]["parent"]["call_s"] if c in runs[0]["change"]["call_s"]]
+    return {c: _paired({side: [r[side]["call_s"][c] for r in runs] for side in SIDES})
+            for c in calls}
 
 
 def main(argv=None) -> int:
@@ -148,6 +171,14 @@ def main(argv=None) -> int:
               f"{s['change_wins']:>3d}/{s['pairs']:<2d} "
               f"{'yes' if s['gap_exceeds_parent_iqr'] else 'no':>5s} "
               f"{'ok' if s['within_bound'] else 'BROKEN':>9s}")
+    calls = summarize_calls(runs)
+    print(f"\n{'call':<36s} {'parent median':>14s} {'change median':>14s} {'paired rel [IQR]':>18s}"
+          f" {'wins':>6s}")
+    for call, s in calls.items():
+        rm, iqr = s["paired_relative_median"], s["paired_relative_iqr"]
+        paired = "n/a" if rm is None else f"{rm:+.1%} [{'n/a' if iqr is None else f'{iqr:.1%}'}]"
+        print(f"{call:<36s} {s['parent_median']:>14.4f} {s['change_median']:>14.4f} "
+              f"{paired:>18s} {s['change_wins']:>3d}/{s['pairs']:<2d}")
     print(f"artifact_sha256 equal in {same}/{len(runs)} pairs; runs with a failed "
           f"operation: {failed}")
 
@@ -164,11 +195,13 @@ def main(argv=None) -> int:
         "artifact_sha256_equal_pairs": same,
         "runs_with_failures": failed,
         "summary": summary,
+        "calls": calls,
         "runs": [
             {"seed": r["seed"], "first": r["first"],
              "artifact_sha256_equal": r["artifact_sha256_equal"],
-             **{s: {"metrics": r[s]["metrics"], "failed_ratio": r[s]["failed_ratio"],
-                    "passes": r[s]["passes"]} for s in SIDES}}
+             **{s: {"metrics": r[s]["metrics"], "call_s": r[s]["call_s"],
+                    "failed_ratio": r[s]["failed_ratio"], "passes": r[s]["passes"]}
+                for s in SIDES}}
             for r in runs
         ],
     }
