@@ -8,15 +8,16 @@ and binds tighter than unary minus; its exponent may carry ``-`` signs
 but no ``+``.  Any whitespace separates tokens, newlines included.
 
 Parsed expressions support evaluation, forward-mode differentiation
-with respect to a variable (the chain rule applied leaf-to-root on the
-tree, producing a derivative tree), and compilation to a plain Python
-function for fast repeated evaluation.  Power with a non-constant
+(the chain rule applied leaf-to-root, producing a derivative tree) and
+compilation to a plain Python function, whose source ``emitter`` writes,
+as it does the implicit backend's kernels.  Power with a non-constant
 exponent has no derivative in this grammar and raises.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import operator
 import re
@@ -49,9 +50,8 @@ class Expr:
         return tuple([getattr(self, name) for name in self._operands])
 
     def emit(self):
-        """Python source fragment computing this node, which ``render`` writes
-        from its operands' fragments."""
-        return self.render()
+        """Python source computing this node: ``render`` of its operands' ``emit``."""
+        return self.render(*[c.emit() for c in self.children()])
 
     def __str__(self):
         return self.emit()
@@ -102,9 +102,6 @@ class Neg(Expr):
     def diff(self, var):
         return _neg(self.arg.diff(var))
 
-    def emit(self):
-        return self.render(self.arg.emit())
-
     def render(self, arg):
         return f"(-{arg})"
 
@@ -140,10 +137,9 @@ class Bin(Expr):
             return _mul(_mul(Num(c), _pow(a, Num(c - 1.0))), da)
         raise AssertionError(self.op)
 
-    def emit(self):
-        return self.render(self.lhs.emit(), self.rhs.emit())
-
     def render(self, lhs, rhs):
+        if self.op == "^" and lhs.startswith("-"):  # a negative literal: -2.0 ** x is -(2.0 ** x)
+            lhs = f"({lhs})"
         op = "**" if self.op == "^" else self.op
         return f"({lhs} {op} {rhs})"
 
@@ -167,9 +163,6 @@ class Fun(Expr):
         if self.name == "exp":
             return _mul(self, da)
         raise AssertionError(self.name)
-
-    def emit(self):
-        return self.render(self.arg.emit())
 
     def render(self, arg):
         return f"{self.name}({arg})"
@@ -241,12 +234,16 @@ _OUTSIDE = re.compile(r"[^0-9A-Za-z_.+\-*/^() ]|\*\*|\^[ -]*\+")
 #: a decimal literal, the only constant the grammar has
 _LITERAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
-#: deepest parenthesis nesting Python compiles; ``parse`` rejects deeper trees
+#: deepest nesting ``parse`` accepts, the parenthesis depth Python's parser reads: a long
+#: sum is held to the same bound as nested parentheses, and each recursive walk of a
+#: parsed tree (``evaluate``, ``diff``, ``emit``) stays within Python's recursion limit
 MAX_NESTING = 200
+#: nesting depth at which ``emitter`` moves a subexpression's source to a temporary
+INLINE_DEPTH = 50
 
 
 def _nesting(e):
-    """Parenthesis depth of ``e.emit()``: each operator and call opens one."""
+    """Nesting depth of ``e``: each operator and call is one level of every tree walk."""
     return max((1 + _nesting(c) for c in e.children()), default=0)
 
 
@@ -278,9 +275,8 @@ def parse(text, allowed_vars=None):
     The text is read by Python's own parser with ``^`` for ``**``, and
     its tree is converted node by node; any construct the grammar lacks
     raises an :class:`ExpressionError` whose ``position`` indexes
-    ``text``, and so does a tree whose emitted source would nest more
-    than ``MAX_NESTING`` parentheses.  When ``allowed_vars`` is given,
-    any other identifier raises too.
+    ``text``, and so does a tree nested more than ``MAX_NESTING`` levels
+    deep.  When ``allowed_vars`` is given, any other identifier raises too.
     """
     line = re.sub(r"\s", " ", text)  # one for one, so positions stay put
     bad = _OUTSIDE.search(line)
@@ -347,20 +343,81 @@ def run_emitted(src) -> dict:
     try:
         exec(src, ns)  # noqa: S102 - source is emitted from our own AST
     except (SyntaxError, RecursionError) as err:
-        # a derivative tree may nest deeper than the tree it came from
+        # the trees come from a scenario's text, so source Python rejects is an error in it
         raise ExpressionError(f"emitted source does not compile: {err}") from None
     return ns
 
 
+def emitter(trees):
+    """``block(ind, roots, names)``: the source of the nodes ``roots`` of ``trees``.
+
+    That is a line ``_tK = ...``, indented by ``ind``, for each subexpression
+    read twice or nested ``INLINE_DEPTH`` deep, and the text of each root as
+    ``emit`` writes it, with variables renamed by the pairs ``names``."""
+    # hash-consing: structurally equal subtrees share a key, above its operands'
+    keys, interned, nodes = {}, {}, {}
+    todo = list(trees)
+    while todo:  # a loop, for derivative trees nest deeper than Python recurses
+        e = todo[-1]
+        fresh = [c for c in e.children() if id(c) not in keys]
+        todo += fresh
+        if not fresh:
+            todo.pop()
+            ops = [keys[id(c)] for c in e.children()]
+            sig = (type(e), *ops, *(repr(v) for v in vars(e).values() if not isinstance(v, Expr)))
+            k = keys[id(e)] = interned.setdefault(sig, len(interned))
+            nodes.setdefault(k, (e, ops))
+
+    @functools.cache
+    def plan(roots):
+        # the nodes the trees with these root keys read, operands first, and
+        # whether each becomes a temporary: a property of the trees, not the point
+        uses, todo = {}, list(roots)
+        while todo:  # a node's uses: the trees and distinct nodes that read it
+            k = todo.pop()
+            uses[k] = uses.get(k, 0) + 1
+            if uses[k] == 1:
+                todo += nodes[k][1]
+        depth, order = {}, []
+        for k in sorted(uses):  # operands first
+            ops = nodes[k][1]
+            depth[k] = 1 + max(map(depth.get, ops), default=-1)
+            temp = bool(ops) and (uses[k] > 1 or depth[k] >= INLINE_DEPTH)
+            depth[k] = 0 if temp else depth[k]  # a temporary's text nests no deeper
+            order.append((k, temp))
+        return order
+
+    @functools.cache
+    def render(roots, names):
+        # the plan's temporaries at the point named by names, and each tree's text
+        names, text, lines = dict(names), {}, []
+        for k, temp in plan(roots):
+            e, ops = nodes[k]
+            src = names.get(e.name, e.name) if isinstance(e, Var) else e.render(*map(text.get, ops))
+            text[k] = f"_t{k}" if temp else src
+            if temp:
+                lines.append(f"_t{k} = {src}")
+        return lines, [text[k] for k in roots]
+
+    def block(ind, roots, names):  # fresh lines: callers extend them
+        lines, text = render(tuple(keys[id(t)] for t in roots), tuple(names))
+        return [ind + line for line in lines], text
+
+    return block
+
+
+def _function(trees, arg_names, each):  # one block, then each tree's text in format each
+    lines, text = emitter(trees)("    ", trees, ())
+    body = "".join(each.format(s) for s in text)
+    src = "\n".join([f"def _f({', '.join(arg_names)}):", *lines, f"    return {body}", ""])
+    return run_emitted(src)["_f"]
+
+
 def compile_tree(tree, arg_names):
     """Compile a tree to ``f(*args) -> float`` with positional arguments."""
-    src = f"def _f({', '.join(arg_names)}):\n    return {tree.emit()}\n"
-    return run_emitted(src)["_f"]
+    return _function([tree], arg_names, "{}")
 
 
 def compile_many(trees, arg_names):
     """Compile several trees into one ``f(*args) -> tuple`` function."""
-    body = "".join(f"{t.emit()}, " for t in trees)  # a bare tuple adds no nesting
-    src = f"def _f({', '.join(arg_names)}):\n    return {body}\n"
-    return run_emitted(src)["_f"]
-
+    return _function(trees, arg_names, "{}, ")  # a bare tuple

@@ -10,19 +10,18 @@ space after every step.  The log map is a damped shooting iteration on
 the endpoint residual; parallel transport integrates the transport
 equation jointly with its geodesic.
 
-The kernels are scalar Python source emitted from the derivative DAGs
-of the constraint trees, which keeps a geodesic integration well under
-a millisecond.  The fused RK4 loops ``rk4_geo`` and ``rk4_par`` write
-out the statements of the standalone kernels (``acc``, ``acc_w``,
-``proj_x``, ``proj_t``), so they round exactly as stage-by-stage calls
-do, and each stage evaluates the Jacobian once.  Kernels run on Python
-floats (see ``_on_floats``).  One or two equality constraints are
-supported; more are a structural error.
+The kernels are scalar Python source that ``expressions.emitter`` writes
+from the constraint trees and their derivatives, which keeps a geodesic
+integration well under a millisecond.  The fused RK4 loops ``rk4_geo``
+and ``rk4_par`` write out the statements of the standalone kernels
+(``acc``, ``acc_w``, ``proj_x``, ``proj_t``), so they round exactly as
+stage-by-stage calls do, and each stage evaluates the Jacobian once.
+Kernels run on Python floats (see ``_on_floats``).  One or two equality
+constraints are supported; more are a structural error.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import OrderedDict
 from typing import Sequence
@@ -41,20 +40,14 @@ COARSE_STEPS_PER_UNIT = 12
 #: finite differences of the squared distance with step 1e-5 stay clean
 SHOOTING_TOL = 3e-11
 SHOOTING_MAX_ITER = 100
-#: nesting depth at which a subexpression's source moves to a temporary
-INLINE_DEPTH = 50
 
 
 def _emit_kernels(g_trees, d):
     """Emit scalar kernels specialized to the constraint trees (m <= 2).
 
-    ``g`` and ``jac`` evaluate the constraints and their Jacobian.  Each
-    block (a Jacobian and Gram matrix, curvature terms, a restoration
-    residual) is emitted at one point, whose coordinate names a name map
-    gives.  There, a subexpression read twice or nested ``INLINE_DEPTH``
-    deep becomes a temporary ``_tK``; the rest is inline, as in ``emit``.
-    Temporaries stay in their block: ``proj_x``'s early exit skips the
-    Jacobian.
+    ``g`` and ``jac`` evaluate the constraints and their Jacobian.  Each Jacobian,
+    set of curvature terms and restoration residual is one ``expressions.emitter``
+    block with its own temporaries, so ``proj_x``'s early exit skips the Jacobian's.
     """
     m = len(g_trees)
 
@@ -69,58 +62,11 @@ def _emit_kernels(g_trees, d):
             for k in range(d) if H[i, min(j, k), max(j, k)] != ex.Num(0.0)]
     jacobian = [t for row in J for t in row]
     jn = [f"j_{i}_{j}" for i in range(m) for j in range(d)]
-    # hash-consing: structurally equal subtrees share a key, above its operands'
-    keys, interned, nodes = {}, {}, {}
-    todo = [*g_trees, *jacobian, *H.values()]
-    while todo:  # a loop, for derivative trees nest deeper than Python recurses
-        e = todo[-1]
-        fresh = [c for c in e.children() if id(c) not in keys]
-        todo += fresh
-        if not fresh:
-            todo.pop()
-            ops = [keys[id(c)] for c in e.children()]
-            sig = (type(e), *ops, *(repr(v) for v in vars(e).values() if not isinstance(v, ex.Expr)))
-            k = keys[id(e)] = interned.setdefault(sig, len(interned))
-            nodes.setdefault(k, (e, ops))
-
-    @functools.cache
-    def plan(roots):
-        # the nodes the trees with these root keys read, operands first, and
-        # whether each becomes a temporary: a property of the trees, not the point
-        uses, todo = {}, list(roots)
-        while todo:  # a node's uses: the trees and distinct nodes that read it
-            k = todo.pop()
-            uses[k] = uses.get(k, 0) + 1
-            if uses[k] == 1:
-                todo += nodes[k][1]
-        depth, order = {}, []
-        for k in sorted(uses):  # operands first
-            ops = nodes[k][1]
-            depth[k] = 1 + max(map(depth.get, ops), default=-1)
-            temp = bool(ops) and (uses[k] > 1 or depth[k] >= INLINE_DEPTH)
-            depth[k] = 0 if temp else depth[k]  # a temporary's text nests no deeper
-            order.append((k, temp))
-        return order
-
-    @functools.cache
-    def render(roots, xn):
-        # the plan's temporaries at the coordinates named xn, and each tree's text
-        names, text, lines = dict(zip(xs, xn)), {}, []
-        for k, temp in plan(roots):
-            e, ops = nodes[k]
-            src = names[e.name] if isinstance(e, ex.Var) else e.render(*map(text.get, ops))
-            text[k] = f"_t{k}" if temp else src
-            if temp:
-                lines.append(f"_t{k} = {src}")
-        return lines, [text[k] for k in roots]
-
-    def block(ind, trees, xn):
-        lines, text = render(tuple(keys[id(t)] for t in trees), tuple(xn))
-        return [ind + line for line in lines], text
+    block = ex.emitter([*g_trees, *jacobian, *H.values()])
 
     def jac_gram(ind, xn):
         # j_i_j = dg_i/dx_j at xn, the Gram matrix G = J J^T and (m = 2) det G
-        out, text = block(ind, jacobian, xn)
+        out, text = block(ind, jacobian, zip(xs, xn))
         out += [f"{ind}{n} = {s}" for n, s in zip(jn, text)]
         for a in range(m):
             for b in range(a, m):
@@ -149,7 +95,7 @@ def _emit_kernels(g_trees, d):
 
     def curvature(ind, out, xn, left, right):
         # out = J^T lam with G lam = -left^T H(xn) right; needs J and G at xn
-        lines, text = block(ind, [h for *_, h in hess], xn)
+        lines, text = block(ind, [h for *_, h in hess], zip(xs, xn))
         for i in range(m):
             terms = [f"({s})*{left[j]}*{right[k]}" for (r, j, k, _), s in zip(hess, text) if r == i]
             lines.append(f"{ind}q_{i} = " + (" + ".join(terms) or "0.0"))
@@ -165,7 +111,7 @@ def _emit_kernels(g_trees, d):
 
     def restore(ind, loop):
         # Gauss-Newton restoration of feasibility: x -= J^T G^-1 g
-        pre, text = block(ind + "    ", g_trees, xs)
+        pre, text = block(ind + "    ", g_trees, ())
         lines = [f"{ind}for {loop} in range(4):", *pre]
         lines += [f"{ind}    gv_{i} = {s}" for i, s in enumerate(text)]
         cond = " and ".join(f"abs(gv_{i}) < 1e-14" for i in range(m))
@@ -179,7 +125,7 @@ def _emit_kernels(g_trees, d):
     vs, ws = vec("v"), vec("w")
     L = []
     for name, trees in (("g", g_trees), ("jac", jacobian)):
-        lines, text = block("    ", trees, xs)
+        lines, text = block("    ", trees, ())
         L += [f"def {name}({sig(xs)}):", *lines, f"    return ({sig(text)},)", ""]
     L += [f"def acc({sig(xs, vs)}):"]  # geodesic acceleration
     L += jac_gram("    ", xs) + curvature("    ", vec("a"), xs, vs, vs)

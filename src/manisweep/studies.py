@@ -418,6 +418,8 @@ def diagnose_scenario(scenario, radius: Optional[float], n_samples: int) -> Diag
     The radius defaults to the probe radius.  The log-map monotonicity and
     the admissible step are reported as measured.
     """
+    if n_samples < 1:  # else the hypomonotonicity check reports it as a sampling failure
+        raise StructuralError("n_samples must be >= 1")
     radius = scenario.moving_set.probe_radius if radius is None else radius
     region = Region(scenario.x0, radius)
     reports = {}

@@ -255,12 +255,15 @@ def catching_up(scenario, h: float) -> Trajectory:
     pert: Perturbation = scenario.perturbation
     x0: Point = scenario.x0
     horizon = float(scenario.horizon)
-    if not h > 0:
-        raise StructuralError("step must be positive")
+    if not 0 < h < math.inf:  # 0 * inf is the first node's nan time
+        raise StructuralError(f"step must be positive and finite, got {h:g}")
     node_values = [require_x0_in_C0(set_, x0)]
 
-    n = max(1, math.ceil(horizon / h - 1e-12))
-    times = np.minimum(np.arange(n + 1) * h, horizon)
+    try:
+        n = max(1, math.ceil(horizon / h - 1e-12))
+        times = np.minimum(np.arange(n + 1) * h, horizon)
+    except (OverflowError, ValueError, MemoryError):
+        raise StructuralError(f"step {h:g} needs more nodes than can be built") from None
     times[-1] = horizon
 
     adm = admissible_step(set_, pert, horizon, x0)

@@ -34,16 +34,27 @@ def _wrap(e, need):
     return s if level >= need else f"({s})"
 
 
-# the trees the parser builds: ``-`` folds into a literal and cancels a ``-``
-_trees = st.recursive(
-    st.one_of(
-        st.builds(Num, st.floats(allow_nan=False, allow_infinity=False)),
-        st.builds(Var, st.sampled_from(["x1", "x2", "t"])),
-    ),
-    lambda inner: st.one_of(
+_LEAVES = st.one_of(
+    st.builds(Num, st.floats(allow_nan=False, allow_infinity=False)),
+    st.builds(Var, st.sampled_from(["x1", "x2", "t"])),
+)
+
+
+def _nodes(inner):
+    return st.one_of(
         st.builds(Bin, st.sampled_from("+-*/^"), inner, inner),
         st.builds(Neg, inner.filter(lambda e: not isinstance(e, (Num, Neg)))),
         st.builds(Fun, st.sampled_from(["sin", "cos", "exp"]), inner),
+    )
+
+
+# the trees the parser builds: ``-`` folds into a literal and cancels a ``-``
+_trees = st.recursive(_LEAVES, _nodes, max_leaves=12)
+# and trees that read one subtree twice, as derivative trees do
+_shared_trees = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        _nodes(inner), st.builds(lambda op, s: Bin(op, s, s), st.sampled_from("+-*/^"), inner)
     ),
     max_leaves=12,
 )
@@ -131,7 +142,9 @@ def test_integer_literals_with_leading_zeros_are_rejected():
 # inputs nested deeper than Python compiles
 DEEP_NEGATION = "-" * 3000 + "x1 + 1"
 SUM_300 = " + ".join(["x1"] * 300) + " + 1"
+# inputs within the limit whose gradients, written inline, would nest deeper
 PRODUCT_100 = "(x1+x2)^2*" * 100 + "0.001 + 1"
+QUOTIENT_150 = "(x1+1)/(" * 150 + "x2+1" + ")" * 150
 
 
 @pytest.mark.parametrize("text", [DEEP_NEGATION, SUM_300], ids=["negation_3000", "sum_300"])
@@ -140,11 +153,14 @@ def test_parse_rejects_trees_nested_deeper_than_python_compiles(text):
         ex.parse(text, allowed_vars={"x1", "x2", "t"})
 
 
-def test_a_gradient_nested_deeper_than_python_compiles_is_an_expression_error():
-    tree = ex.parse(PRODUCT_100, allowed_vars={"x1", "x2", "t"})  # the tree itself compiles
-    ex.compile_tree(tree, ["t", "x1", "x2"])
-    with pytest.raises(ExpressionError, match="emitted source does not compile"):
-        ex.compile_many([tree.diff("x1"), tree.diff("x2")], ["t", "x1", "x2"])
+@pytest.mark.parametrize("text", [PRODUCT_100, QUOTIENT_150], ids=["product_100", "quotient_150"])
+def test_a_gradient_nested_deeper_than_python_compiles_inline_equals_the_tree_walk(text):
+    tree = ex.parse(text, allowed_vars={"x1", "x2", "t"})
+    grad = [tree.diff("x1"), tree.diff("x2")]
+    env = {"t": 0.3, "x1": 0.7, "x2": 1.3}
+    assert ex.compile_tree(tree, ["t", "x1", "x2"])(0.3, 0.7, 1.3) == tree.evaluate(env)
+    got = ex.compile_many(grad, ["t", "x1", "x2"])(0.3, 0.7, 1.3)
+    assert got == tuple(g.evaluate(env) for g in grad)
 
 
 def test_the_nesting_limit_is_the_one_python_compiles():
@@ -164,8 +180,50 @@ def test_a_literal_that_overflows_is_rejected_where_it_starts(text, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize("text, value", [("(-2)^2 - x1", 3.0), ("(-0.5)^-1 + x1", -1.0),
+                                         ("x1 * (-3)^2", 9.0)])
+def test_a_negative_literal_raised_to_a_power_is_the_base(text, value):
+    # Python reads -2.0 ** 2.0 as -(2.0 ** 2.0)
+    tree = ex.parse(text)
+    assert tree.evaluate({"x1": 1.0}) == value
+    assert ex.compile_tree(tree, ["x1"])(1.0) == value
+    assert ex.compile_many([tree, tree], ["x1"])(1.0) == (value, value)
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_a_constant_that_folds_to_a_non_finite_value_compiles(value):
     # a derivative may fold finite literals into one; its repr must resolve
     out = ex.compile_tree(Num(value), ["x1"])(1.0)
     assert out == value or (math.isnan(out) and math.isnan(value))
+
+
+def _outcome(f, *args):
+    """``f(*args)``, or the type of the error it raises."""
+    try:
+        return f(*args)
+    except (ArithmeticError, ValueError, TypeError) as err:
+        return type(err)
+
+
+def _same(a, b):
+    """``a == b``, a NaN matching a NaN (also inside a tuple)."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b or (a != a and b != b)
+
+
+ARGS = ["t", "x1", "x2"]
+
+
+@settings(max_examples=400, derandomize=True)
+@given(tree=st.one_of(_trees, _shared_trees), point=st.tuples(*[st.floats()] * 3))
+def test_compiled_trees_and_their_derivatives_equal_the_tree_walk(tree, point):
+    # derivative trees read subtrees many times: there the emitter writes temporaries
+    env = dict(zip(ARGS, point))
+    assert _same(_outcome(ex.compile_tree(tree, ARGS), *point), _outcome(tree.evaluate, env))
+    try:
+        grad = [tree.diff("x1"), tree.diff("x2")]
+    except (ArithmeticError, ValueError):  # an ExpressionError: no derivative, or
+        return  # a constant exponent that does not evaluate
+    walk = _outcome(lambda: tuple(g.evaluate(env) for g in grad))
+    assert _same(_outcome(ex.compile_many(grad, ARGS), *point), walk)

@@ -178,8 +178,11 @@ def e2_inequality(expr):
 
 
 @pytest.mark.parametrize(
-    "expr", [" + ".join(["x1"] * 150) + " + 1", "(x1+x2)^2*" * 50 + "0.001 + 1"],
-    ids=["sum_150", "product_50"],
+    "expr",
+    [" + ".join(["x1"] * 150) + " + 1", "(x1+x2)^2*" * 50 + "0.001 + 1",
+     # their gradients, written inline, would nest deeper than Python compiles
+     "(x1+x2)^2*" * 100 + "0.001 + 1", "(x1+1)/(" * 150 + "x2+1" + ")" * 150],
+    ids=["sum_150", "product_50", "product_100", "quotient_150"],
 )
 def test_deep_expressions_within_the_nesting_limit_validate(tmp_path, expr):
     doc = dict(MINIMAL_HALFLINE, **e2_inequality(expr))
@@ -197,8 +200,8 @@ HALFLINE_FLOW = {
 
 
 @pytest.mark.parametrize(
-    "changes, error, names",
-    [
+    "changes, error, names, command",
+    [(*case, ["validate"]) for case in [
         # as many equalities as coordinates: no tangent direction left
         ({"manifold": {"kind": "implicit", "dim": 2, "equalities": ["x1", "x2"]},
           "set": {"kind": "inequalities", "exprs": ["1"]}, "initial_point": [0.0, 0.0]},
@@ -237,12 +240,10 @@ HALFLINE_FLOW = {
         ({"initial_point": [True]}, "StructuralError", "initial_point"),
         ({"seed": True}, "StructuralError", "seed"),
         ({"manifold": {"kind": "euclidean", "dim": True}}, "StructuralError", "manifold.dim"),
-        # expressions nested deeper than Python compiles, the last only in its gradient
+        # expressions nested deeper than Python compiles
         (e2_inequality("-" * 3000 + "x1 + 1"), "ExpressionError", "nests more than 200"),
         (e2_inequality(" + ".join(["x1"] * 300) + " + 1"), "ExpressionError",
          "nests more than 200"),
-        (e2_inequality("(x1+x2)^2*" * 100 + "0.001 + 1"), "ExpressionError",
-         "does not compile"),
         # a literal that overflows to infinity
         (e2_inequality("1e999 - x1"), "ExpressionError", "1e999 is not a finite number"),
         # a zero cap axis has no direction to normalize
@@ -250,6 +251,17 @@ HALFLINE_FLOW = {
           "set": {"kind": "sphere_cap", "axis": [0.0, 0.0, 0.0]},
           "initial_point": [0.0, 0.0, 1.0]},
          "StructuralError", "cap axis must be nonzero"),
+    ]] + [
+        # a step whose first time is 0 * inf = nan, or whose nodes are too many to build
+        ({}, "StructuralError", "positive and finite, got inf",
+         ["simulate", "--h", "inf", "--out", "{tmp}/run.csv"]),
+        ({}, "StructuralError", "step 1e-300 needs more nodes than can be built",
+         ["simulate", "--h", "1e-300", "--out", "{tmp}/run.csv"]),
+        ({}, "StructuralError", "step 1e-300 needs more nodes than can be built",
+         ["certify", "--h", "1e-300"]),
+        # no sample to draw: not a sampler that found no pair
+        ({}, "StructuralError", "n_samples must be >= 1", ["diagnose", "--samples", "0"]),
+        ({}, "StructuralError", "n_samples must be >= 1", ["diagnose", "--samples", "-3"]),
     ],
     ids=["no_tangent_direction", "three_equalities", "bad_expression",
          "radius_not_a_number", "center_not_numbers", "lipschitz_const_not_a_number",
@@ -257,12 +269,15 @@ HALFLINE_FLOW = {
          "ball_without_radius", "half_space_without_normal", "inequalities_without_exprs",
          "normal_wrong_length", "radius_a_list", "set_a_list",
          "horizon_infinite", "initial_point_bool", "seed_bool", "dim_bool",
-         "negation_3000", "sum_300", "gradient_of_product_100", "overflowing_literal",
-         "cap_axis_zero"],
+         "negation_3000", "sum_300", "overflowing_literal",
+         "cap_axis_zero", "simulate_step_infinite", "simulate_step_too_small",
+         "certify_step_too_small", "diagnose_zero_samples", "diagnose_negative_samples"],
 )
-def test_cli_json_errors_are_typed(tmp_path, capsys, changes, error, names):
+def test_cli_json_errors_are_typed(tmp_path, capsys, changes, error, names, command):
     doc = dict(MINIMAL_HALFLINE, **changes)
-    code = main(["--json-errors", "validate", "--scenario", str(write(tmp_path, doc))])
+    options = [a.format(tmp=tmp_path) for a in command[1:]]
+    scenario = str(write(tmp_path, doc))
+    code = main(["--json-errors", command[0], "--scenario", scenario, *options])
     assert code == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
