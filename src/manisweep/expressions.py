@@ -275,8 +275,10 @@ def parse(text, allowed_vars=None):
     The text is read by Python's own parser with ``^`` for ``**``, and
     its tree is converted node by node; any construct the grammar lacks
     raises an :class:`ExpressionError` whose ``position`` indexes
-    ``text``, and so does a tree nested more than ``MAX_NESTING`` levels
-    deep.  When ``allowed_vars`` is given, any other identifier raises too.
+    ``text``, and so does a subexpression without a variable whose value is
+    not a finite real number.  A tree nested more than ``MAX_NESTING`` levels
+    deep raises too, and, when ``allowed_vars`` is given, any other identifier.
+    Nothing is folded: the tree is the text's.
     """
     line = re.sub(r"\s", " ", text)  # one for one, so positions stay put
     bad = _OUTSIDE.search(line)
@@ -285,11 +287,32 @@ def parse(text, allowed_vars=None):
     lead = len(line) - len(line.lstrip())
     src = line[lead:].replace("^", "**")
 
+    constants = {}  # id -> each compound subexpression without a variable, kept alive
+
+    def constant(tree, node):
+        # a subexpression without a variable has one value, which must be a
+        # finite real, as a literal must: evaluated here, not first when it runs
+        kids = tree.children()
+        if kids and all(isinstance(c, Num) or id(c) in constants for c in kids):
+            constants[id(tree)] = tree
+            try:
+                value = tree.evaluate({})
+            except (ArithmeticError, ValueError):
+                value = math.nan
+            if isinstance(value, complex) or not math.isfinite(value):
+                at = _position(line, lead, node.col_offset)
+                end = _position(line, lead, node.end_col_offset - 1) + 1
+                raise ExpressionError(
+                    f"constant {line[at:end]!r} has no finite real value", position=at
+                )
+        return tree
+
     def convert(node):
         if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
-            return Bin(_OPS[type(node.op)], convert(node.left), convert(node.right))
+            tree = Bin(_OPS[type(node.op)], convert(node.left), convert(node.right))
+            return constant(tree, node)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return _neg(convert(node.operand))
+            return constant(_neg(convert(node.operand)), node)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
             return convert(node.operand)
         if isinstance(node, ast.Name) and node.id not in _FUNCTIONS:
@@ -302,7 +325,7 @@ def parse(text, allowed_vars=None):
             return Num(float(literal))
         call = isinstance(node, ast.Call) and len(node.args) == 1 and not node.keywords
         if call and isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS:
-            return Fun(node.func.id, convert(node.args[0]))
+            return constant(Fun(node.func.id, convert(node.args[0])), node)
         at = _position(line, lead, _offending(node, src))
         raise ExpressionError(f"{line[at:]!r} is outside the expression grammar", position=at)
 
@@ -411,6 +434,11 @@ def _function(trees, arg_names, each):  # one block, then each tree's text in fo
     body = "".join(each.format(s) for s in text)
     src = "\n".join([f"def _f({', '.join(arg_names)}):", *lines, f"    return {body}", ""])
     return run_emitted(src)["_f"]
+
+
+#: what a compiled field raises where it has no real value: an overflow, a division
+#: by zero, a math domain error, or a complex intermediate passed to ``sin``, ``cos``, ``exp``
+FIELD_ERRORS = (ArithmeticError, ValueError, TypeError)
 
 
 def compile_tree(tree, arg_names):

@@ -550,11 +550,26 @@ def inequalities(backend, exprs: Sequence[str], **kw):
         fn = ex.compile_tree(tree, ["t"] + names)
         grad = ex.compile_many([tree.diff(v) for v in names], ["t"] + names)
 
-        def value(t, xc, fn=fn):
-            return float(fn(t, *xc))
+        # a field with no real value where a run takes it is a numerical error
+        def value(t, xc, fn=fn, s=s):
+            try:
+                v = fn(t, *xc)
+                if isinstance(v, complex):  # numpy's complex128 is one too
+                    raise ValueError("complex value")
+            except ex.FIELD_ERRORS as err:
+                raise NumericsError(f"constraint {s!r} failed at t = {t:.6g}: {err}") from err
+            return float(v)
 
-        def amb_grad(t, xc, grad=grad):
-            return np.array(grad(t, *xc))
+        def amb_grad(t, xc, grad=grad, s=s):
+            try:
+                g = np.array(grad(t, *xc))
+                if g.dtype.kind == "c":
+                    raise ValueError("complex value")
+            except ex.FIELD_ERRORS as err:
+                raise NumericsError(
+                    f"gradient of constraint {s!r} failed at t = {t:.6g}: {err}"
+                ) from err
+            return g
 
         cons.append(Constraint(value, amb_grad, s))
     return MovingSet(backend, cons, **kw)

@@ -73,7 +73,15 @@ def expression_perturbation(
     fn = ex.compile_many(trees, ["t"] + names)
 
     def components_at(t, xc):
-        return backend._project_tangent(xc, np.array(fn(t, *xc)))
+        try:
+            v = np.array(fn(t, *xc))
+            if v.dtype.kind == "c":
+                raise ValueError("complex value")
+        except ex.FIELD_ERRORS as err:
+            raise NumericsError(
+                f"perturbation {list(components)} failed at t = {t:.6g}: {err}"
+            ) from err
+        return backend._project_tangent(xc, v)
 
     return Perturbation(components_at, sup_norm, lipschitz)
 
@@ -286,11 +294,10 @@ def catching_up(scenario, h: float) -> Trajectory:
         hi = t_next - tl[i]
         x = nodes[i]
         xc = yc = x.coords
-        if pert.components is not None:
-            fc = pert.components(tl[i], xc)
-            exceeded += backend.norm(x, fc) > pert.sup_norm + 1e-9
         try:
             if pert.components is not None:
+                fc = pert.components(tl[i], xc)
+                exceeded += backend.norm(x, fc) > pert.sup_norm + 1e-9
                 yc = backend._exp_coords(xc, hi * fc)
             values = [c.value(t_next, yc) for c in set_.constraints]
             if set_._holds(values):
@@ -310,7 +317,7 @@ def catching_up(scenario, h: float) -> Trajectory:
             )
             raise NumericsError(
                 f"catching-up step {i} (t = {t_next:.6g}) failed: {err}",
-                best=partial,
+                residual=getattr(err, "residual", None), best=partial,
             ) from err
         nodes.append(node)
         node_values.append(values)

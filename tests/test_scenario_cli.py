@@ -189,6 +189,13 @@ def test_deep_expressions_within_the_nesting_limit_validate(tmp_path, expr):
     assert main(["validate", "--scenario", str(write(tmp_path, doc))]) == 0
 
 
+def e2_flow(component, sup_norm=1.0):
+    """A flat 2-d perturbation with first component ``component``."""
+    return {"kind": "expression", "components": [component, "0"], "sup_norm": sup_norm,
+            "lipschitz": 0.0}
+
+
+SIMULATE = ["simulate", "--h", "0.1", "--out", "{tmp}/run.csv"]
 E2_BALL = {
     "manifold": {"kind": "euclidean", "dim": 2},
     "set": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
@@ -251,6 +258,17 @@ HALFLINE_FLOW = {
           "set": {"kind": "sphere_cap", "axis": [0.0, 0.0, 0.0]},
           "initial_point": [0.0, 0.0, 1.0]},
          "StructuralError", "cap axis must be nonzero"),
+        # a constant without a finite real value, rejected where it is written
+        (e2_inequality("1 - x1^(10^400)"), "ExpressionError", "'10^400' has no finite real"),
+        (e2_inequality("1 - x1^2 - x2^2 + 0*exp(1000)"), "ExpressionError", "'exp(1000)'"),
+        (e2_inequality("1 - x1^(1/0)"), "ExpressionError", "'1/0' has no finite real"),
+        (e2_inequality("1 - x1^2 - x2^2 + 0*sin(1e308*10)"), "ExpressionError", "'1e308*10'"),
+        (e2_inequality("(-1)^0.5 + 1 - x1^2 - x2^2"), "ExpressionError", "'(-1)^0.5'"),
+        (e2_inequality("1 - x1^((-8)^(1/3))"), "ExpressionError", "'(-8)^(1/3)'"),
+        ({"manifold": {"kind": "implicit", "dim": 2,
+                       "equalities": ["x1^2 + x2^2 - 1 + 0*(1/0)"]},
+          "set": {"kind": "inequalities", "exprs": ["x1 + 2"]}, "initial_point": [1.0, 0.0]},
+         "ExpressionError", "'1/0' has no finite real"),
     ]] + [
         # a step whose first time is 0 * inf = nan, or whose nodes are too many to build
         ({}, "StructuralError", "positive and finite, got inf",
@@ -262,6 +280,19 @@ HALFLINE_FLOW = {
         # no sample to draw: not a sampler that found no pair
         ({}, "StructuralError", "n_samples must be >= 1", ["diagnose", "--samples", "0"]),
         ({}, "StructuralError", "n_samples must be >= 1", ["diagnose", "--samples", "-3"]),
+        # a perturbation constant without a finite real value, not a failed run
+        (dict(E2_BALL, perturbation=e2_flow("exp(1000)*0")), "ExpressionError",
+         "'exp(1000)' has no finite real", SIMULATE),
+        (dict(E2_BALL, perturbation=e2_flow("(-1)^0.5")), "ExpressionError",
+         "'(-1)^0.5' has no finite real", SIMULATE),
+        # a field with no real value where the run takes it
+        (dict(e2_inequality("1e300 - exp(x1)"), perturbation=e2_flow("800", 800.0)),
+         "NumericsError", "constraint '1e300 - exp(x1)' failed at t = 1: math range error",
+         ["simulate", "--h", "1", "--out", "{tmp}/run.csv"]),
+        (dict(E2_BALL, set=dict(E2_BALL["set"], radius=5.0), perturbation=e2_flow("(t - 2)^0.5")),
+         "NumericsError", "failed at t = 0: complex value", SIMULATE),
+        (e2_inequality("1 - exp((t - 2)^0.5)"), "NumericsError",
+         "constraint '1 - exp((t - 2)^0.5)' failed at t = 0: must be real", ["validate"]),
     ],
     ids=["no_tangent_direction", "three_equalities", "bad_expression",
          "radius_not_a_number", "center_not_numbers", "lipschitz_const_not_a_number",
@@ -270,8 +301,14 @@ HALFLINE_FLOW = {
          "normal_wrong_length", "radius_a_list", "set_a_list",
          "horizon_infinite", "initial_point_bool", "seed_bool", "dim_bool",
          "negation_3000", "sum_300", "overflowing_literal",
-         "cap_axis_zero", "simulate_step_infinite", "simulate_step_too_small",
-         "certify_step_too_small", "diagnose_zero_samples", "diagnose_negative_samples"],
+         "cap_axis_zero", "constant_power_overflows", "constant_exp_overflows",
+         "constant_divides_by_zero", "constant_sin_of_inf", "constant_complex",
+         "constant_complex_exponent", "implicit_constant_divides_by_zero",
+         "simulate_step_infinite", "simulate_step_too_small",
+         "certify_step_too_small", "diagnose_zero_samples", "diagnose_negative_samples",
+         "perturbation_constant_overflows", "perturbation_constant_complex",
+         "constraint_overflows_in_the_run", "perturbation_complex_in_the_run",
+         "constraint_exp_of_a_complex_value"],
 )
 def test_cli_json_errors_are_typed(tmp_path, capsys, changes, error, names, command):
     doc = dict(MINIMAL_HALFLINE, **changes)
@@ -284,6 +321,30 @@ def test_cli_json_errors_are_typed(tmp_path, capsys, changes, error, names, comm
     payload = json.loads(lines[0])
     assert payload["error"] == error
     assert names in payload["message"]
+
+
+def test_a_failed_step_keeps_its_residual(tmp_path, capsys):
+    # the restoration's residual, not null: the step cannot reach the set
+    doc = dict(MINIMAL_HALFLINE, **e2_inequality("10 - exp(100*x1)"),
+               perturbation=e2_flow("8", 8.0))
+    argv = ["--json-errors", "simulate", "--scenario", str(write(tmp_path, doc)),
+            "--h", "0.1", "--out", str(tmp_path / "run.csv")]
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "NumericsError"
+    assert payload["residual"] > 0
+
+
+def test_a_field_that_fails_in_the_run_fails_the_integration_check(tmp_path):
+    doc = dict(MINIMAL_HALFLINE, **dict(e2_inequality("1 - x2"), initial_point=[1.0, 0.0]),
+               perturbation=e2_flow("exp(1000*x1)"))
+    out = tmp_path / "certify.json"
+    assert main(["certify", "--scenario", str(write(tmp_path, doc)), "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["status"] == "fail"
+    [check] = [c for c in report["checks"] if c["name"] == "integration"]
+    assert check["status"] == "fail"
+    assert "perturbation ['exp(1000*x1)', '0'] failed at t = 0: math range error" in check["detail"]
 
 
 # one valid document part per catalog kind, and the fields its builder requires
