@@ -37,7 +37,8 @@ class Expr:
     _operands = ()  # the attribute names of the operands, in source order
 
     def evaluate(self, env):
-        raise NotImplementedError
+        """The value at ``env``: ``apply`` to its operands' values."""
+        return self.apply(*[c.evaluate(env) for c in self.children()])
 
     def diff(self, var):
         raise NotImplementedError
@@ -48,6 +49,11 @@ class Expr:
     def children(self):
         """The operand nodes, in the order the source writes them."""
         return tuple([getattr(self, name) for name in self._operands])
+
+    def label(self):
+        """The text of the node's fields that are not operands: with its type and its
+        operands, what tells it apart from other nodes."""
+        return ""
 
     def emit(self):
         """Python source computing this node: ``render`` of its operands' ``emit``."""
@@ -67,8 +73,10 @@ class Num(Expr):
     def diff(self, var):
         return Num(0.0)
 
-    def render(self):
-        return repr(self.value)
+    def label(self):
+        return repr(self.value)  # -0.0 is not 0.0, and nan is nan
+
+    render = label
 
 
 @dataclass(frozen=True)
@@ -87,8 +95,10 @@ class Var(Expr):
     def variables(self):
         return frozenset((self.name,))
 
-    def render(self):
+    def label(self):
         return self.name
+
+    render = label
 
 
 @dataclass(frozen=True)
@@ -96,8 +106,8 @@ class Neg(Expr):
     arg: Expr
     _operands = ("arg",)
 
-    def evaluate(self, env):
-        return -self.arg.evaluate(env)
+    def apply(self, arg):
+        return -arg
 
     def diff(self, var):
         return _neg(self.arg.diff(var))
@@ -113,8 +123,8 @@ class Bin(Expr):
     rhs: Expr
     _operands = ("lhs", "rhs")
 
-    def evaluate(self, env):
-        return _BINARY[self.op](self.lhs.evaluate(env), self.rhs.evaluate(env))
+    def apply(self, lhs, rhs):
+        return _BINARY[self.op](lhs, rhs)
 
     def diff(self, var):
         a, b = self.lhs, self.rhs
@@ -137,6 +147,9 @@ class Bin(Expr):
             return _mul(_mul(Num(c), _pow(a, Num(c - 1.0))), da)
         raise AssertionError(self.op)
 
+    def label(self):
+        return self.op
+
     def render(self, lhs, rhs):
         if self.op == "^" and lhs.startswith("-"):  # a negative literal: -2.0 ** x is -(2.0 ** x)
             lhs = f"({lhs})"
@@ -150,9 +163,8 @@ class Fun(Expr):
     arg: Expr
     _operands = ("arg",)
 
-    def evaluate(self, env):
-        x = self.arg.evaluate(env)
-        return getattr(math, self.name)(x)
+    def apply(self, arg):
+        return getattr(math, self.name)(arg)
 
     def diff(self, var):
         da = self.arg.diff(var)
@@ -163,6 +175,9 @@ class Fun(Expr):
         if self.name == "exp":
             return _mul(self, da)
         raise AssertionError(self.name)
+
+    def label(self):
+        return self.name
 
     def render(self, arg):
         return f"{self.name}({arg})"
@@ -287,18 +302,20 @@ def parse(text, allowed_vars=None):
     lead = len(line) - len(line.lstrip())
     src = line[lead:].replace("^", "**")
 
-    constants = {}  # id -> each compound subexpression without a variable, kept alive
+    constants = {}  # id -> (compound subexpression without a variable, kept alive; its value)
 
     def constant(tree, node):
         # a subexpression without a variable has one value, which must be a
-        # finite real, as a literal must: evaluated here, not first when it runs
+        # finite real, as a literal must: found here from its operands' values,
+        # once per node, not first when it runs
         kids = tree.children()
         if kids and all(isinstance(c, Num) or id(c) in constants for c in kids):
-            constants[id(tree)] = tree
             try:
-                value = tree.evaluate({})
+                value = tree.apply(*[c.value if isinstance(c, Num) else constants[id(c)][1]
+                                     for c in kids])
             except (ArithmeticError, ValueError):
                 value = math.nan
+            constants[id(tree)] = (tree, value)
             if isinstance(value, complex) or not math.isfinite(value):
                 at = _position(line, lead, node.col_offset)
                 end = _position(line, lead, node.end_col_offset - 1) + 1
@@ -378,18 +395,25 @@ def emitter(trees):
     read twice or nested ``INLINE_DEPTH`` deep, and the text of each root as
     ``emit`` writes it, with variables renamed by the pairs ``names``."""
     # hash-consing: structurally equal subtrees share a key, above its operands'
-    keys, interned, nodes = {}, {}, {}
+    keys, interned, nodes, operands = {}, {}, {}, {}
     todo = list(trees)
     while todo:  # a loop, for derivative trees nest deeper than Python recurses
         e = todo[-1]
-        fresh = [c for c in e.children() if id(c) not in keys]
-        todo += fresh
-        if not fresh:
+        i = id(e)
+        if i in keys:  # a node pushed by two parents: keyed when first on top
             todo.pop()
-            ops = [keys[id(c)] for c in e.children()]
-            sig = (type(e), *ops, *(repr(v) for v in vars(e).values() if not isinstance(v, Expr)))
-            k = keys[id(e)] = interned.setdefault(sig, len(interned))
-            nodes.setdefault(k, (e, ops))
+            continue
+        kids = operands.get(i)
+        if kids is None:  # first on top: its unkeyed operands go above it
+            kids = operands[i] = e.children()
+            fresh = [c for c in kids if id(c) not in keys]
+            if fresh:
+                todo += fresh
+                continue
+        todo.pop()
+        ops = [keys[id(c)] for c in kids]
+        k = keys[i] = interned.setdefault((type(e), e.label(), *ops), len(interned))
+        nodes.setdefault(k, (e, ops))
 
     @functools.cache
     def plan(roots):

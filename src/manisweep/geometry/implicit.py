@@ -18,10 +18,18 @@ and ``rk4_par`` write out the statements of the standalone kernels
 stage-by-stage calls do, and each stage evaluates the Jacobian once.
 Kernels run on Python floats (see ``_on_floats``).  One or two equality
 constraints are supported; more are a structural error.
+
+The RK4 loops run natively first: ``native`` translates this same source
+to C, built once per source on the first integration, and a native call
+equals the Python kernel bit for bit.  A call that Python floats could
+raise on is repeated through the Python kernel, which also runs wherever
+no C compiler is found (see ``native``).  The other kernels stay Python:
+each costs less than one ``ctypes`` call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from typing import Sequence
@@ -211,7 +219,8 @@ class ImplicitBackend(ManifoldBackend):
 
         names = [f"x{i}" for i in range(1, dim + 1)]
         self._g_trees = [ex.parse(s, allowed_vars=names) for s in exprs]
-        ns = ex.run_emitted(_emit_kernels(self._g_trees, dim))
+        self._kernel_src = _emit_kernels(self._g_trees, dim)
+        ns = ex.run_emitted(self._kernel_src)
         self._g_fn, self._jac_fn = ns["g"], ns["jac"]
         self._k_acc = ns["acc"]
         self._k_proj_x = ns["proj_x"]
@@ -267,6 +276,25 @@ class ImplicitBackend(ManifoldBackend):
 
     # -- integration --------------------------------------------------------
 
+    @functools.cached_property
+    def _native(self):
+        """The native ``rk4_geo`` and ``rk4_par`` (``native.Kernels``), built or loaded
+        on the first integration, not at construction; None where only Python runs."""
+        from . import native  # imported on first use: a run that never integrates skips it
+
+        return native.load(self._kernel_src)
+
+    def _rk4(self, kernel, state, n, h):
+        """``kernel(state, n, h)`` on floats: native where that call runs cleanly."""
+        out = None if self._native is None else self._native.run(kernel.__name__, state, n, h)
+        return _on_floats(kernel, state, n, h) if out is None else out
+
+    def _fine(self, kernel, state, speed):
+        """``kernel``'s fine path over s in [0, 1]: native where it runs cleanly."""
+        n = max(8, math.ceil(speed * FINE_STEPS_PER_UNIT))
+        out = None if self._native is None else self._native.fine(kernel.__name__, state, n)
+        return _richardson(kernel, state, n) if out is None else out
+
     def _integrate_geo(self, xc, vc, fine: bool):
         """The geodesic end point from xc at velocity vc: one float tuple passes from
         ``rk4_geo`` (fine: Richardson-extrapolated on floats) to ``_project_point``'s ``proj_x``."""
@@ -276,9 +304,9 @@ class ImplicitBackend(ManifoldBackend):
         state = (*xc.tolist(), *vc.tolist())
         if not fine:
             n = max(6, math.ceil(speed * COARSE_STEPS_PER_UNIT))
-            out = _on_floats(self._k_rk4_geo, state, n, 1.0 / n)
+            out = self._rk4(self._k_rk4_geo, state, n, 1.0 / n)
         else:
-            out = _richardson(self._k_rk4_geo, state, speed)
+            out = self._fine(self._k_rk4_geo, state, speed)
         return self._project_point(out[: self.ambient_dim])
 
     def _exp(self, xc, vc, speed):
@@ -364,7 +392,7 @@ class ImplicitBackend(ManifoldBackend):
         w_norm = _norm(vc)
         if speed == 0.0 or w_norm == 0.0:
             return self._project_tangent(yc, vc)
-        out = _richardson(self._k_rk4_par, (*xc.tolist(), *gamma.tolist(), *vc.tolist()), speed)
+        out = self._fine(self._k_rk4_par, (*xc.tolist(), *gamma.tolist(), *vc.tolist()), speed)
         d = self.ambient_dim
         w = self._project_tangent(yc, out[2 * d :])
         nw = _norm(w)
@@ -422,9 +450,8 @@ class ImplicitBackend(ManifoldBackend):
         return worst
 
 
-def _richardson(kernel, state, speed):
+def _richardson(kernel, state, n):
     """The fine path: ``n`` and ``2n`` RK4 steps over s in [0, 1], extrapolated on floats."""
-    n = max(8, math.ceil(speed * FINE_STEPS_PER_UNIT))
     s1 = _on_floats(kernel, state, n, 1.0 / n)
     s2 = _on_floats(kernel, state, 2 * n, 0.5 / n)
     return tuple((16.0 * b - a) / 15.0 for a, b in zip(s1, s2))

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +22,8 @@ from manisweep import (
 from manisweep import expressions as ex
 from manisweep.cli import main
 from manisweep.errors import NumericsError, StructuralError
-from manisweep.geometry.implicit import _emit_kernels, _on_floats
+from manisweep.geometry import native
+from manisweep.geometry.implicit import _emit_kernels, _on_floats, _richardson
 
 
 @pytest.fixture(scope="module")
@@ -416,3 +420,141 @@ def test_sixty_nested_quotients_validate(tmp_path):
     path = tmp_path / "quotient.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", "--scenario", str(path)]) == 0
+
+
+# -- native kernels -----------------------------------------------------------
+
+needs_cc = pytest.mark.skipif(shutil.which(native.compiler()[0]) is None,
+                              reason="no C compiler to build the native kernels")
+
+
+@pytest.fixture
+def empty_kernel_cache(tmp_path, monkeypatch):
+    """An empty on-disk kernel cache and an empty in-process memo, for this test only."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    native.load.cache_clear()
+    yield tmp_path / "manisweep"
+    native.load.cache_clear()
+
+
+@needs_cc
+@pytest.mark.parametrize("name", sorted(KERNEL_MANIFOLDS))
+def test_native_kernels_equal_the_python_kernels(name):
+    # == on every output: the C performs the Python kernels' operations in their order
+    d, eqs = KERNEL_MANIFOLDS[name]
+    b = ImplicitBackend(d, eqs)
+    k = b._native
+    assert k is not None
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        x = b._project_point(rng.standard_normal(d))
+        v = b._project_tangent(x, rng.standard_normal(d)) * rng.uniform(0.05, 2.0)
+        w = b._project_tangent(x, rng.standard_normal(d))
+        n = int(rng.integers(1, 24))
+        geo = (*x.tolist(), *v.tolist())
+        par = (*geo, *w.tolist())
+        assert k.run("rk4_geo", geo, n, 1.0 / n) == _on_floats(b._k_rk4_geo, geo, n, 1.0 / n)
+        assert k.run("rk4_par", par, n, 0.5 / n) == _on_floats(b._k_rk4_par, par, n, 0.5 / n)
+        assert k.fine("rk4_geo", geo, n) == _richardson(b._k_rk4_geo, geo, n)
+        assert k.fine("rk4_par", par, n) == _richardson(b._k_rk4_par, par, n)
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "eqs, x, v",
+    [
+        (["x1^2 + x2^2 - 1"], [0.0, 0.0], [1.0, 0.0]),
+        (["x2 - x1^1.5"], [-1.0, 0.5], [1.0, 1.0]),
+        (["x1^3 + x2^2 - 1"], [1e160, 0.0], [0.0, 1.0]),
+    ],
+    ids=["zero_division", "complex_power", "overflow"],
+)
+def test_a_native_call_python_floats_raise_on_ends_as_the_python_kernel_does(eqs, x, v):
+    x, v = np.array(x), np.array(v)
+    native_b, python_b = ImplicitBackend(2, eqs), ImplicitBackend(2, eqs)
+    python_b._native = None
+    assert native_b._native is not None
+    for fine in (False, True):
+        ends = []
+        for b in (native_b, python_b):
+            with np.errstate(all="ignore"):
+                try:
+                    ends.append(b._integrate_geo(x, v, fine).tobytes())
+                except (NumericsError, ArithmeticError, ValueError, TypeError) as err:
+                    best = getattr(err, "best", None)
+                    ends.append((type(err), str(err), None if best is None else best.tobytes()))
+        assert ends[0] == ends[1]
+
+
+_SQUARE = """\
+def rk4_geo(state, n, h):
+    x1, v1 = state
+    return (x1 ** 2.0, 1.0 / (1.0 / v1))
+
+def rk4_par(state, n, h):
+    x1, v1, w1 = state
+    return (x1 ** 2.0, v1, w1)
+"""
+
+
+@needs_cc
+def test_the_native_build_does_not_fold_powers_or_pass_a_raising_call(empty_kernel_cache):
+    # a compiler that rewrites pow(x, 2.0) as x*x rounds this x differently
+    x1 = 1.5151472691864707
+    assert (x1 ** 2.0, x1 * x1) == (2.2956712473232193, 2.2956712473232197)
+    k = native.load(_SQUARE)
+    assert k.run("rk4_geo", (x1, 4.0), 1, 1.0) == (x1 ** 2.0, 4.0)
+    assert k.run("rk4_par", (x1, 0.0, 0.0), 1, 1.0) == (x1 ** 2.0, 0.0, 0.0)
+    # Python raises on 1.0 / 0.0; C goes on to 1.0 / inf = 0.0, but the division
+    # raised the divide-by-zero flag, so the call is handed back to Python
+    assert k.run("rk4_geo", (x1, 0.0), 1, 1.0) is None
+    assert k.run("rk4_geo", (x1, math.inf), 1, 1.0) is None
+    assert native.translate(_SQUARE.replace("x1 ** 2.0", "x1 if h else v1")) is None
+
+
+def test_without_a_compiler_the_python_kernels_run_silently(empty_kernel_cache, monkeypatch):
+    d, eqs = KERNEL_MANIFOLDS["two_equalities"]
+    rng = np.random.default_rng(25)
+    reference = ImplicitBackend(d, eqs)
+    x = reference._project_point(rng.standard_normal(d))
+    v = reference._project_tangent(x, rng.standard_normal(d))
+    y = reference._integrate_geo(x, 0.5 * v, fine=True)
+    expected = (reference._integrate_geo(x, v, fine=False).tobytes(),
+                reference._integrate_geo(x, v, fine=True).tobytes(),
+                reference._transport(x, y, v).tobytes())
+    cached = os.listdir(empty_kernel_cache)
+    native.load.cache_clear()
+    monkeypatch.setattr(native, "compiler", lambda: [str(empty_kernel_cache / "no-cc")])
+    b = ImplicitBackend(d, eqs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = (b._integrate_geo(x, v, fine=False).tobytes(),
+               b._integrate_geo(x, v, fine=True).tobytes(),
+               b._transport(x, y, v).tobytes())
+    assert b._native is None
+    assert got == expected
+    assert os.listdir(empty_kernel_cache) == cached  # no source or object left behind
+
+
+@needs_cc
+def test_backends_with_the_same_equalities_build_once(empty_kernel_cache, monkeypatch):
+    builds = []
+    run = native.subprocess.run
+    monkeypatch.setattr(native.subprocess, "run", lambda *a, **k: builds.append(a) or run(*a, **k))
+    d, eqs = KERNEL_MANIFOLDS["ellipse_golden"]
+    x, v = np.array([2.0, 0.0]), np.array([0.0, 0.3])
+    first, second = ImplicitBackend(d, eqs), ImplicitBackend(d, eqs)
+    assert builds == [] and "_native" not in vars(first)  # nothing is built at construction
+    ends = [b._integrate_geo(x, v, fine=True).tobytes() for b in (first, second)]
+    assert len(builds) == 1 and first._native is second._native
+    assert ends[0] == ends[1]
+    assert len(os.listdir(empty_kernel_cache)) == 1
+    native.load.cache_clear()  # as in a new process: the cached object loads without a build
+    assert ImplicitBackend(d, eqs)._native is not None and len(builds) == 1
+
+
+def test_a_cache_directory_others_may_write_is_not_used(empty_kernel_cache):
+    empty_kernel_cache.mkdir(mode=0o700)
+    assert native.cache_dir() == str(empty_kernel_cache)
+    empty_kernel_cache.chmod(0o777)
+    assert native.cache_dir() != str(empty_kernel_cache)

@@ -177,6 +177,20 @@ def test_the_nesting_limit_is_the_one_python_compiles():
         ex.parse(" + ".join(["x1"] * (ex.MAX_NESTING + 2)))
 
 
+def test_a_long_constant_sum_is_rejected_without_re_evaluating_its_terms(monkeypatch):
+    # each constant node's value comes from its operands' values: evaluating every
+    # partial sum of 900 terms again from its leaves took about 400,000 calls
+    calls = []
+    for cls in (ex.Expr, Num, Var, Neg, Bin, Fun):
+        if "evaluate" in vars(cls):
+            walk = vars(cls)["evaluate"]
+            monkeypatch.setattr(cls, "evaluate",
+                                lambda self, env, walk=walk: calls.append(1) or walk(self, env))
+    with pytest.raises(ExpressionError, match="nests more than 200 levels deep"):
+        ex.parse(" + ".join(["1"] * 900))
+    assert len(calls) <= 900
+
+
 @pytest.mark.parametrize("text, position", [("1e999 - x1", 0), ("2*x1 + 1e999", 7),
                                             ("x1 - 2e400^2", 5)])
 def test_a_literal_that_overflows_is_rejected_where_it_starts(text, position):
