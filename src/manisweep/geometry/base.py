@@ -173,6 +173,9 @@ class ManifoldBackend(abc.ABC):
     Every operation is a pure function of its inputs.  Backends are not
     thread-safe: ``_basis_at`` memoizes the last tangent basis, and
     the implicit backend fills its log-map and budget caches as it runs.
+    Distinct backends may run in distinct threads: the native ``Kernels``
+    that implicit backends with the same equalities share holds no
+    mutable state.
     """
 
     #: ``_basis_at``'s one-entry memo: the bytes of the last base point's

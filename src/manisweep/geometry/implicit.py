@@ -19,12 +19,13 @@ stage-by-stage calls do, and each stage evaluates the Jacobian once.
 Kernels run on Python floats (see ``_on_floats``).  One or two equality
 constraints are supported; more are a structural error.
 
-The RK4 loops run natively first: ``native`` translates this same source
+Each geodesic end point is one ``_end`` call: the coarse RK4 pass or the
+fine Richardson pair, native first.  ``native`` translates this same source
 to C, built once per source on the first integration, and a native call
-equals the Python kernel bit for bit.  A call that Python floats could
-raise on is repeated through the Python kernel, which also runs wherever
-no C compiler is found (see ``native``).  The other kernels stay Python:
-each costs less than one ``ctypes`` call.
+equals the Python kernel bit for bit.  A call that Python floats could raise
+on, and every call where no C compiler is found, runs through the Python
+kernel (``_passes``).  The other kernels stay Python: each costs less than
+one ``ctypes`` call.
 """
 
 from __future__ import annotations
@@ -233,9 +234,6 @@ class ImplicitBackend(ManifoldBackend):
 
     # -- constraint helpers -------------------------------------------------
 
-    def constraint_values(self, coords) -> np.ndarray:
-        return np.array(self._g_fn(*coords))
-
     def constraint_jacobian(self, coords) -> np.ndarray:
         flat = np.array(self._jac_fn(*coords))
         return flat.reshape(self.n_constraints, self.ambient_dim)
@@ -244,7 +242,7 @@ class ImplicitBackend(ManifoldBackend):
         return _max_abs(self._g_fn(*coords))
 
     def _project_point(self, amb):
-        x = tuple(float(c) for c in np.asarray(amb, dtype=float))
+        x = tuple(map(float, amb))
         try:
             for _ in range(12):
                 x = self._k_proj_x(*x)
@@ -284,29 +282,23 @@ class ImplicitBackend(ManifoldBackend):
 
         return native.load(self._kernel_src)
 
-    def _rk4(self, kernel, state, n, h):
-        """``kernel(state, n, h)`` on floats: native where that call runs cleanly."""
-        out = None if self._native is None else self._native.run(kernel.__name__, state, n, h)
-        return _on_floats(kernel, state, n, h) if out is None else out
-
-    def _fine(self, kernel, state, speed):
-        """``kernel``'s fine path over s in [0, 1]: native where it runs cleanly."""
-        n = max(8, math.ceil(speed * FINE_STEPS_PER_UNIT))
-        out = None if self._native is None else self._native.fine(kernel.__name__, state, n)
-        return _richardson(kernel, state, n) if out is None else out
+    def _end(self, kernel, state, speed, fine):
+        """``kernel``'s end state over s in [0, 1] at ``speed`` (``_passes``, coarse
+        or fine): native where that call runs cleanly, else on Python floats."""
+        if fine:
+            n = max(8, math.ceil(speed * FINE_STEPS_PER_UNIT))
+        else:
+            n = max(6, math.ceil(speed * COARSE_STEPS_PER_UNIT))
+        out = None if self._native is None else self._native.end(kernel.__name__, state, n, fine)
+        return _passes(kernel, state, n, fine) if out is None else out
 
     def _integrate_geo(self, xc, vc, fine: bool):
         """The geodesic end point from xc at velocity vc: one float tuple passes from
-        ``rk4_geo`` (fine: Richardson-extrapolated on floats) to ``_project_point``'s ``proj_x``."""
+        ``rk4_geo`` through ``_end`` to ``_project_point``'s ``proj_x``."""
         speed = _norm(vc)
         if speed == 0.0:
             return np.array(xc)
-        state = (*xc.tolist(), *vc.tolist())
-        if not fine:
-            n = max(6, math.ceil(speed * COARSE_STEPS_PER_UNIT))
-            out = self._rk4(self._k_rk4_geo, state, n, 1.0 / n)
-        else:
-            out = self._fine(self._k_rk4_geo, state, speed)
+        out = self._end(self._k_rk4_geo, (*xc.tolist(), *vc.tolist()), speed, fine)
         return self._project_point(out[: self.ambient_dim])
 
     def _exp(self, xc, vc, speed):
@@ -392,7 +384,8 @@ class ImplicitBackend(ManifoldBackend):
         w_norm = _norm(vc)
         if speed == 0.0 or w_norm == 0.0:
             return self._project_tangent(yc, vc)
-        out = self._fine(self._k_rk4_par, (*xc.tolist(), *gamma.tolist(), *vc.tolist()), speed)
+        state = (*xc.tolist(), *gamma.tolist(), *vc.tolist())
+        out = self._end(self._k_rk4_par, state, speed, fine=True)
         d = self.ambient_dim
         w = self._project_tangent(yc, out[2 * d :])
         nw = _norm(w)
@@ -450,11 +443,14 @@ class ImplicitBackend(ManifoldBackend):
         return worst
 
 
-def _richardson(kernel, state, n):
-    """The fine path: ``n`` and ``2n`` RK4 steps over s in [0, 1], extrapolated on floats."""
-    s1 = _on_floats(kernel, state, n, 1.0 / n)
-    s2 = _on_floats(kernel, state, 2 * n, 0.5 / n)
-    return tuple((16.0 * b - a) / 15.0 for a, b in zip(s1, s2))
+def _passes(kernel, state, n, fine):
+    """``n`` RK4 steps of ``1/n`` over s in [0, 1] on floats; when ``fine``, also
+    ``2n`` steps of ``0.5/n``, and their Richardson combine."""
+    a = _on_floats(kernel, state, n, 1.0 / n)
+    if not fine:
+        return a
+    b = _on_floats(kernel, state, 2 * n, 0.5 / n)
+    return tuple((16.0 * y - x) / 15.0 for x, y in zip(a, b))
 
 
 def _on_floats(kernel, state, *args):

@@ -2,10 +2,10 @@
 
 ``translate`` renders the emitted Python of ``rk4_geo`` and ``rk4_par`` as C99,
 statement for statement, with every operation parenthesised as Python's parser
-groups it, and adds two entry points per loop: ``NAME_run`` (one pass, as the
-Python kernel) and ``NAME_fine`` (the ``n`` pass, the ``2n`` pass and their
-Richardson combine ``(16.0*b - a)/15.0``, as ``implicit._richardson``).  ``load``
-compiles that C once per kernel source and loads it with ``ctypes``.
+groups it, and adds one entry point per loop, ``NAME_end(state, n, fine, out)``:
+``n`` steps of ``1/n`` and, when ``fine`` is set, also ``2n`` steps of ``0.5/n``
+and their Richardson combine ``(16.0*b - a)/15.0``, as ``implicit._passes``.
+``load`` compiles that C once per kernel source and loads it with ``ctypes``.
 
 The C performs the same IEEE double operations in the same order, and ``**``,
 ``sqrt``, ``sin``, ``cos`` and ``exp`` call the libm that Python's floats and
@@ -76,30 +76,21 @@ static int settle(const fexcept_t *saved, const double *out, int width)
 }
 """
 
-_ENTRIES = """
-int {name}_run(const double *state, long n, double h, double *out)
+_ENTRY = """
+int {name}_end(const double *state, long n, int fine, double *out)
 {{
     fexcept_t saved;
+    double b[{width}];
     if (!all_finite(state, {width}))
         return 1;
     fegetexceptflag(&saved, FE_ALL_EXCEPT);
     feclearexcept(FE_ALL_EXCEPT);
-    {name}(state, n, h, out);
-    return settle(&saved, out, {width});
-}}
-
-int {name}_fine(const double *state, long n, double *out)
-{{
-    fexcept_t saved;
-    double a[{width}], b[{width}];
-    if (!all_finite(state, {width}))
-        return 1;
-    fegetexceptflag(&saved, FE_ALL_EXCEPT);
-    feclearexcept(FE_ALL_EXCEPT);
-    {name}(state, n, 1.0 / n, a);
-    {name}(state, 2 * n, 0.5 / n, b);
-    for (int i = 0; i < {width}; i++)
-        out[i] = ((16.0 * b[i]) - a[i]) / 15.0;
+    {name}(state, n, 1.0 / n, out);
+    if (fine) {{
+        {name}(state, 2 * n, 0.5 / n, b);
+        for (int i = 0; i < {width}; i++)
+            out[i] = ((16.0 * b[i]) - out[i]) / 15.0;
+    }}
     return settle(&saved, out, {width});
 }}
 """
@@ -224,7 +215,7 @@ def translate(src):
     except (KeyError, _Unknown):
         return None
     parts = [_PRELUDE] + [f.text for f in loops.values()]
-    parts += [_ENTRIES.format(name=name, width=f.width) for name, f in loops.items()]
+    parts += [_ENTRY.format(name=name, width=f.width) for name, f in loops.items()]
     return "\n".join(parts), {name: f.width for name, f in loops.items()}
 
 
@@ -232,38 +223,33 @@ _DOUBLES = ctypes.POINTER(ctypes.c_double)
 
 
 class Kernels:
-    """The ``run`` and ``fine`` entry points of the loops of one loaded library.
+    """The ``NAME_end`` entry point of each loop of one loaded library.
 
-    Each returns the end state as a tuple of floats, or None where the call was
-    not clean and must be repeated through the Python kernel.
+    ``load`` memoizes one instance per kernel source, which every backend with
+    the same equalities shares, from any thread, and ``ctypes`` releases the GIL
+    during a call: so nothing here is mutable, and each call allocates its own
+    arrays.
     """
 
     def __init__(self, lib, widths):
         self._lib = lib  # the entry points below live as long as the library
         self._loops = {}
         for name, width in widths.items():
-            run, fine = lib[f"{name}_run"], lib[f"{name}_fine"]
-            run.argtypes = (_DOUBLES, ctypes.c_long, ctypes.c_double, _DOUBLES)
-            fine.argtypes = (_DOUBLES, ctypes.c_long, _DOUBLES)
-            run.restype = fine.restype = ctypes.c_int
-            self._loops[name] = (run, fine, ctypes.c_double * width)
+            entry = lib[f"{name}_end"]
+            entry.argtypes = (_DOUBLES, ctypes.c_long, ctypes.c_int, _DOUBLES)
+            entry.restype = ctypes.c_int
+            self._loops[name] = (entry, ctypes.c_double * width)
 
-    @staticmethod
-    def _call(entry, array, state, *args):
+    def end(self, name, state, n, fine):
+        """``name``'s end state after ``n`` RK4 steps of ``1/n``, combined with ``2n``
+        steps of ``0.5/n`` when ``fine``, as a tuple of floats; None where the call
+        was not clean and must be repeated through the Python kernel."""
+        entry, array = self._loops[name]
         if len(state) != array._length_:  # the C reads and writes exactly this many
             raise ValueError(f"a state of {array._length_} values expected, not {len(state)}")
         out = array()
-        return None if entry(array(*state), *args, out) else tuple(out)
-
-    def run(self, name, state, n, h):
-        """``name(state, n, h)``: ``n`` RK4 steps of size ``h``."""
-        run, _, array = self._loops[name]
-        return self._call(run, array, state, n, h)
-
-    def fine(self, name, state, n):
-        """The Richardson combine of ``n`` steps of ``1/n`` and ``2n`` of ``0.5/n``."""
-        _, fine, array = self._loops[name]
-        return self._call(fine, array, state, n)
+        # out[:] reads all the doubles at once, several times faster than tuple(out)
+        return None if entry(array(*state), n, fine, out) else tuple(out[:])
 
 
 @functools.cache

@@ -1,14 +1,18 @@
 """Level-set backend on the unit circle and the 2:1 ellipse."""
 
+import dataclasses
 import json
 import math
 import os
 import shutil
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 from scipy.integrate import solve_ivp
+from test_grammar import _LEAVES, _nodes, _shared_nodes
 
 from manisweep import (
     ImplicitBackend,
@@ -21,9 +25,9 @@ from manisweep import (
 )
 from manisweep import expressions as ex
 from manisweep.cli import main
-from manisweep.errors import NumericsError, StructuralError
+from manisweep.errors import ExpressionError, NumericsError, StructuralError
 from manisweep.geometry import native
-from manisweep.geometry.implicit import _emit_kernels, _on_floats, _richardson
+from manisweep.geometry.implicit import _emit_kernels, _on_floats, _passes
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +272,7 @@ def test_feasibility_residual_is_max_abs_constraint(name):
     rng = np.random.default_rng(21)
     for _ in range(20):
         x = rng.standard_normal(d)
-        assert b.feasibility_residual(x) == float(np.max(np.abs(b.constraint_values(x))))
+        assert b.feasibility_residual(x) == float(np.max(np.abs(np.array(b._g_fn(*x)))))
     # a NaN constraint value is the maximum wherever it stands, as in np.max
     for values in [(math.nan,), (0.5, math.nan), (math.nan, 0.5), (-2.0, 0.5)]:
         b._g_fn = lambda *x, values=values: values
@@ -453,10 +457,79 @@ def test_native_kernels_equal_the_python_kernels(name):
         n = int(rng.integers(1, 24))
         geo = (*x.tolist(), *v.tolist())
         par = (*geo, *w.tolist())
-        assert k.run("rk4_geo", geo, n, 1.0 / n) == _on_floats(b._k_rk4_geo, geo, n, 1.0 / n)
-        assert k.run("rk4_par", par, n, 0.5 / n) == _on_floats(b._k_rk4_par, par, n, 0.5 / n)
-        assert k.fine("rk4_geo", geo, n) == _richardson(b._k_rk4_geo, geo, n)
-        assert k.fine("rk4_par", par, n) == _richardson(b._k_rk4_par, par, n)
+        for fine in (False, True):
+            assert k.end("rk4_geo", geo, n, fine) == _passes(b._k_rk4_geo, geo, n, fine)
+            assert k.end("rk4_par", par, n, fine) == _passes(b._k_rk4_par, par, n, fine)
+
+
+def _t_as_x2(e):
+    """``e`` with the variable ``t`` renamed ``x2``."""
+    if isinstance(e, ex.Var):
+        return ex.Var("x2") if e.name == "t" else e
+    return dataclasses.replace(e, **{n: _t_as_x2(getattr(e, n)) for n in e._operands})
+
+
+# the grammar's trees, and trees that read one subtree twice, of at most 6 leaves
+_EQUALITIES = st.one_of(st.recursive(_LEAVES, _nodes, max_leaves=6),
+                        st.recursive(_LEAVES, _shared_nodes, max_leaves=6))
+
+
+@needs_cc
+def test_native_kernels_equal_the_python_kernels_on_grammar_trees():
+    # the translator against the Python kernels beyond KERNEL_MANIFOLDS: == wherever
+    # the native call is clean, for both loops, coarse and fine
+    native_calls = []
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(tree=_EQUALITIES, seed=st.integers(0, 2**32 - 1))
+    def check(tree, seed):
+        tree = _t_as_x2(tree)
+        try:
+            src = _emit_kernels([tree], 2)
+        except (ExpressionError, ArithmeticError, ValueError):  # diff raised
+            reject()
+        k = native.load(src)
+        if k is None:
+            return
+        kernels = ex.run_emitted(src)
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            n = int(rng.integers(1, 24))
+            for name, width in (("rk4_geo", 4), ("rk4_par", 6)):
+                state = tuple(rng.standard_normal(width).tolist())
+                for fine in (False, True):
+                    got = k.end(name, state, n, fine)
+                    if got is not None:
+                        native_calls.append(name)
+                        assert got == _passes(kernels[name], state, n, fine)
+
+    check()
+    assert native_calls
+
+
+@needs_cc
+def test_backends_sharing_native_kernels_integrate_in_two_threads_as_in_one():
+    # each call has its own arrays: two threads in the shared library at once
+    # get the end points a serial run gets
+    d, eqs = KERNEL_MANIFOLDS["ellipse_golden"]
+    first, second = ImplicitBackend(d, eqs), ImplicitBackend(d, eqs)
+    assert first._native is not None and first._native is second._native
+    rng = np.random.default_rng(26)
+    jobs = []
+    for _ in range(250):
+        x = first._project_point(rng.standard_normal(d))
+        v = first._project_tangent(x, rng.standard_normal(d)) * rng.uniform(0.05, 2.0)
+        jobs += [(x, v, False), (x, v, True)]
+
+    def ends(b, order):
+        return [b._integrate_geo(*jobs[i]).tobytes() for i in order]
+
+    orders = (range(len(jobs)), range(len(jobs))[::-1])  # distinct states at once
+    serial = [ends(first, order) for order in orders]
+    # a buffer shared by the two threads corrupts only a few calls in a thousand
+    with ThreadPoolExecutor(2) as pool:
+        for _ in range(10):
+            assert list(pool.map(ends, (first, second), orders)) == serial
 
 
 @needs_cc
@@ -503,12 +576,13 @@ def test_the_native_build_does_not_fold_powers_or_pass_a_raising_call(empty_kern
     x1 = 1.5151472691864707
     assert (x1 ** 2.0, x1 * x1) == (2.2956712473232193, 2.2956712473232197)
     k = native.load(_SQUARE)
-    assert k.run("rk4_geo", (x1, 4.0), 1, 1.0) == (x1 ** 2.0, 4.0)
-    assert k.run("rk4_par", (x1, 0.0, 0.0), 1, 1.0) == (x1 ** 2.0, 0.0, 0.0)
+    assert k.end("rk4_geo", (x1, 4.0), 1, False) == (x1 ** 2.0, 4.0)
+    assert k.end("rk4_par", (x1, 0.0, 0.0), 1, False) == (x1 ** 2.0, 0.0, 0.0)
     # Python raises on 1.0 / 0.0; C goes on to 1.0 / inf = 0.0, but the division
     # raised the divide-by-zero flag, so the call is handed back to Python
-    assert k.run("rk4_geo", (x1, 0.0), 1, 1.0) is None
-    assert k.run("rk4_geo", (x1, math.inf), 1, 1.0) is None
+    for fine in (False, True):
+        assert k.end("rk4_geo", (x1, 0.0), 1, fine) is None
+        assert k.end("rk4_geo", (x1, math.inf), 1, fine) is None
     assert native.translate(_SQUARE.replace("x1 ** 2.0", "x1 if h else v1")) is None
 
 

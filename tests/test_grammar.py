@@ -48,16 +48,16 @@ def _nodes(inner):
     )
 
 
+def _shared_nodes(inner):
+    return st.one_of(
+        _nodes(inner), st.builds(lambda op, s: Bin(op, s, s), st.sampled_from("+-*/^"), inner)
+    )
+
+
 # the trees the parser builds: ``-`` folds into a literal and cancels a ``-``
 _trees = st.recursive(_LEAVES, _nodes, max_leaves=12)
 # and trees that read one subtree twice, as derivative trees do
-_shared_trees = st.recursive(
-    _LEAVES,
-    lambda inner: st.one_of(
-        _nodes(inner), st.builds(lambda op, s: Bin(op, s, s), st.sampled_from("+-*/^"), inner)
-    ),
-    max_leaves=12,
-)
+_shared_trees = st.recursive(_LEAVES, _shared_nodes, max_leaves=12)
 
 
 @settings(max_examples=300, derandomize=True)

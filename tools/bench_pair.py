@@ -22,7 +22,11 @@ differences cancel machine load that both runs of a pair share, which the
 unpaired medians do not.  A pair's
 ``artifact_sha256`` maps must be equal.  A side that is not a git
 checkout is named by ``src_sha256``, a sha256 over the sorted paths and
-bytes of its ``src`` files (``__pycache__`` left out).
+bytes of its ``src`` files (``__pycache__`` left out).  Each side's
+``src`` line count, as ``wc -l src/manisweep/*.py
+src/manisweep/geometry/*.py`` gives it, is printed and kept as
+``parent_src_lines`` and ``change_src_lines``, so a file records
+"smaller" beside "faster".
 
 Per CLI call of the workload (``certify halfline``, ...), each run's
 median time over its passes (``raw_times.call_s`` of its result file) is
@@ -79,6 +83,13 @@ def src_sha256(checkout: Path) -> str:
             digest.update(path.relative_to(checkout).as_posix().encode() + b"\0")
             digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def src_lines(checkout: Path) -> int:
+    """Newlines in ``src/manisweep/*.py`` and ``src/manisweep/geometry/*.py``, as ``wc -l``."""
+    package = checkout / "src" / "manisweep"
+    paths = [*package.glob("*.py"), *(package / "geometry").glob("*.py")]
+    return sum(path.read_bytes().count(b"\n") for path in paths)
 
 
 def _paired(sides, lower=True) -> dict:
@@ -179,8 +190,9 @@ def main(argv=None) -> int:
         paired = "n/a" if rm is None else f"{rm:+.1%} [{'n/a' if iqr is None else f'{iqr:.1%}'}]"
         print(f"{call:<36s} {s['parent_median']:>14.4f} {s['change_median']:>14.4f} "
               f"{paired:>18s} {s['change_wins']:>3d}/{s['pairs']:<2d}")
+    lines = {side: src_lines(dirs[side]) for side in SIDES}
     print(f"artifact_sha256 equal in {same}/{len(runs)} pairs; runs with a failed "
-          f"operation: {failed}")
+          f"operation: {failed}; src lines {lines['parent']} -> {lines['change']}")
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     names = {}
@@ -192,6 +204,7 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "seeds": [r["seed"] for r in runs],
         **names,
+        **{f"{side}_src_lines": lines[side] for side in SIDES},
         "artifact_sha256_equal_pairs": same,
         "runs_with_failures": failed,
         "summary": summary,
