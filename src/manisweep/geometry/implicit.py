@@ -317,11 +317,11 @@ class ImplicitBackend(ManifoldBackend):
             return self._integrate_geo(xc, cvec @ basis, fine=fine) - yc
 
         r = resid(c, fine=False)
+        rn = _norm(r)  # kept equal to _norm(r) wherever r changes
         jac = None
         fine = False
-        best = (_norm(r), c.copy())
+        best = (rn, c.copy())
         for _ in range(SHOOTING_MAX_ITER):
-            rn = _norm(r)
             if rn < best[0]:
                 best = (rn, c.copy())
             if fine and rn <= SHOOTING_TOL * scale:
@@ -331,6 +331,7 @@ class ImplicitBackend(ManifoldBackend):
                 # Jacobian is still an adequate Newton model
                 fine = True
                 r = resid(c, fine=True)
+                rn = _norm(r)
                 continue
             if jac is None:
                 jac = np.empty((self.ambient_dim, self.dim))
@@ -344,8 +345,9 @@ class ImplicitBackend(ManifoldBackend):
             for _ in range(8):
                 cand = c + damp * step
                 r_cand = resid(cand, fine=fine)
-                if _norm(r_cand) < rn:
-                    c, r = cand, r_cand
+                rn_cand = _norm(r_cand)
+                if rn_cand < rn:
+                    c, r, rn = cand, r_cand, rn_cand
                     break
                 damp *= 0.5
             else:
@@ -353,6 +355,7 @@ class ImplicitBackend(ManifoldBackend):
                 if not fine:
                     fine = True
                     r = resid(c, fine=True)
+                    rn = _norm(r)
                 else:
                     break
         else:
@@ -361,10 +364,10 @@ class ImplicitBackend(ManifoldBackend):
                 residual=best[0],
                 best=best[1] @ basis,
             )
-        if _norm(r) > SHOOTING_TOL * scale * 10.0:
+        if rn > SHOOTING_TOL * scale * 10.0:
             raise NumericsError(
                 "shooting iteration for the log map did not converge",
-                residual=_norm(r),
+                residual=rn,
                 best=c @ basis,
             )
         v = c @ basis

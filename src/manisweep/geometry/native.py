@@ -31,13 +31,11 @@ make ``load`` return None, without a warning, and the Python kernels run.
 from __future__ import annotations
 
 import ast
-import atexit
 import ctypes
 import functools
 import hashlib
 import os
 import shlex
-import shutil
 import subprocess
 import sysconfig
 import tempfile
@@ -258,13 +256,27 @@ def load(src):
 
     Built on the first call for each source in a process and memoized; the
     shared object is cached on disk under ``cache_dir()``, one per C source and
-    command, named by their sha256.
+    command, named by their sha256.  Without a usable cache directory it is
+    built in a temporary one, removed as soon as the library is loaded, so
+    nothing is left behind for ``atexit`` to remove: a process forked by
+    ``studies._fork_map`` leaves without running it.
     """
     translated = translate(src)
     if translated is None:
         return None
     csrc, widths = translated
-    path = _shared_object(csrc)
+    folder = cache_dir()
+    if folder is not None:
+        return _load(csrc, widths, folder)
+    try:
+        with tempfile.TemporaryDirectory(prefix="manisweep-", ignore_cleanup_errors=True) as tmp:
+            return _load(csrc, widths, tmp)
+    except OSError:  # no temporary directory can be made
+        return None
+
+
+def _load(csrc, widths, folder):
+    path = _shared_object(csrc, folder)
     if path is None:
         return None
     try:
@@ -281,8 +293,8 @@ def compiler():
 def cache_dir():
     """``$XDG_CACHE_HOME/manisweep`` (default ``~/.cache/manisweep``), created 0700.
 
-    A directory that is not the user's own, or that its group or others may
-    write, is not used: the shared objects go to a per-process temporary one.
+    None when that directory is not the user's own, or its group or others may
+    write it, or it cannot be made.
     """
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
@@ -292,29 +304,21 @@ def cache_dir():
         os.makedirs(path, mode=0o700, exist_ok=True)
         st = os.stat(path)
     except OSError:
-        return _process_dir()
+        return None
     if st.st_uid != os.getuid() or st.st_mode & 0o022:
-        return _process_dir()
+        return None
     return path
 
 
-@functools.cache
-def _process_dir():
-    path = tempfile.mkdtemp(prefix="manisweep-")
-    atexit.register(shutil.rmtree, path, ignore_errors=True)
-    return path
-
-
-def _shared_object(csrc):
-    """Path of the shared object built from ``csrc``, built now if not cached; None
-    if the compiler is missing, fails or times out."""
+def _shared_object(csrc, folder):
+    """Path of the shared object built from ``csrc`` in ``folder``, built now if not
+    there; None if the compiler is missing, fails or times out."""
     command = [*compiler(), *FLAGS]
     digest = hashlib.sha256("\0".join([*command, csrc]).encode()).hexdigest()
+    path = os.path.join(folder, f"{digest}.so")
+    if os.path.exists(path):
+        return path
     try:
-        folder = cache_dir()
-        path = os.path.join(folder, f"{digest}.so")
-        if os.path.exists(path):
-            return path
         fd, c_path = tempfile.mkstemp(suffix=".c", dir=folder)
     except OSError:  # nowhere to write the source, e.g. a read-only or full disk
         return None

@@ -9,11 +9,20 @@ region a trajectory actually visits: hypomonotonicity fit, projection
 uniqueness near touched boundary segments, the discrete velocity bound,
 and the inclusion residual.  Diagnostics score the same hypotheses, with
 the same checks, on a ball around the initial point at time 0.
+
+Certification's samplers and a rate study's integrations are independent
+and seed their own generators, so ``_fork_map`` runs them on every usable
+CPU; the reports are byte for byte those of one CPU.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -21,18 +30,27 @@ import numpy as np
 
 from .artifacts import Report
 from .errors import DomainError, NumericsError, StructuralError
-from .geometry import Region, distance
+from .geometry import Point, Region, distance
 from .regularity import (
     check_log_monotonicity,
     probe_projection_uniqueness,
     sample_hypomonotonicity,
 )
-from .sweep import Trajectory, admissible_step, catching_up, inclusion_residual, velocity_bound
+from .sweep import (
+    Trajectory,
+    admissible_step,
+    catching_up,
+    residual_members,
+    score_residual,
+    velocity_bound,
+)
 
 #: errors below this are indistinguishable from solver tolerance
 SATURATION_FLOOR = 1e-12
 #: sample count of the C0 error metric
 ERROR_SAMPLE_TIMES = 256
+#: most tasks ``_fork_map`` forks for: their 2-byte tickets fit the 4 KiB any pipe holds
+MAX_FORKED_TASKS = 2048
 
 
 @dataclass
@@ -61,12 +79,134 @@ class RateStudy(Report):
         return "\n".join(f"{h!r} {e!r}" for h, e in zip(self.steps, self.errors)) + "\n"
 
 
-def _sup_error(traj: Trajectory, times, reference: list) -> float:
-    """Largest distance from the interpolant at ``times`` to the reference points there."""
+def _workers(n_tasks: int) -> int:
+    """How many processes ``_fork_map`` splits ``n_tasks`` over; 1 runs them serially.
+
+    Serial with fewer than 2 usable CPUs or tasks (or more than
+    ``MAX_FORKED_TASKS``), without ``os.fork`` or ``os.sched_getaffinity``,
+    with a second Python thread alive (a fork copies only the calling
+    thread), and under ``sys.setprofile`` or ``sys.settrace``, so a profiler
+    or coverage tool sees all the work.
+    """
+    if not 2 <= n_tasks <= MAX_FORKED_TASKS:
+        return 1
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_tasks)
+
+
+def _fork_map(tasks) -> list:
+    """The results of the zero-argument callables ``tasks``, in task order.
+
+    With k = ``_workers(len(tasks))`` > 1, the calling process forks k - 1
+    children and runs task 0, so its side effects stay in the caller.  Then
+    each process takes the other tasks one at a time, each the next one not
+    yet taken, until none is left: a task is a 2-byte ticket read from one
+    pipe they share, so a process slowed by a busy CPU takes fewer.  A child
+    pickles its results to its own pipe and leaves through ``os._exit``,
+    which runs no ``atexit`` handler and flushes no stdio buffer; its results
+    must be plain values.  Any exception, in a child or in the caller, kills
+    and reaps every child and runs all tasks again serially in the caller, so
+    what is raised is what one CPU raises.  No child outlives the call, a
+    ``KeyboardInterrupt`` included.
+    """
+    tasks = list(tasks)
+    k = _workers(len(tasks))
+    if k < 2:
+        return [task() for task in tasks]
+    children = {}  # pid -> read end of the pipe its results come through
+    tickets, write = os.pipe()
+    try:
+        with open(write, "wb") as pipe:  # closed: once every ticket is taken, reads end
+            pipe.write(b"".join(i.to_bytes(2, "big") for i in range(1, len(tasks))))
+        for _ in range(1, k):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(tasks, tickets, write)
+            os.close(write)
+            children[pid] = read
+        results = {0: tasks[0]()}
+        results.update(_take(tasks, tickets))
+        for pid in list(children):
+            with open(children[pid], "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(children.pop(pid))
+            if status != 0:
+                raise ChildProcessError(status)
+            results.update(pickle.loads(data))
+        return [results[i] for i in range(len(tasks))]
+    except Exception:
+        pass  # run serially below, outside this handler: what it raises carries no context
+    finally:
+        os.close(tickets)
+        _reap(children)
+    return [task() for task in tasks]
+
+
+def _take(tasks, tickets: int) -> dict:
+    """Run the tasks whose tickets this process reads from ``tickets``; index -> result."""
+    done = {}
+    while ticket := os.read(tickets, 2):  # one read takes one whole ticket
+        i = int.from_bytes(ticket, "big")
+        done[i] = tasks[i]()
+    return done
+
+
+def _child(tasks, tickets: int, write: int):
+    """A forked worker: take tasks from ``tickets``, pickle their results to ``write``, exit."""
+    status = 1
+    try:
+        with open(write, "wb") as pipe:
+            pickle.dump(_take(tasks, tickets), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(children: dict):
+    """Kill and wait for each child left in ``children``, closing its pipe."""
+    while children:
+        pid, read = children.popitem()
+        os.close(read)
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):  # reaped already
+            pass
+
+
+def _sup_error(backend, coords, reference: list) -> float:
+    """Largest distance from interpolant coordinates ``coords`` to the reference points."""
     worst = 0.0
-    for t, r in zip(times, reference):
-        worst = max(worst, distance(traj.interpolate(t), r))
+    for c, r in zip(coords, reference):
+        worst = max(worst, distance(Point(backend, c), r))
     return worst
+
+
+def _coords_at(traj: Trajectory, times) -> np.ndarray:
+    return np.array([traj.interpolate(t).coords for t in times])
+
+
+def _level_coords(scenario, h: float, times):
+    """``_coords_at(times)`` of the run at step h, or None where it raises.
+
+    ``run_rate_study`` runs the first such level again itself, to raise its error.
+    """
+    try:
+        return _coords_at(catching_up(scenario, h), times)
+    except Exception:
+        return None
 
 
 def run_rate_study(scenario, steps, reference: str = "analytic") -> RateStudy:
@@ -75,6 +215,10 @@ def run_rate_study(scenario, steps, reference: str = "analytic") -> RateStudy:
     ``reference`` is "analytic" (requires a known closed-form solution)
     or "finest" (self-refinement at min(steps)/8).  Needs at least four
     step levels, sorted decreasing.
+
+    The reference and each level's integration are tasks of one
+    ``_fork_map`` call, the calling process taking the reference; then the
+    levels' sup errors are scored in a second one.
     """
     steps = [float(h) for h in steps]
     if sorted(steps, reverse=True) != steps or len(set(steps)) != len(steps):
@@ -90,15 +234,27 @@ def run_rate_study(scenario, steps, reference: str = "analytic") -> RateStudy:
                 "use reference='finest'"
             )
     elif reference == "finest":
-        ref_fn = catching_up(scenario, min(steps) / 8.0).interpolate
+        ref_fn = None
     else:
         raise StructuralError("reference must be 'analytic' or 'finest'")
     # the reference is a function of t alone: sample it once for every level
     times = np.linspace(0.0, scenario.horizon, ERROR_SAMPLE_TIMES)
-    ref_points = [ref_fn(t) for t in times]
 
-    errors = []
-    for k, h in enumerate(steps):
+    def reference_points():
+        fn = ref_fn or catching_up(scenario, min(steps) / 8.0).interpolate
+        return [fn(t) for t in times]
+
+    ref_points, *levels = _fork_map(
+        [reference_points, *(lambda h=h: _level_coords(scenario, h, times) for h in steps)]
+    )
+    n_ok = next((k for k, c in enumerate(levels) if c is None), len(steps))
+    backend = scenario.backend
+    errors = _fork_map(
+        [lambda c=c: _sup_error(backend, c, ref_points) for c in levels[:n_ok]]
+    )
+    # only after a level failed: it runs again here, to raise its error
+    for k in range(n_ok, len(steps)):
+        h = steps[k]
         try:
             traj = catching_up(scenario, h)
         except NumericsError as err:
@@ -109,7 +265,7 @@ def run_rate_study(scenario, steps, reference: str = "analytic") -> RateStudy:
             raise NumericsError(
                 f"rate study aborted at h = {h}: {err}", best=partial
             ) from err
-        errors.append(_sup_error(traj, times, ref_points))
+        errors.append(_sup_error(backend, _coords_at(traj, times), ref_points))
 
     excluded = []
     included = []
@@ -297,12 +453,24 @@ def _visited_region(traj: Trajectory, margin: float) -> Region:
     return Region(nodes[best], min(best_r + margin, 0.95 * rho))
 
 
+def _residual_members(traj: Trajectory, t: float, seed: int):
+    """``residual_members`` at t for certify, or None where sampling raised (inconclusive)."""
+    try:
+        return residual_members(traj, t, 60, seed)
+    except (StructuralError, NumericsError, DomainError):
+        return None
+
+
 def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport:
     """Run the scenario and audit it against the regularity diagnostics.
 
     Always produces a report; its status is the worst of its checks:
     "warn" on uncertified steps or inconclusive samples, "fail" on violated
     bounds or a failed integration.
+
+    The uniqueness probe, the hypomonotonicity check and the residual
+    samples at 32 times are one ``_fork_map`` call; the residuals are
+    scored here once the fitted E is known.
     """
     seed = scenario.seed
     set_ = scenario.moving_set
@@ -332,48 +500,53 @@ def certify_scenario(scenario, h: Optional[float] = None) -> CertificationReport
         checks.append(Check("velocity_bound", "fail", f"max {vmax:.6g} > {bound:.6g}"))
 
     region = _visited_region(traj, margin=0.25 * set_.prox_radius_hint)
-    check, fitted_E, _ = _hypomonotonicity_check(scenario, region, _probe_times(scenario), 240)
-    checks.append(check)
-
-    empirical_ell = None
     touched = [
         (t, x)
         for t, x in zip(traj.times, traj.nodes)
         if set_.active_set(float(t), x)
     ]
-    if touched:
+    interior = np.linspace(0.0, scenario.horizon, 34)[1:-1] + h * 0.37
+    interior = [float(t) for t in interior if 0 < t < scenario.horizon][:32]
+
+    def uniqueness():  # task 0, so it runs in this process
+        if not touched:
+            note = "constraint never active; probe skipped"
+            return Check("projection_uniqueness", "pass", note), None
         t_mid, x_mid = touched[len(touched) // 2]
-        check, rep = _uniqueness_check(
-            scenario,
-            float(t_mid),
-            Region(x_mid, region.radius),
-            n_points=2,
-            distances=np.linspace(0.2, 1.0, 5) * set_.probe_radius,
-            restarts=8,
-        )
-        checks.append(check)
-        if rep is not None:
-            empirical_ell = rep.empirical_radius
-    else:
-        checks.append(
-            Check("projection_uniqueness", "pass", "constraint never active; probe skipped")
-        )
+        try:
+            check, rep = _uniqueness_check(
+                scenario,
+                float(t_mid),
+                Region(x_mid, region.radius),
+                n_points=2,
+                distances=np.linspace(0.2, 1.0, 5) * set_.probe_radius,
+                restarts=8,
+            )
+        except Exception as err:  # raised below, after any error of the hypomonotonicity check
+            return err, None
+        return check, None if rep is None else rep.empirical_radius
+
+    def hypomonotonicity():
+        check, fitted_E, _ = _hypomonotonicity_check(scenario, region, _probe_times(scenario), 240)
+        return check, fitted_E
+
+    (uniq, empirical_ell), (check, fitted_E), *members = _fork_map([
+        uniqueness,
+        hypomonotonicity,
+        *(lambda t=t: _residual_members(traj, t, seed) for t in interior),
+    ])
+    checks.append(check)
+    if isinstance(uniq, Exception):
+        raise uniq
+    checks.append(uniq)
 
     max_resid = None
     if fitted_E is not None:
-        interior = np.linspace(0.0, scenario.horizon, 34)[1:-1] + h * 0.37
-        interior = [t for t in interior if 0 < t < scenario.horizon]
         resids = []
         inconclusive = 0
-        for t in interior[:32]:
-            try:
-                r = inclusion_residual(
-                    traj, float(t), fitted_E * 1.05, n_members=60, seed=seed
-                )
-            except (StructuralError, NumericsError, DomainError):
-                inconclusive += 1
-                continue
-            if r.conclusive:
+        for m in members:
+            r = None if m is None else score_residual(m, fitted_E * 1.05)
+            if r is not None and r.conclusive:
                 resids.append(r.value)
             else:
                 inconclusive += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -371,6 +371,18 @@ class ResidualSample:
     conclusive: bool
 
 
+class ResidualMembers(NamedTuple):
+    """What ``inclusion_residual`` samples at one time before it reads fitted E.
+
+    ``pairs`` holds ``(<w, log_x(c)>, d(x, c))`` of each member c farther than
+    1e-9 from x(t), in sampling order; ``found`` counts every member drawn.
+    """
+
+    w_norm: float
+    found: int
+    pairs: list
+
+
 def inclusion_residual(
     traj: Trajectory,
     t: float,
@@ -386,6 +398,11 @@ def inclusion_residual(
     members c of C(t) near x(t); zero means the inclusion holds within
     the empirical hypomonotonicity certificate.
     """
+    return score_residual(residual_members(traj, t, n_members, seed), fitted_E)
+
+
+def residual_members(traj: Trajectory, t: float, n_members: int, seed: int) -> ResidualMembers:
+    """The sampling half of ``inclusion_residual``: it needs no fitted E."""
     set_ = traj.set_
     backend = set_.backend
     i = traj.locate(t)
@@ -398,7 +415,7 @@ def inclusion_residual(
     rho = backend.budget().rho
     radius = min(0.3 * rho, set_.working_radius)
     rng = np.random.default_rng([seed, int(round(t * 1e9)) & 0x7FFFFFFF])
-    worst = 0.0
+    pairs = []
     found = 0
     tries = 0
     while found < n_members and tries < 20 * n_members:
@@ -410,10 +427,19 @@ def inclusion_residual(
         d = backend._distance(p.coords, cc)
         if d < 1e-9:
             continue
-        gap = backend.inner(p.coords, w.components, backend._log_coords(p.coords, cc, d))
-        gap -= fitted_E * wn * d * d
+        inner = backend.inner(p.coords, w.components, backend._log_coords(p.coords, cc, d))
+        pairs.append((inner, d))
+    return ResidualMembers(wn, found, pairs)
+
+
+def score_residual(members: ResidualMembers, fitted_E: float) -> ResidualSample:
+    """The scoring half of ``inclusion_residual``, at ``fitted_E``."""
+    worst = 0.0
+    for inner, d in members.pairs:
+        gap = inner
+        gap -= fitted_E * members.w_norm * d * d
         worst = max(worst, gap)
-    return ResidualSample(value=worst, conclusive=found >= 10)
+    return ResidualSample(value=worst, conclusive=members.found >= 10)
 
 
 @dataclass

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shutil
+import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,12 +23,14 @@ from manisweep import (
     grad_sq_distance,
     log_map,
     parallel_transport,
+    run_rate_study,
 )
 from manisweep import expressions as ex
 from manisweep.cli import main
 from manisweep.errors import ExpressionError, NumericsError, StructuralError
 from manisweep.geometry import native
 from manisweep.geometry.implicit import _emit_kernels, _on_floats, _passes
+from manisweep.scenario import bundled_scenario
 
 
 @pytest.fixture(scope="module")
@@ -469,16 +472,38 @@ def _t_as_x2(e):
     return dataclasses.replace(e, **{n: _t_as_x2(getattr(e, n)) for n in e._operands})
 
 
-# the grammar's trees, and trees that read one subtree twice, of at most 6 leaves
-_EQUALITIES = st.one_of(st.recursive(_LEAVES, _nodes, max_leaves=6),
-                        st.recursive(_LEAVES, _shared_nodes, max_leaves=6))
+_VARS = st.builds(ex.Var, st.sampled_from(["x1", "x2"]))
+# a product of variables, a power of a variable or a function of a variable
+_CURVED = st.one_of(
+    st.builds(ex.Bin, st.just("*"), _VARS, _VARS),
+    st.builds(ex.Bin, st.just("^"), _VARS, st.builds(ex.Num, st.sampled_from([2.0, 3.0]))),
+    st.builds(ex.Fun, st.sampled_from(["sin", "cos", "exp"]), _VARS),
+)
+# the grammar's trees, and trees that read one subtree twice, of at most 6 leaves;
+# two draws in three add a curved term, so most equalities have curvature terms
+_GRAMMAR = st.one_of(st.recursive(_LEAVES, _nodes, max_leaves=6),
+                     st.recursive(_LEAVES, _shared_nodes, max_leaves=6))
+_EQUALITIES = st.one_of(
+    st.builds(ex.Bin, st.sampled_from("+-*"), _CURVED, _GRAMMAR),
+    st.builds(ex.Bin, st.sampled_from("+-*/"), _GRAMMAR, _CURVED),
+    _GRAMMAR,
+)
+
+
+def _is_curved(e):
+    """True when ``e`` holds a product or power of variables or a function of one."""
+    if isinstance(e, ex.Fun) and isinstance(e.arg, ex.Var):
+        return True
+    if isinstance(e, ex.Bin) and e.op in "*^" and isinstance(e.lhs, ex.Var):
+        return e.op == "^" or isinstance(e.rhs, ex.Var)
+    return any(_is_curved(getattr(e, n)) for n in e._operands)
 
 
 @needs_cc
 def test_native_kernels_equal_the_python_kernels_on_grammar_trees():
     # the translator against the Python kernels beyond KERNEL_MANIFOLDS: == wherever
     # the native call is clean, for both loops, coarse and fine
-    native_calls = []
+    native_calls, curved = [], []
 
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(tree=_EQUALITIES, seed=st.integers(0, 2**32 - 1))
@@ -488,6 +513,7 @@ def test_native_kernels_equal_the_python_kernels_on_grammar_trees():
             src = _emit_kernels([tree], 2)
         except (ExpressionError, ArithmeticError, ValueError):  # diff raised
             reject()
+        curved.append(_is_curved(tree))
         k = native.load(src)
         if k is None:
             return
@@ -505,6 +531,7 @@ def test_native_kernels_equal_the_python_kernels_on_grammar_trees():
 
     check()
     assert native_calls
+    assert sum(curved) > len(curved) / 2, curved
 
 
 @needs_cc
@@ -632,3 +659,19 @@ def test_a_cache_directory_others_may_write_is_not_used(empty_kernel_cache):
     assert native.cache_dir() == str(empty_kernel_cache)
     empty_kernel_cache.chmod(0o777)
     assert native.cache_dir() != str(empty_kernel_cache)
+
+
+@needs_cc
+def test_without_a_cache_directory_builds_leave_nothing_behind(empty_kernel_cache, monkeypatch):
+    # each build goes to a temporary directory removed once the library is loaded:
+    # a child forked by a rate study, which runs no atexit handler, leaves none either
+    empty_kernel_cache.mkdir()
+    empty_kernel_cache.chmod(0o777)
+    tmp = empty_kernel_cache.parent / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    scn = bundled_scenario("implicit_ellipse_cap")
+    run_rate_study(scn, [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7], reference="finest")
+    assert scn.backend._native is not None
+    assert os.listdir(tmp) == [] and os.listdir(empty_kernel_cache) == []

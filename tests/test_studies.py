@@ -209,7 +209,7 @@ def test_certify_warns_where_the_sampler_fails_and_the_region_crosses(monkeypatc
     assert ("hypomonotonicity", "warn", "t = 1: no boundary points sampled") in rep.checks
 
 
-def test_certify_stops_sampling_once_the_region_is_inside_at_every_time(monkeypatch):
+def test_certify_stops_sampling_once_the_region_is_inside_at_every_time(monkeypatch, one_cpu):
     times = []
     sample = studies.sample_hypomonotonicity
 

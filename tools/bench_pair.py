@@ -26,7 +26,10 @@ bytes of its ``src`` files (``__pycache__`` left out).  Each side's
 ``src`` line count, as ``wc -l src/manisweep/*.py
 src/manisweep/geometry/*.py`` gives it, is printed and kept as
 ``parent_src_lines`` and ``change_src_lines``, so a file records
-"smaller" beside "faster".
+"smaller" beside "faster".  Each run also records ``cpus``, the usable CPU
+count (``len(os.sched_getaffinity(0))``), and ``load1``, the 1-minute load
+average, both read as the run starts: a parallel gain is only as large as
+the CPUs it had.
 
 Per CLI call of the workload (``certify halfline``, ...), each run's
 median time over its passes (``raw_times.call_s`` of its result file) is
@@ -45,6 +48,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -54,11 +58,13 @@ SIDES = ("parent", "change")
 
 
 def run_once(checkout: Path, command, workload, seed, seconds) -> dict:
-    """One benchmark run: its metric values, failed share, artifact sums and provenance."""
+    """One benchmark run: its metric values, failed share, artifact sums and provenance,
+    with the usable CPU count and the 1-minute load average at its start."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     if argv[0] == "python3":
         argv[0] = sys.executable
+    cpus, load1 = len(os.sched_getaffinity(0)), os.getloadavg()[0]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
     last = json.loads(done.stdout.strip().splitlines()[-1])
     report = json.loads(
@@ -72,6 +78,8 @@ def run_once(checkout: Path, command, workload, seed, seconds) -> dict:
         "artifact_sha256": report["artifact_sha256"],
         "git_sha": report["provenance"]["git_sha"],
         "passes": report["provenance"]["passes"],
+        "cpus": cpus,
+        "load1": load1,
     }
 
 
@@ -159,8 +167,8 @@ def main(argv=None) -> int:
         for side in order:
             pair[side] = run_once(dirs[side], spec["command"], args.workload, seed, seconds)
             values = "  ".join(f"{n}={v:.4f}" for n, v in pair[side]["metrics"].items())
-            print(f"seed {seed} {side:<6s} {values}  failed={pair[side]['failed_ratio']:.3f}",
-                  flush=True)
+            print(f"seed {seed} {side:<6s} {values}  failed={pair[side]['failed_ratio']:.3f}"
+                  f"  cpus={pair[side]['cpus']} load1={pair[side]['load1']:.2f}", flush=True)
         pair["artifact_sha256_equal"] = (
             pair["parent"]["artifact_sha256"] == pair["change"]["artifact_sha256"]
         )
@@ -213,7 +221,8 @@ def main(argv=None) -> int:
             {"seed": r["seed"], "first": r["first"],
              "artifact_sha256_equal": r["artifact_sha256_equal"],
              **{s: {"metrics": r[s]["metrics"], "call_s": r[s]["call_s"],
-                    "failed_ratio": r[s]["failed_ratio"], "passes": r[s]["passes"]}
+                    "failed_ratio": r[s]["failed_ratio"], "passes": r[s]["passes"],
+                    "cpus": r[s]["cpus"], "load1": r[s]["load1"]}
                 for s in SIDES}}
             for r in runs
         ],
