@@ -25,6 +25,9 @@ _RADIUS_SLACK = 1.0 + 1e-9
 #: two points closer than this (ambient 2-norm) count as the same base
 SAME_POINT_TOL = 1e-9
 
+#: tangent bases ``ManifoldBackend._basis_at`` keeps
+BASIS_MEMO = 4
+
 
 def _norm(a) -> float:
     """``np.linalg.norm(a)`` of a float array, bit for bit: the same ravel, dot
@@ -171,16 +174,16 @@ class ManifoldBackend(abc.ABC):
     """Metric operations of one concrete finite-dimensional manifold.
 
     Every operation is a pure function of its inputs.  Backends are not
-    thread-safe: ``_basis_at`` memoizes the last tangent basis, and
-    the implicit backend fills its log-map and budget caches as it runs.
+    thread-safe: ``_basis_at`` memoizes the last ``BASIS_MEMO`` tangent bases,
+    and the implicit backend fills its log-map and budget caches as it runs.
     Distinct backends may run in distinct threads: the native ``Kernels``
     that implicit backends with the same equalities share holds no
     mutable state.
     """
 
-    #: ``_basis_at``'s one-entry memo: the bytes of the last base point's
-    #: coordinates and its basis, a pure function of them
-    _basis_memo: tuple = (None, None)
+    #: ``_basis_at``'s memo: (coordinate bytes, basis) of the last ``BASIS_MEMO``
+    #: base points, oldest first; a basis is a pure function of those bytes
+    _basis_memo: tuple = ()
 
     #: hashable identifier; two backends with equal keys are interchangeable
     key: tuple
@@ -319,9 +322,12 @@ class ManifoldBackend(abc.ABC):
     def _basis_at(self, xc: np.ndarray) -> np.ndarray:
         """``tangent_basis`` at coordinates xc, memoized by their bytes: no reference cycle."""
         key = xc.tobytes()
-        if self._basis_memo[0] != key:
-            self._basis_memo = (key, self.tangent_basis(Point(self, xc)))
-        return self._basis_memo[1]
+        for known, basis in self._basis_memo:
+            if known == key:
+                return basis
+        basis = self.tangent_basis(Point(self, xc))
+        self._basis_memo = (*self._basis_memo[1 - BASIS_MEMO :], (key, basis))
+        return basis
 
     def _random_components(self, rng: np.random.Generator, x: Point, max_norm: float):
         """The components of ``random_tangent``."""

@@ -19,13 +19,19 @@ stage-by-stage calls do, and each stage evaluates the Jacobian once.
 Kernels run on Python floats (see ``_on_floats``).  One or two equality
 constraints are supported; more are a structural error.
 
-Each geodesic end point is one ``_end`` call: the coarse RK4 pass or the
-fine Richardson pair, native first.  ``native`` translates this same source
-to C, built once per source on the first integration, and a native call
-equals the Python kernel bit for bit.  A call that Python floats could raise
-on, and every call where no C compiler is found, runs through the Python
-kernel (``_passes``).  The other kernels stay Python: each costs less than
-one ``ctypes`` call.
+``native`` translates this same source to C, built once per source on the
+first integration, and a native call equals the Python code it mirrors bit for
+bit.  Three kinds of call run in C: a geodesic end point of ``_integrate_geo``
+(the RK4 pass, coarse or the fine Richardson pair, and the restoration), the
+transport loop of ``_end``, and the whole shooting loop of a log-map cache miss
+(``_shoot``), which calls numpy's own BLAS and LAPACK for its norms, Newton
+steps and ``c @ basis``.  A call that Python floats could raise on runs
+again in Python (``_passes``, ``_project_point``); a log map that does not
+converge in C runs ``_shoot`` from the start, so every error is the Python
+one; and where no C compiler is found everything runs in Python.  A manifold
+of dimension 2 or more keeps the Python ``_shoot`` where the C's ``c @ basis``
+cannot be matched to numpy's.  The other kernels stay Python: each costs
+less than one ``ctypes`` call.
 """
 
 from __future__ import annotations
@@ -49,6 +55,9 @@ COARSE_STEPS_PER_UNIT = 12
 #: finite differences of the squared distance with step 1e-5 stay clean
 SHOOTING_TOL = 3e-11
 SHOOTING_MAX_ITER = 100
+#: ``proj_x`` steps of a restoration onto the manifold, and the max |g| that stops them
+RESTORE_MAX_ITER = 12
+RESTORE_TOL = 1e-13
 
 
 def _emit_kernels(g_trees, d):
@@ -244,10 +253,10 @@ class ImplicitBackend(ManifoldBackend):
     def _project_point(self, amb):
         x = tuple(map(float, amb))
         try:
-            for _ in range(12):
+            for _ in range(RESTORE_MAX_ITER):
                 x = self._k_proj_x(*x)
                 resid = self.feasibility_residual(x)
-                if resid < 1e-13:
+                if resid < RESTORE_TOL:
                     break
         except (ZeroDivisionError, OverflowError) as err:
             raise NumericsError(
@@ -276,8 +285,8 @@ class ImplicitBackend(ManifoldBackend):
 
     @functools.cached_property
     def _native(self):
-        """The native ``rk4_geo`` and ``rk4_par`` (``native.Kernels``), built or loaded
-        on the first integration, not at construction; None where only Python runs."""
+        """The native kernels (``native.Kernels``), built or loaded on the first
+        integration, not at construction; None where only Python runs."""
         from . import native  # imported on first use: a run that never integrates skips it
 
         return native.load(self._kernel_src)
@@ -293,12 +302,17 @@ class ImplicitBackend(ManifoldBackend):
         return _passes(kernel, state, n, fine) if out is None else out
 
     def _integrate_geo(self, xc, vc, fine: bool):
-        """The geodesic end point from xc at velocity vc: one float tuple passes from
-        ``rk4_geo`` through ``_end`` to ``_project_point``'s ``proj_x``."""
+        """The geodesic end point from xc at velocity vc: one native ``point_end``
+        call where it runs cleanly, else ``rk4_geo`` through ``_end`` and
+        ``_project_point``'s ``proj_x``, on one float tuple."""
         speed = _norm(vc)
         if speed == 0.0:
             return np.array(xc)
-        out = self._end(self._k_rk4_geo, (*xc.tolist(), *vc.tolist()), speed, fine)
+        state = (*xc.tolist(), *vc.tolist())
+        out = None if self._native is None else self._native.point(state, speed, fine)
+        if out is not None:
+            return np.array(out)
+        out = self._end(self._k_rk4_geo, state, speed, fine)
         return self._project_point(out[: self.ambient_dim])
 
     def _exp(self, xc, vc, speed):
@@ -312,6 +326,19 @@ class ImplicitBackend(ManifoldBackend):
         basis = self._basis_at(xc)
         c = basis @ (yc - xc)  # seed: ambient chord projected onto T_x
         scale = 1.0 + _norm(yc)
+        shot = None if self._native is None else self._native.log(xc, yc, basis, c, scale)
+        # any native exit but convergence runs the loop again here, to raise its error
+        c = self._shoot(xc, yc, basis, c, scale) if shot is None or shot[0] else shot[1]
+        v = c @ basis
+        if len(self._log_cache) >= 8192:
+            self._log_cache.popitem(last=False)
+        self._log_cache[key] = v.copy()
+        return v
+
+    def _shoot(self, xc, yc, basis, c, scale):
+        """The components c, in ``basis``, of the log map of yc at xc: a damped Newton
+        iteration on the end point residual from the seed ``c``, on a frozen
+        finite-difference Jacobian; the Python twin of the native ``log_map``."""
 
         def resid(cvec, fine):
             return self._integrate_geo(xc, cvec @ basis, fine=fine) - yc
@@ -370,11 +397,7 @@ class ImplicitBackend(ManifoldBackend):
                 residual=rn,
                 best=c @ basis,
             )
-        v = c @ basis
-        if len(self._log_cache) >= 8192:
-            self._log_cache.popitem(last=False)
-        self._log_cache[key] = v.copy()
-        return v
+        return c
 
     def _distance(self, xc, yc):
         if xc.tolist() == yc.tolist():  # np.array_equal: -0.0 == 0.0, nan != nan

@@ -218,7 +218,7 @@ def run_rate_study(scenario, steps, reference: str = "analytic") -> RateStudy:
 
     The reference and each level's integration are tasks of one
     ``_fork_map`` call, the calling process taking the reference; then the
-    levels' sup errors are scored in a second one.
+    calling process scores the levels' sup errors.
     """
     steps = [float(h) for h in steps]
     if sorted(steps, reverse=True) != steps or len(set(steps)) != len(steps):
@@ -249,9 +249,8 @@ def run_rate_study(scenario, steps, reference: str = "analytic") -> RateStudy:
     )
     n_ok = next((k for k, c in enumerate(levels) if c is None), len(steps))
     backend = scenario.backend
-    errors = _fork_map(
-        [lambda c=c: _sup_error(backend, c, ref_points) for c in levels[:n_ok]]
-    )
+    # each sup error is cheaper than a fork: scored here
+    errors = [_sup_error(backend, c, ref_points) for c in levels[:n_ok]]
     # only after a level failed: it runs again here, to raise its error
     for k in range(n_ok, len(steps)):
         h = steps[k]

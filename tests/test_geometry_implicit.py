@@ -1,5 +1,6 @@
 """Level-set backend on the unit circle and the 2:1 ellipse."""
 
+import ctypes
 import dataclasses
 import json
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 from scipy.integrate import solve_ivp
-from test_grammar import _LEAVES, _nodes, _shared_nodes
+from test_grammar import _LEAVES, _nodes, _shared_nodes, _text
 
 from manisweep import (
     ImplicitBackend,
@@ -28,7 +29,8 @@ from manisweep import (
 from manisweep import expressions as ex
 from manisweep.cli import main
 from manisweep.errors import ExpressionError, NumericsError, StructuralError
-from manisweep.geometry import native
+from manisweep.geometry import implicit, native
+from manisweep.geometry.base import _norm
 from manisweep.geometry.implicit import _emit_kernels, _on_floats, _passes
 from manisweep.scenario import bundled_scenario
 
@@ -537,7 +539,7 @@ def test_native_kernels_equal_the_python_kernels_on_grammar_trees():
 @needs_cc
 def test_backends_sharing_native_kernels_integrate_in_two_threads_as_in_one():
     # each call has its own arrays: two threads in the shared library at once
-    # get the end points a serial run gets
+    # get the end points and log maps a serial run gets
     d, eqs = KERNEL_MANIFOLDS["ellipse_golden"]
     first, second = ImplicitBackend(d, eqs), ImplicitBackend(d, eqs)
     assert first._native is not None and first._native is second._native
@@ -551,12 +553,23 @@ def test_backends_sharing_native_kernels_integrate_in_two_threads_as_in_one():
     def ends(b, order):
         return [b._integrate_geo(*jobs[i]).tobytes() for i in order]
 
+    # the log maps back from the fine end points within the budget's radius
+    pairs = [(x, first._integrate_geo(x, v, fine)) for x, v, fine in jobs
+             if fine and _norm(v) < 1.0]
+
+    def logs(b, order):
+        b._log_cache.clear()
+        return [b._log(*pairs[i]).tobytes() for i in order if i < len(pairs)]
+
     orders = (range(len(jobs)), range(len(jobs))[::-1])  # distinct states at once
     serial = [ends(first, order) for order in orders]
+    serial_logs = [logs(first, order) for order in orders]
     # a buffer shared by the two threads corrupts only a few calls in a thousand
     with ThreadPoolExecutor(2) as pool:
         for _ in range(10):
             assert list(pool.map(ends, (first, second), orders)) == serial
+        for _ in range(4):
+            assert list(pool.map(logs, (first, second), orders)) == serial_logs
 
 
 @needs_cc
@@ -675,3 +688,200 @@ def test_without_a_cache_directory_builds_leave_nothing_behind(empty_kernel_cach
     run_rate_study(scn, [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7], reference="finest")
     assert scn.backend._native is not None
     assert os.listdir(tmp) == [] and os.listdir(empty_kernel_cache) == []
+
+
+# -- the native log map ---------------------------------------------------------
+
+
+def _log_or_error(b, xc, yc):
+    """``b._log(xc, yc)``'s bytes, or its error's type, message, residual and best."""
+    try:
+        with np.errstate(all="ignore"):
+            return b._log(xc, yc).tobytes()
+    except (NumericsError, ArithmeticError, ValueError, TypeError) as err:
+        best = getattr(err, "best", None)
+        return (type(err), str(err), repr(getattr(err, "residual", None)),
+                None if best is None else best.tobytes())
+
+
+def _native_shot(b, xc, yc):
+    """The basis at xc, and (status, components, residual) of ``b``'s native
+    ``log_map`` from ``_log``'s seed."""
+    basis = b._basis_at(xc)
+    return basis, b._native.log(xc, yc, basis, basis @ (yc - xc), 1.0 + _norm(yc))
+
+
+def _python_twin(b, monkeypatch=None):
+    """A backend with ``b``'s equalities on the Python kernels and the Python loop,
+    and the ``('r', fine)`` events of its end points; with ``monkeypatch``, also the
+    ``('L',)`` events of every ``np.linalg.lstsq`` call, its Newton steps."""
+    twin, events = ImplicitBackend(b.ambient_dim, b.key[2]), []
+    twin._native = None
+    integrate, lstsq = twin._integrate_geo, np.linalg.lstsq
+    twin._integrate_geo = lambda xc, vc, fine: events.append(("r", fine)) or integrate(xc, vc, fine)
+    if monkeypatch is not None:
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **k: events.append(("L",)) or lstsq(*a, **k))
+    return twin, events
+
+
+def _branches(events, dim):
+    """The branches of ``_shoot`` that its end point and Newton step events show."""
+    seen = {"switch"} if ("r", True) in events else set()
+    steps = [i for i, e in enumerate(events) if e == ("L",)]
+    seen.add("newton" if steps else "chord")
+    for i in steps:
+        fine, j = events[i - 1][1], i + 1
+        while j < len(events) and events[j] == ("r", fine):  # the line search's candidates
+            j += 1
+        if j - i > 2:
+            seen.add("halving")
+        # all 8 candidates fail, then the refreshed Jacobian's dim end points
+        later = [k for k in steps if k > j]
+        if j - i > 8 and later and later[0] - j > dim:
+            seen.add("refresh")
+    return seen
+
+
+def _shooting_pairs(b, rng, n):
+    """n seeded (x, y) coordinate pairs: near (0.003 apart), far (up to 0.9 rho),
+    and y pushed off the manifold along its normal, by 1e-13..1e-10 (halvings,
+    then convergence) or by 1e-9..1e-5 (the Jacobian refreshed, no convergence)."""
+    rho = b.budget().rho
+    pairs = []
+    for i in range(n):
+        x = b.point(b._project_point(rng.standard_normal(b.ambient_dim)))
+        y = b.random_point(rng, x, (0.003, 0.9 * rho, 0.5 * rho, 0.5 * rho)[i % 4]).coords
+        if i % 4 > 1:
+            normal = b.constraint_jacobian(y)[0]
+            low, high = ((-13, -10), (-9, -5))[i % 4 - 2]
+            y = y + 10.0 ** rng.uniform(low, high) * normal / _norm(normal)
+        pairs.append((x.coords, y))
+    return pairs
+
+
+def _check_shot(basis, shot, python):
+    """A native exit that ends as the Python loop: converged to its components, or
+    stopped with its error's residual and best; returns the native status."""
+    status, c, residual = shot
+    if status == 0:
+        assert (c @ basis).tobytes() == python
+    elif status in (1, 2):
+        assert python == (NumericsError, "shooting iteration for the log map did not converge",
+                          repr(residual), (c @ basis).tobytes())
+    return status
+
+
+@needs_cc
+@pytest.mark.parametrize("name", sorted(KERNEL_MANIFOLDS))
+def test_the_native_log_map_equals_the_python_loop(name, monkeypatch):
+    # == components, or the same error, residual and best, on every branch of the loop
+    d, eqs = KERNEL_MANIFOLDS[name]
+    b = ImplicitBackend(d, eqs)
+    assert b._native.shoots
+    twin, events = _python_twin(b, monkeypatch)
+    exits, seen = [], set()
+    for xc, yc in _shooting_pairs(b, np.random.default_rng(60), 24):
+        basis, shot = _native_shot(b, xc, yc)
+        events.clear()
+        python = _log_or_error(twin, xc, yc)
+        seen |= _branches(events, b.dim)
+        assert _log_or_error(b, xc, yc) == python
+        exits.append(_check_shot(basis, shot, python))
+    assert seen == {"chord", "newton", "halving", "refresh", "switch"}
+    assert exits.count(0) >= 16 and 2 in exits and 3 not in exits
+
+
+@needs_cc
+def test_an_exhausted_native_log_map_stops_at_the_python_loops_best(empty_kernel_cache,
+                                                                     monkeypatch):
+    # three iterations leave far pairs unconverged: the best residual and components
+    # the native loop kept are those the Python loop raises with
+    monkeypatch.setattr(implicit, "SHOOTING_MAX_ITER", 3)
+    d, eqs = KERNEL_MANIFOLDS["two_equalities"]
+    b = ImplicitBackend(d, eqs)
+    twin, _ = _python_twin(b)
+    exits = []
+    for xc, yc in _shooting_pairs(b, np.random.default_rng(61), 16):
+        basis, shot = _native_shot(b, xc, yc)
+        python = _log_or_error(twin, xc, yc)
+        assert _log_or_error(b, xc, yc) == python
+        exits.append(_check_shot(basis, shot, python))
+    assert exits.count(1) >= 4 and 0 in exits
+
+
+@needs_cc
+def test_a_restoration_failure_hands_the_log_map_back_to_python(empty_kernel_cache,
+                                                                monkeypatch):
+    # no end point meets this feasibility tolerance: the native loop hands the map
+    # back, and the Python loop raises the restoration error
+    monkeypatch.setattr(ImplicitBackend, "feasibility_tol", 1e-300)
+    d, eqs = KERNEL_MANIFOLDS["ellipse_golden"]
+    b = ImplicitBackend(d, eqs)
+    twin, _ = _python_twin(b)
+    xc, yc = np.array([2.0, 0.0]), np.array([0.0, 1.0])
+    basis, shot = _native_shot(b, xc, yc)
+    assert shot[0] == 3
+    python = _log_or_error(twin, xc, yc)
+    message = "could not restore feasibility from the given ambient point"
+    assert python[:2] == (NumericsError, message)
+    assert _log_or_error(b, xc, yc) == python
+
+
+@needs_cc
+def test_the_native_log_map_equals_the_python_loop_on_grammar_trees():
+    # the equalities of the grammar's trees: == components or the same error
+    shots = []
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(tree=_EQUALITIES, seed=st.integers(0, 2**32 - 1))
+    def check(tree, seed):
+        try:
+            b = ImplicitBackend(2, [_text(_t_as_x2(tree))[0]])
+        except (ExpressionError, StructuralError, ArithmeticError, ValueError):
+            reject()
+        if b._native is None or not b._native.shoots:
+            return
+        twin, _ = _python_twin(b)
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            with np.errstate(all="ignore"):
+                try:
+                    xc = b._project_point(rng.standard_normal(2))
+                    vc = b._project_tangent(xc, rng.standard_normal(2)) * rng.uniform(0.003, 1.0)
+                    yc = b._integrate_geo(xc, vc, True)
+                except (NumericsError, ArithmeticError, ValueError, TypeError):
+                    continue
+            shot = _native_shot(b, xc, yc)[1]
+            shots.append(shot[0])
+            assert _log_or_error(b, xc, yc) == _log_or_error(twin, xc, yc)
+
+    check()
+    assert shots.count(0) > len(shots) / 2, shots
+
+
+@needs_cc
+@pytest.mark.parametrize("found", ["nothing", "another_dot"])
+def test_without_numpys_blas_the_python_log_map_runs(empty_kernel_cache, monkeypatch, found):
+    # a resolver that finds no symbol, or a dot the probe sees differ from numpy's by
+    # one bit: no native log map, and the Python loop's results
+    resolved = native.numpy_blas()
+    doubles = ctypes.POINTER(ctypes.c_double)
+    dot_type = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_longlong, doubles, ctypes.c_longlong,
+                                doubles, ctypes.c_longlong)
+
+    @dot_type
+    def another_dot(n, a, inc_a, b, inc_b):
+        exact = np.array(a[:n]).dot(np.array(b[:n]))
+        return float(np.nextafter(exact, math.inf)) if n > 1 else float(exact)
+
+    blas = (resolved[0], (ctypes.cast(another_dot, ctypes.c_void_p).value, *resolved[1][1:]))
+    monkeypatch.setattr(native, "numpy_blas", lambda: None if found == "nothing" else blas)
+    d, eqs = KERNEL_MANIFOLDS["two_equalities"]
+    b = ImplicitBackend(d, eqs)
+    assert b._native is not None and not b._native.shoots
+    zeros = np.zeros(d)
+    assert b._native.log(zeros, zeros, np.zeros((d - 2, d)), zeros[2:], 1.0) is None
+    twin, _ = _python_twin(b)
+    for xc, yc in _shooting_pairs(b, np.random.default_rng(62), 8):
+        assert _log_or_error(b, xc, yc) == _log_or_error(twin, xc, yc)

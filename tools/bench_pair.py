@@ -26,7 +26,11 @@ bytes of its ``src`` files (``__pycache__`` left out).  Each side's
 ``src`` line count, as ``wc -l src/manisweep/*.py
 src/manisweep/geometry/*.py`` gives it, is printed and kept as
 ``parent_src_lines`` and ``change_src_lines``, so a file records
-"smaller" beside "faster".  Each run also records ``cpus``, the usable CPU
+"smaller" beside "faster".  Beside it, one short probe in each checkout
+records whether that side's native kernels load on the implicit golden and
+whether its native log map is on (``parent_native``, ``change_native``):
+without a compiler, or with the log map off, the implicit calls run in
+Python and time differently.  Each run also records ``cpus``, the usable CPU
 count (``len(os.sched_getaffinity(0))``), and ``load1``, the 1-minute load
 average, both read as the run starts: a parallel gain is only as large as
 the CPUs it had.
@@ -98,6 +102,24 @@ def src_lines(checkout: Path) -> int:
     package = checkout / "src" / "manisweep"
     paths = [*package.glob("*.py"), *(package / "geometry").glob("*.py")]
     return sum(path.read_bytes().count(b"\n") for path in paths)
+
+
+#: run in a checkout: whether the implicit golden's native kernels load, and
+#: whether their log map runs natively (``Kernels.shoots``; absent before it existed)
+NATIVE_PROBE = """
+import json
+from manisweep.scenario import bundled_scenario
+k = bundled_scenario("implicit_ellipse_cap").backend._native
+print(json.dumps({"kernels": k is not None, "log_map": bool(getattr(k, "shoots", False))}))
+"""
+
+
+def native_state(checkout: Path) -> dict:
+    """``{"kernels": bool, "log_map": bool}`` of ``NATIVE_PROBE`` in a checkout."""
+    done = subprocess.run([sys.executable, "-c", NATIVE_PROBE], cwd=checkout, check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(checkout / "src")})
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def _paired(sides, lower=True) -> dict:
@@ -199,8 +221,12 @@ def main(argv=None) -> int:
         print(f"{call:<36s} {s['parent_median']:>14.4f} {s['change_median']:>14.4f} "
               f"{paired:>18s} {s['change_wins']:>3d}/{s['pairs']:<2d}")
     lines = {side: src_lines(dirs[side]) for side in SIDES}
+    natives = {side: native_state(dirs[side]) for side in SIDES}
     print(f"artifact_sha256 equal in {same}/{len(runs)} pairs; runs with a failed "
           f"operation: {failed}; src lines {lines['parent']} -> {lines['change']}")
+    for side in SIDES:
+        print(f"{side}: native kernels {'load' if natives[side]['kernels'] else 'do not load'}, "
+              f"native log map {'on' if natives[side]['log_map'] else 'off'}")
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     names = {}
@@ -213,6 +239,7 @@ def main(argv=None) -> int:
         "seeds": [r["seed"] for r in runs],
         **names,
         **{f"{side}_src_lines": lines[side] for side in SIDES},
+        **{f"{side}_native": natives[side] for side in SIDES},
         "artifact_sha256_equal_pairs": same,
         "runs_with_failures": failed,
         "summary": summary,
