@@ -21,17 +21,18 @@ constraints are supported; more are a structural error.
 
 ``native`` translates this same source to C, built once per source on the
 first integration, and a native call equals the Python code it mirrors bit for
-bit.  Three kinds of call run in C: a geodesic end point of ``_integrate_geo``
-(the RK4 pass, coarse or the fine Richardson pair, and the restoration), the
-transport loop of ``_end``, and the whole shooting loop of a log-map cache miss
+bit.  Two kinds of call run in C, each one ``ctypes`` crossing: a geodesic end
+point of ``_integrate_geo`` (the RK4 pass, coarse or the fine Richardson pair,
+and the restoration) and the whole shooting loop of a log-map cache miss
 (``_shoot``), which calls numpy's own BLAS and LAPACK for its norms, Newton
-steps and ``c @ basis``.  A call that Python floats could raise on runs
+steps and ``c @ basis``.  An end point that Python floats could raise on runs
 again in Python (``_passes``, ``_project_point``); a log map that does not
 converge in C runs ``_shoot`` from the start, so every error is the Python
 one; and where no C compiler is found everything runs in Python.  A manifold
 of dimension 2 or more keeps the Python ``_shoot`` where the C's ``c @ basis``
-cannot be matched to numpy's.  The other kernels stay Python: each costs
-less than one ``ctypes`` call.
+cannot be matched to numpy's.  Transport (``rk4_par``) stays Python, as it
+runs too rarely for a native entry to pay for its code; each other kernel
+costs less than one ``ctypes`` call.
 """
 
 from __future__ import annotations
@@ -291,32 +292,21 @@ class ImplicitBackend(ManifoldBackend):
 
         return native.load(self._kernel_src)
 
-    def _end(self, kernel, state, speed, fine):
-        """``kernel``'s end state over s in [0, 1] at ``speed`` (``_passes``, coarse
-        or fine): native where that call runs cleanly, else on Python floats."""
-        if fine:
-            n = max(8, math.ceil(speed * FINE_STEPS_PER_UNIT))
-        else:
-            n = max(6, math.ceil(speed * COARSE_STEPS_PER_UNIT))
-        out = None if self._native is None else self._native.end(kernel.__name__, state, n, fine)
-        return _passes(kernel, state, n, fine) if out is None else out
-
-    def _integrate_geo(self, xc, vc, fine: bool):
-        """The geodesic end point from xc at velocity vc: one native ``point_end``
-        call where it runs cleanly, else ``rk4_geo`` through ``_end`` and
-        ``_project_point``'s ``proj_x``, on one float tuple."""
-        speed = _norm(vc)
+    def _integrate_geo(self, xc, vc, speed, fine: bool):
+        """The geodesic end point from xc at velocity vc of norm ``speed``: one
+        native ``point_end`` call where it runs cleanly, else ``_passes`` of
+        ``rk4_geo`` and ``_project_point``'s ``proj_x``, on one float tuple."""
         if speed == 0.0:
             return np.array(xc)
         state = (*xc.tolist(), *vc.tolist())
         out = None if self._native is None else self._native.point(state, speed, fine)
         if out is not None:
             return np.array(out)
-        out = self._end(self._k_rk4_geo, state, speed, fine)
+        out = _passes(self._k_rk4_geo, state, speed, fine)
         return self._project_point(out[: self.ambient_dim])
 
     def _exp(self, xc, vc, speed):
-        return self._integrate_geo(xc, vc, fine=True)
+        return self._integrate_geo(xc, vc, speed, fine=True)
 
     def _log(self, xc, yc, d=None):  # shooting finds the distance: d is not read
         key = (xc.tobytes(), yc.tobytes())
@@ -341,7 +331,8 @@ class ImplicitBackend(ManifoldBackend):
         finite-difference Jacobian; the Python twin of the native ``log_map``."""
 
         def resid(cvec, fine):
-            return self._integrate_geo(xc, cvec @ basis, fine=fine) - yc
+            vc = cvec @ basis
+            return self._integrate_geo(xc, vc, _norm(vc), fine) - yc
 
         r = resid(c, fine=False)
         rn = _norm(r)  # kept equal to _norm(r) wherever r changes
@@ -411,7 +402,7 @@ class ImplicitBackend(ManifoldBackend):
         if speed == 0.0 or w_norm == 0.0:
             return self._project_tangent(yc, vc)
         state = (*xc.tolist(), *gamma.tolist(), *vc.tolist())
-        out = self._end(self._k_rk4_par, state, speed, fine=True)
+        out = _passes(self._k_rk4_par, state, speed, fine=True)
         d = self.ambient_dim
         w = self._project_tangent(yc, out[2 * d :])
         nw = _norm(w)
@@ -469,9 +460,15 @@ class ImplicitBackend(ManifoldBackend):
         return worst
 
 
-def _passes(kernel, state, n, fine):
-    """``n`` RK4 steps of ``1/n`` over s in [0, 1] on floats; when ``fine``, also
-    ``2n`` steps of ``0.5/n``, and their Richardson combine."""
+def _passes(kernel, state, speed, fine):
+    """``kernel``'s end state over s in [0, 1] at ``speed``, on floats: ``n`` RK4 steps
+    of ``1/n``, ``n`` the steps per unit times the speed rounded up, at least 6; when
+    ``fine``, at least 8, and also ``2n`` steps of ``0.5/n`` and their Richardson
+    combine.  The native ``point_end`` mirrors this step rule."""
+    if fine:
+        n = max(8, math.ceil(speed * FINE_STEPS_PER_UNIT))
+    else:
+        n = max(6, math.ceil(speed * COARSE_STEPS_PER_UNIT))
     a = _on_floats(kernel, state, n, 1.0 / n)
     if not fine:
         return a

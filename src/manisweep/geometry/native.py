@@ -1,16 +1,13 @@
-"""Native builds of the implicit backend's kernels and shooting loop, equal to them bit for bit.
+"""Native builds of the implicit backend's end point and shooting loop, equal to them bit for bit.
 
-``translate`` renders the emitted Python of ``rk4_geo``, ``rk4_par``, ``g`` and
-``proj_x`` as C99, statement for statement, with every operation parenthesised
-as Python's parser groups it.  It adds one entry point per RK4 loop,
-``NAME_end(state, n, fine, out)``: ``n`` steps of ``1/n`` and, when ``fine`` is
-set, also ``2n`` steps of ``0.5/n`` and their Richardson combine
-``(16.0*b - a)/15.0``, as ``implicit._passes``.  Two hand-written entry points
-mirror the implicit backend's Python: ``point_end``, one geodesic end point of
-``_integrate_geo`` (the RK4 pass and ``_project_point``'s restoration), and
-``log_map``, the whole Newton loop of ``_shoot`` with one end point per
-residual.  ``load`` compiles that C once per kernel source and loads it with
-``ctypes``.
+``translate`` renders the emitted Python of ``rk4_geo``, ``g`` and ``proj_x`` as
+C99, statement for statement, with every operation parenthesised as Python's
+parser groups it.  Two hand-written entry points use them and mirror the
+implicit backend's Python: ``point_end``, one geodesic end point of
+``_integrate_geo`` (``_passes``'s RK4 pass, coarse or the fine Richardson pair,
+and ``_project_point``'s restoration), and ``log_map``, the whole Newton loop of
+``_shoot`` with one end point per residual.  ``load`` compiles that C once per
+kernel source and loads it with ``ctypes``.
 
 The C performs the same IEEE double operations in the same order, and ``**``,
 ``sqrt``, ``sin``, ``cos`` and ``exp`` call the libm that Python's floats and
@@ -33,14 +30,14 @@ fixed inputs, there is no native log map (``Kernels.shoots``); when only the
 ``c @ basis`` of two rows and more differs, there is none for manifolds of
 dimension 2 and more.
 
-A call is clean when its input is finite and it raises none of the divide-by-zero,
-invalid and overflow flags; otherwise the entry point returns nonzero and
-``Kernels`` returns None.  From a finite state every operation that Python floats
-would raise on (a division by zero, an overflowing or complex power, a math domain
-or range error) raises one of those flags, so callers repeat exactly those calls
-in Python, and every error and numpy fallback stays as it was.  The log map goes
-further: any exit but convergence, a failed restoration or ``dgelsd`` included,
-makes ``_log`` run the Python loop from the start.
+An end point is clean when its input is finite and it raises none of the
+divide-by-zero, invalid and overflow flags; otherwise ``point_end`` returns nonzero
+and ``Kernels.point`` returns None.  From a finite state every operation that
+Python floats would raise on (a division by zero, an overflowing or complex power,
+a math domain or range error) raises one of those flags, so callers repeat exactly
+those calls in Python, and every error and numpy fallback stays as it was.  The
+log map goes further: any exit but convergence, a failed restoration or ``dgelsd``
+included, makes ``_log`` run the Python loop from the start.
 
 Nothing here is an option: a source with a construct the translator does not
 know, a missing, failing or slow compiler and a library that will not load all
@@ -63,8 +60,6 @@ import tempfile
 
 import numpy as np
 
-#: the emitted RK4 loops that run natively, each ``def NAME(state, n, h)``
-KERNELS = ("rk4_geo", "rk4_par")
 FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
 
@@ -95,25 +90,6 @@ static int settle(const fexcept_t *saved, const double *out, int width)
     fesetexceptflag(saved, FE_ALL_EXCEPT);
     return bad;
 }
-"""
-
-_ENTRY = """
-int {name}_end(const double *state, long n, int fine, double *out)
-{{
-    fexcept_t saved;
-    double b[{width}];
-    if (!all_finite(state, {width}))
-        return 1;
-    fegetexceptflag(&saved, FE_ALL_EXCEPT);
-    feclearexcept(FE_ALL_EXCEPT);
-    {name}(state, n, 1.0 / n, out);
-    if (fine) {{
-        {name}(state, 2 * n, 0.5 / n, b);
-        for (int i = 0; i < {width}; i++)
-            out[i] = ((16.0 * b[i]) - out[i]) / 15.0;
-    }}
-    return settle(&saved, out, {width});
-}}
 """
 
 # numpy's BLAS and LAPACK as numpy calls them, through the addresses in ``struct blas``
@@ -193,7 +169,7 @@ int blas_lstsq(const struct blas *blas, long m, long n, const double *a, const d
 }
 """
 
-# ``ImplicitBackend._integrate_geo``'s end point: ``_end``'s RK4 pass of ``rk4_geo``
+# ``ImplicitBackend._integrate_geo``'s end point: ``_passes``'s RK4 pass of ``rk4_geo``
 # and ``_project_point``'s restoration with the kernels ``proj_x`` and ``g``
 _POINT = """
 enum { AMBIENT = $AMBIENT, CONSTRAINTS = $CONSTRAINTS, TANGENT = $TANGENT };
@@ -510,49 +486,41 @@ class _Function:
         raise _Unknown(ast.unparse(e))
 
 
-def translate(src, library=None):
-    """(C source, state width of each loop in ``KERNELS``, (d, m) or None) for an
-    emitted kernel source, or None when a loop is missing or holds a construct not
-    rendered here.
+def translate(src, library):
+    """(C source, (d, m)) for an emitted kernel source whose ``g`` and ``proj_x``
+    take d variables and give m constraints, or None when ``rk4_geo``, ``g`` or
+    ``proj_x`` is missing or holds a construct not rendered here.
 
-    Where the source also defines ``g`` and ``proj_x`` of d variables and m
-    constraints, the C adds ``point_end``, ``_integrate_geo``'s end point, and
-    the third item is (d, m); where ``library`` names numpy's BLAS library
-    (``numpy_blas``) too, it adds ``log_map``, ``_shoot``'s loop, and the BLAS
-    and LAPACK calls the probe in ``Kernels`` checks.
+    The C holds ``point_end``, ``_integrate_geo``'s end point; where ``library``
+    names numpy's BLAS library (``numpy_blas``), it adds ``log_map``, ``_shoot``'s
+    loop, and the BLAS and LAPACK calls the probe in ``Kernels`` checks.
     """
     from . import implicit  # imported here: implicit imports this module on first use
 
     defs = {f.name: f for f in ast.parse(src).body if isinstance(f, ast.FunctionDef)}
     try:
-        loops = {name: _Function(defs[name]) for name in KERNELS}
-        shape = None
-        if "g" in defs and "proj_x" in defs:
-            g, proj_x = _Function(defs["g"]), _Function(defs["proj_x"])
-            if g.width != proj_x.width or proj_x.returned != proj_x.width:
-                raise _Unknown("g and proj_x of different points")
-            shape = (g.width, g.returned)
+        rk4_geo, g, proj_x = (_Function(defs[name]) for name in ("rk4_geo", "g", "proj_x"))
     except (KeyError, _Unknown):
         return None
-    parts = [_PRELUDE] + [f.text for f in loops.values()]
-    parts += [_ENTRY.format(name=name, width=f.width) for name, f in loops.items()]
-    if shape is not None:
-        d, m = shape
-        constants = {
-            "AMBIENT": d, "CONSTRAINTS": m, "TANGENT": d - m,
-            "FINE_STEPS_PER_UNIT": float(implicit.FINE_STEPS_PER_UNIT),
-            "COARSE_STEPS_PER_UNIT": float(implicit.COARSE_STEPS_PER_UNIT),
-            "RESTORE_MAX_ITER": implicit.RESTORE_MAX_ITER, "RESTORE_TOL": implicit.RESTORE_TOL,
-            "FEASIBILITY_TOL": implicit.ImplicitBackend.feasibility_tol,
-            "SHOOTING_TOL": implicit.SHOOTING_TOL, "SHOOTING_MAX_ITER": implicit.SHOOTING_MAX_ITER,
-            "LIBRARY": str(library).replace("*/", "*_/"),  # a path inside a C comment
-            "SYMBOLS": ", ".join(name for _, name in BLAS_SYMBOLS),
-        }
-        constants = {k: v if isinstance(v, str) else repr(v) for k, v in constants.items()}
-        parts += [g.text, proj_x.text, string.Template(_POINT).substitute(constants)]
-        if library is not None:
-            parts += [string.Template(t).substitute(constants) for t in (_BLAS, _SHOOT)]
-    return "\n".join(parts), {name: f.width for name, f in loops.items()}, shape
+    d, m = g.width, g.returned
+    if proj_x.width != d or proj_x.returned != d:
+        return None  # g and proj_x of different points
+    constants = {
+        "AMBIENT": d, "CONSTRAINTS": m, "TANGENT": d - m,
+        "FINE_STEPS_PER_UNIT": float(implicit.FINE_STEPS_PER_UNIT),
+        "COARSE_STEPS_PER_UNIT": float(implicit.COARSE_STEPS_PER_UNIT),
+        "RESTORE_MAX_ITER": implicit.RESTORE_MAX_ITER, "RESTORE_TOL": implicit.RESTORE_TOL,
+        "FEASIBILITY_TOL": implicit.ImplicitBackend.feasibility_tol,
+        "SHOOTING_TOL": implicit.SHOOTING_TOL, "SHOOTING_MAX_ITER": implicit.SHOOTING_MAX_ITER,
+        "LIBRARY": str(library).replace("*/", "*_/"),  # a path inside a C comment
+        "SYMBOLS": ", ".join(name for _, name in BLAS_SYMBOLS),
+    }
+    constants = {k: v if isinstance(v, str) else repr(v) for k, v in constants.items()}
+    parts = [_PRELUDE, rk4_geo.text, g.text, proj_x.text,
+             string.Template(_POINT).substitute(constants)]
+    if library is not None:
+        parts += [string.Template(t).substitute(constants) for t in (_BLAS, _SHOOT)]
+    return "\n".join(parts), (d, m)
 
 
 _DOUBLES = ctypes.POINTER(ctypes.c_double)
@@ -576,22 +544,14 @@ class Kernels:
     ``_probe`` found its BLAS and LAPACK calls equal to numpy's.
     """
 
-    def __init__(self, lib, widths, shape=None, blas=None):
+    def __init__(self, lib, shape, blas):
         self._lib = lib  # the entry points below live as long as the library
-        self._loops = {}
-        for name, width in widths.items():
-            entry = lib[f"{name}_end"]
-            entry.argtypes = (_DOUBLES, ctypes.c_long, ctypes.c_int, _DOUBLES)
-            entry.restype = ctypes.c_int
-            self._loops[name] = (entry, ctypes.c_double * width)
-        self.shoots = False
-        if shape is None:  # no g and proj_x: the RK4 loops alone
-            return
         d, m = shape
         self._point = lib.point_end
         self._point.argtypes = (_DOUBLES, ctypes.c_double, ctypes.c_int, _DOUBLES)
         self._point.restype = ctypes.c_int
         self._state, self._end_point = ctypes.c_double * (2 * d), ctypes.c_double * d
+        self.shoots = False
         if blas is None:
             return
         self._blas = _Blas(*blas)
@@ -611,17 +571,6 @@ class Kernels:
         self._log_out = ctypes.c_double * (dim + 1)
         core, gemv = _probe(lib, self._blas)
         self.shoots = core and (dim == 1 or gemv)
-
-    def end(self, name, state, n, fine):
-        """``name``'s end state after ``n`` RK4 steps of ``1/n``, combined with ``2n``
-        steps of ``0.5/n`` when ``fine``, as a tuple of floats; None where the call
-        was not clean and must be repeated through the Python kernel."""
-        entry, array = self._loops[name]
-        if len(state) != array._length_:  # the C reads and writes exactly this many
-            raise ValueError(f"a state of {array._length_} values expected, not {len(state)}")
-        out = array()
-        # out[:] reads all the doubles at once, several times faster than tuple(out)
-        return None if entry(array(*state), n, fine, out) else tuple(out[:])
 
     def point(self, state, speed, fine):
         """``_integrate_geo``'s end point from ``state`` = (x, v) at ``speed`` = |v| > 0,
@@ -741,12 +690,12 @@ def load(src):
 
 
 def _load(translated, blas, folder):
-    csrc, widths, shape = translated
+    csrc, shape = translated
     path = _shared_object(csrc, folder)
     if path is None:
         return None
     try:
-        return Kernels(ctypes.CDLL(path), widths, shape, None if blas is None else blas[1])
+        return Kernels(ctypes.CDLL(path), shape, None if blas is None else blas[1])
     except (OSError, AttributeError):  # unloadable, or an entry point is missing
         return None
 

@@ -376,7 +376,7 @@ def test_a_kernel_that_raises_on_floats_ends_in_the_restoration_error(eqs, x, v,
     # retried on numpy scalars, the step goes nan, and restoring it fails typed
     for fine in (False, True):
         with np.errstate(all="ignore"), pytest.raises(NumericsError) as info:
-            b._integrate_geo(x, v, fine)
+            b._integrate_geo(x, v, _norm(v), fine)
         assert str(info.value) == "could not restore feasibility from the given ambient point"
         assert math.isnan(info.value.residual)
         assert info.value.best.shape == (2,) and np.isnan(info.value.best).all()
@@ -446,25 +446,28 @@ def empty_kernel_cache(tmp_path, monkeypatch):
     native.load.cache_clear()
 
 
+def _python_point(b, state, speed, fine):
+    """``_integrate_geo``'s Python end point: ``_project_point`` of ``_passes``."""
+    return b._project_point(_passes(b._k_rk4_geo, state, speed, fine)[: b.ambient_dim]).tolist()
+
+
 @needs_cc
 @pytest.mark.parametrize("name", sorted(KERNEL_MANIFOLDS))
 def test_native_kernels_equal_the_python_kernels(name):
-    # == on every output: the C performs the Python kernels' operations in their order
+    # == on every end point: the C performs the Python kernels' operations in their
+    # order, at speeds below 0.5, where the step floors of 6 and 8 hold, and above
     d, eqs = KERNEL_MANIFOLDS[name]
     b = ImplicitBackend(d, eqs)
     k = b._native
     assert k is not None
     rng = np.random.default_rng(24)
-    for _ in range(40):
+    for i in range(40):
         x = b._project_point(rng.standard_normal(d))
-        v = b._project_tangent(x, rng.standard_normal(d)) * rng.uniform(0.05, 2.0)
-        w = b._project_tangent(x, rng.standard_normal(d))
-        n = int(rng.integers(1, 24))
-        geo = (*x.tolist(), *v.tolist())
-        par = (*geo, *w.tolist())
+        v = b._project_tangent(x, rng.standard_normal(d))
+        v *= rng.uniform(*((0.01, 0.5), (0.5, 2.5))[i % 2]) / _norm(v)
+        state = (*x.tolist(), *v.tolist())
         for fine in (False, True):
-            assert k.end("rk4_geo", geo, n, fine) == _passes(b._k_rk4_geo, geo, n, fine)
-            assert k.end("rk4_par", par, n, fine) == _passes(b._k_rk4_par, par, n, fine)
+            assert k.point(state, _norm(v), fine) == _python_point(b, state, _norm(v), fine)
 
 
 def _t_as_x2(e):
@@ -503,36 +506,33 @@ def _is_curved(e):
 
 @needs_cc
 def test_native_kernels_equal_the_python_kernels_on_grammar_trees():
-    # the translator against the Python kernels beyond KERNEL_MANIFOLDS: == wherever
-    # the native call is clean, for both loops, coarse and fine
-    native_calls, curved = [], []
+    # the translator of rk4_geo, g and proj_x against the Python end point beyond
+    # KERNEL_MANIFOLDS: == wherever the native call is clean, coarse and fine
+    calls, curved = [], []
 
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(tree=_EQUALITIES, seed=st.integers(0, 2**32 - 1))
     def check(tree, seed):
         tree = _t_as_x2(tree)
         try:
-            src = _emit_kernels([tree], 2)
-        except (ExpressionError, ArithmeticError, ValueError):  # diff raised
+            b = ImplicitBackend(2, [_text(tree)[0]])
+        except (ExpressionError, StructuralError, ArithmeticError, ValueError):
             reject()
         curved.append(_is_curved(tree))
-        k = native.load(src)
-        if k is None:
+        if b._native is None:
             return
-        kernels = ex.run_emitted(src)
         rng = np.random.default_rng(seed)
         for _ in range(5):
-            n = int(rng.integers(1, 24))
-            for name, width in (("rk4_geo", 4), ("rk4_par", 6)):
-                state = tuple(rng.standard_normal(width).tolist())
-                for fine in (False, True):
-                    got = k.end(name, state, n, fine)
-                    if got is not None:
-                        native_calls.append(name)
-                        assert got == _passes(kernels[name], state, n, fine)
+            state = tuple(rng.standard_normal(4).tolist())
+            speed = math.sqrt(state[2] * state[2] + state[3] * state[3])
+            for fine in (False, True):
+                got = b._native.point(state, speed, fine)
+                calls.append(got is not None)
+                if got is not None:
+                    assert got == _python_point(b, state, speed, fine)
 
     check()
-    assert native_calls
+    assert sum(calls) > len(calls) / 3, (sum(calls), len(calls))
     assert sum(curved) > len(curved) / 2, curved
 
 
@@ -548,14 +548,14 @@ def test_backends_sharing_native_kernels_integrate_in_two_threads_as_in_one():
     for _ in range(250):
         x = first._project_point(rng.standard_normal(d))
         v = first._project_tangent(x, rng.standard_normal(d)) * rng.uniform(0.05, 2.0)
-        jobs += [(x, v, False), (x, v, True)]
+        jobs += [(x, v, _norm(v), False), (x, v, _norm(v), True)]
 
     def ends(b, order):
         return [b._integrate_geo(*jobs[i]).tobytes() for i in order]
 
     # the log maps back from the fine end points within the budget's radius
-    pairs = [(x, first._integrate_geo(x, v, fine)) for x, v, fine in jobs
-             if fine and _norm(v) < 1.0]
+    pairs = [(x, first._integrate_geo(x, v, speed, fine)) for x, v, speed, fine in jobs
+             if fine and speed < 1.0]
 
     def logs(b, order):
         b._log_cache.clear()
@@ -592,7 +592,7 @@ def test_a_native_call_python_floats_raise_on_ends_as_the_python_kernel_does(eqs
         for b in (native_b, python_b):
             with np.errstate(all="ignore"):
                 try:
-                    ends.append(b._integrate_geo(x, v, fine).tobytes())
+                    ends.append(b._integrate_geo(x, v, _norm(v), fine).tobytes())
                 except (NumericsError, ArithmeticError, ValueError, TypeError) as err:
                     best = getattr(err, "best", None)
                     ends.append((type(err), str(err), None if best is None else best.tobytes()))
@@ -601,29 +601,35 @@ def test_a_native_call_python_floats_raise_on_ends_as_the_python_kernel_does(eqs
 
 _SQUARE = """\
 def rk4_geo(state, n, h):
-    x1, v1 = state
-    return (x1 ** 2.0, 1.0 / (1.0 / v1))
+    x1, x2, v1, v2 = state
+    return (x1 ** 2.0, 1.0 / (1.0 / v1), v1, v2)
 
-def rk4_par(state, n, h):
-    x1, v1, w1 = state
-    return (x1 ** 2.0, v1, w1)
+def g(x1, x2):
+    return (x2,)
+
+def proj_x(x1, x2):
+    return (x1, x2 * x2)
 """
 
 
 @needs_cc
 def test_the_native_build_does_not_fold_powers_or_pass_a_raising_call(empty_kernel_cache):
-    # a compiler that rewrites pow(x, 2.0) as x*x rounds this x differently
+    # a compiler that rewrites pow(x, 2.0) as x*x rounds this x differently; and the
+    # restoration stops once |g| < 1e-13, at 0.5 ** 64 after six squarings
     x1 = 1.5151472691864707
     assert (x1 ** 2.0, x1 * x1) == (2.2956712473232193, 2.2956712473232197)
     k = native.load(_SQUARE)
-    assert k.end("rk4_geo", (x1, 4.0), 1, False) == (x1 ** 2.0, 4.0)
-    assert k.end("rk4_par", (x1, 0.0, 0.0), 1, False) == (x1 ** 2.0, 0.0, 0.0)
-    # Python raises on 1.0 / 0.0; C goes on to 1.0 / inf = 0.0, but the division
-    # raised the divide-by-zero flag, so the call is handed back to Python
+    assert k.point((x1, 0.0, 0.5, 0.0), 1.0, False) == [x1 ** 2.0, 0.5 ** 64]
     for fine in (False, True):
-        assert k.end("rk4_geo", (x1, 0.0), 1, fine) is None
-        assert k.end("rk4_geo", (x1, math.inf), 1, fine) is None
-    assert native.translate(_SQUARE.replace("x1 ** 2.0", "x1 if h else v1")) is None
+        # Python raises on 1.0 / 0.0; C goes on to 1.0 / inf = 0.0, but the division
+        # raised the divide-by-zero flag, so the call is handed back to Python
+        assert k.point((x1, 0.0, 0.0, 1.0), 1.0, fine) is None
+        # v2 never reaches the end point: only the check of the state hands it back
+        assert k.point((x1, 0.0, 0.5, math.inf), 1.0, fine) is None
+    assert native.translate(_SQUARE.replace("x1 ** 2.0", "x1 if h else v1"), None) is None
+    # rk4_geo alone, without the restoration's kernels, is not translated
+    for name in ("g", "proj_x"):
+        assert native.translate(_SQUARE.replace(f"def {name}(", f"def {name}_(", 1), None) is None
 
 
 def test_without_a_compiler_the_python_kernels_run_silently(empty_kernel_cache, monkeypatch):
@@ -632,9 +638,9 @@ def test_without_a_compiler_the_python_kernels_run_silently(empty_kernel_cache, 
     reference = ImplicitBackend(d, eqs)
     x = reference._project_point(rng.standard_normal(d))
     v = reference._project_tangent(x, rng.standard_normal(d))
-    y = reference._integrate_geo(x, 0.5 * v, fine=True)
-    expected = (reference._integrate_geo(x, v, fine=False).tobytes(),
-                reference._integrate_geo(x, v, fine=True).tobytes(),
+    y = reference._integrate_geo(x, 0.5 * v, _norm(0.5 * v), fine=True)
+    expected = (reference._integrate_geo(x, v, _norm(v), fine=False).tobytes(),
+                reference._integrate_geo(x, v, _norm(v), fine=True).tobytes(),
                 reference._transport(x, y, v).tobytes())
     cached = os.listdir(empty_kernel_cache)
     native.load.cache_clear()
@@ -642,8 +648,8 @@ def test_without_a_compiler_the_python_kernels_run_silently(empty_kernel_cache, 
     b = ImplicitBackend(d, eqs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = (b._integrate_geo(x, v, fine=False).tobytes(),
-               b._integrate_geo(x, v, fine=True).tobytes(),
+        got = (b._integrate_geo(x, v, _norm(v), fine=False).tobytes(),
+               b._integrate_geo(x, v, _norm(v), fine=True).tobytes(),
                b._transport(x, y, v).tobytes())
     assert b._native is None
     assert got == expected
@@ -659,7 +665,7 @@ def test_backends_with_the_same_equalities_build_once(empty_kernel_cache, monkey
     x, v = np.array([2.0, 0.0]), np.array([0.0, 0.3])
     first, second = ImplicitBackend(d, eqs), ImplicitBackend(d, eqs)
     assert builds == [] and "_native" not in vars(first)  # nothing is built at construction
-    ends = [b._integrate_geo(x, v, fine=True).tobytes() for b in (first, second)]
+    ends = [b._integrate_geo(x, v, _norm(v), fine=True).tobytes() for b in (first, second)]
     assert len(builds) == 1 and first._native is second._native
     assert ends[0] == ends[1]
     assert len(os.listdir(empty_kernel_cache)) == 1
@@ -718,7 +724,8 @@ def _python_twin(b, monkeypatch=None):
     twin, events = ImplicitBackend(b.ambient_dim, b.key[2]), []
     twin._native = None
     integrate, lstsq = twin._integrate_geo, np.linalg.lstsq
-    twin._integrate_geo = lambda xc, vc, fine: events.append(("r", fine)) or integrate(xc, vc, fine)
+    twin._integrate_geo = lambda xc, vc, speed, fine: (events.append(("r", fine))
+                                                       or integrate(xc, vc, speed, fine))
     if monkeypatch is not None:
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *a, **k: events.append(("L",)) or lstsq(*a, **k))
@@ -849,7 +856,7 @@ def test_the_native_log_map_equals_the_python_loop_on_grammar_trees():
                 try:
                     xc = b._project_point(rng.standard_normal(2))
                     vc = b._project_tangent(xc, rng.standard_normal(2)) * rng.uniform(0.003, 1.0)
-                    yc = b._integrate_geo(xc, vc, True)
+                    yc = b._integrate_geo(xc, vc, _norm(vc), True)
                 except (NumericsError, ArithmeticError, ValueError, TypeError):
                     continue
             shot = _native_shot(b, xc, yc)[1]
