@@ -483,8 +483,15 @@ def _on_floats(kernel, state, *args):
     times faster.  Where floats raise or turn complex instead (a division
     by zero, an overflowing or complex power), the call is repeated on
     numpy scalars, whose inf and nan results the callers already handle.
+    A constant of the source still divides as a float: a gradient that is
+    identically zero raises ``NumericsError`` there.
     """
     try:
         return tuple(map(float, kernel(state, *args)))
     except (ZeroDivisionError, OverflowError, TypeError):
-        return tuple(map(float, kernel(tuple(map(np.float64, state)), *args)))
+        try:
+            return tuple(map(float, kernel(tuple(map(np.float64, state)), *args)))
+        except (ZeroDivisionError, OverflowError) as err:
+            raise NumericsError(
+                f"a kernel broke down ({err}); the constraint gradient vanishes or overflows"
+            ) from err

@@ -576,6 +576,8 @@ class Kernels:
         """``_integrate_geo``'s end point from ``state`` = (x, v) at ``speed`` = |v| > 0,
         as a list of floats; None where the call was not clean, and Python must
         compute it."""
+        if len(state) != self._state._length_:  # ctypes would zero-pad a short state
+            raise ValueError(f"a state of {self._state._length_} values expected, not {len(state)}")
         out = self._end_point()
         return None if self._point(self._state(*state), speed, fine, out) else out[:]
 

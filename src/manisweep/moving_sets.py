@@ -58,11 +58,20 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class ProjectionResult:
+    """A projection of a query onto C(t).
+
+    ``values`` are the constraint values at ``point``, in the constraints'
+    order, when the iterative projector found it: the values it evaluated
+    at its last iterate.  A member query and the closed-form projectors
+    leave it None.
+    """
+
     point: Point
     dist: float
     iterations: int
     converged: bool
     warning: Optional[str] = None
+    values: Optional[list] = None
 
 
 @dataclass
@@ -107,11 +116,14 @@ class MovingSet:
     # constraints, numpy's per-call dispatch costs more than the test
     def _holds(self, values) -> bool:
         feasibility = -self.tolerances.feasibility
-        return all(v >= feasibility for v in values)  # a NaN fails
+        for v in values:  # a loop: all() over a generator costs five times more
+            if not v >= feasibility:  # a NaN fails
+                return False
+        return True
 
     @staticmethod
     def _active(values) -> tuple:
-        return tuple(i for i, v in enumerate(values) if abs(v) <= ACTIVITY_TOL)
+        return tuple([i for i, v in enumerate(values) if abs(v) <= ACTIVITY_TOL])
 
     def _contains(self, t: float, xc) -> bool:
         """``member`` at coordinates xc, ``_holds`` written out for the samplers' inner loops."""
@@ -130,7 +142,7 @@ class MovingSet:
         """``(active_set(t, x), dist_to_set(t, x))`` from the constraints' ``values`` at (t, x)."""
         if values is None:
             values = [c.value(t, x.coords) for c in self.constraints]
-        dist = 0.0 if self._holds(values) else self.project(t, x).dist
+        dist = 0.0 if self._holds(values) else self.project(t, x, values=values).dist
         return self._active(values), dist
 
     def _gradient_coords(self, t, xc, i):
@@ -166,17 +178,26 @@ class MovingSet:
         method: str = "auto",
         initial: Optional[Point] = None,
         max_iter: int = 500,
+        values: Optional[Sequence[float]] = None,
     ) -> ProjectionResult:
+        """The metric projection of y onto C(t); y itself when it is a member.
+
+        ``values``, when given, must be the caller's constraint values at
+        (t, y), in the constraints' order.  They decide membership in place
+        of ``member``, and the iterative projector starts its restoration
+        from them when ``initial`` is None, so no constraint is evaluated at
+        y again.
+        """
         if method not in ("auto", "iterative"):
             raise StructuralError(f"unknown projection method {method!r}")
-        if self.member(t, y):
+        if self.member(t, y) if values is None else self._holds(values):
             return ProjectionResult(y, 0.0, 0, True)
         if method == "auto" and self.closed_project is not None:
             coords, warning = self.closed_project(t, y.coords)
             point = self.backend.point(coords)
             d = self.backend._distance(y.coords, point.coords)
             return ProjectionResult(point, d, 0, True, warning or self._radius_warning(d))
-        return self._project_iterative(t, y, initial, max_iter)
+        return self._project_iterative(t, y, initial, max_iter, values)
 
     def dist_to_set(self, t: float, y: Point) -> float:
         return self.project(t, y).dist
@@ -201,11 +222,12 @@ class MovingSet:
             )
         return None
 
-    def _project_iterative(self, t, y, initial, max_iter):
+    def _project_iterative(self, t, y, initial, max_iter, values):
         backend, tol, yc = self.backend, self.tolerances, y.coords
         rho = backend.budget().rho
         start = initial if initial is not None else y
-        c = self._restore(t, start.coords)
+        # vals: the constraint values at the iterate c; the caller's values are y's
+        c, vals = self._restore(t, start.coords, values if start is y else None)
         d = backend._distance(c, yc)  # on coordinates; the line search finds d for the next c
         iterations = 0
         for iterations in range(1, max_iter + 1):
@@ -216,13 +238,13 @@ class MovingSet:
                     "projection iterate left the validated region around the query",
                     best=backend._moved(start, c),
                 )
-            if self._kkt_residual(t, c, grad) <= tol.projector_kkt:
+            if self._kkt_residual(t, c, grad, vals) <= tol.projector_kkt:
                 break
             descent = -1.0 * grad
             fc = d**2
             alpha = min(0.5, 0.45 * rho / backend.norm(c, descent))
             for _ in range(40):
-                cand = self._restore(t, backend._exp_coords(c, alpha * descent))
+                cand, cand_vals = self._restore(t, backend._exp_coords(c, alpha * descent))
                 d_cand = backend._distance(cand, yc)
                 # sufficient decrease against the achieved projected step:
                 # restoration may cancel most of the raw gradient near the
@@ -233,39 +255,39 @@ class MovingSet:
                 alpha *= 0.5
             else:
                 break  # no feasible descent: stationary within line-search resolution
-            c, d = cand, d_cand
+            c, d, vals = cand, d_cand, cand_vals
             if achieved <= tol.projector_step:
                 break
         else:
             dist = backend._distance(yc, c)
             raise NumericsError(
                 f"projection did not converge in {max_iter} iterations",
-                residual=self._kkt_residual(t, c, -2.0 * backend._log_coords(c, yc, d)),
+                residual=self._kkt_residual(t, c, -2.0 * backend._log_coords(c, yc, d), vals),
                 best=ProjectionResult(backend._moved(start, c), dist, max_iter, False),
             )
         dist, point = backend._distance(yc, c), backend._moved(start, c)
-        return ProjectionResult(point, dist, iterations, True, self._radius_warning(dist))
+        return ProjectionResult(point, dist, iterations, True, self._radius_warning(dist), vals)
 
-    def _kkt_residual(self, t, c, grad):
+    def _kkt_residual(self, t, c, grad, vals):
         """min over nonnegative multipliers of |grad F - sum mu_i grad g_i|, at coordinates c.
 
         By Caratheodory the minimum is attained on a linearly independent
         support of at most ``dim`` active gradients, where the multipliers
         solve that support's Gram system; supports whose multipliers are
         all nonnegative are feasible, and the smallest residual among them
-        is the nonnegative least-squares optimum.
+        is the nonnegative least-squares optimum.  ``vals`` are the
+        constraint values at (t, c), which give the active set.
         """
-        gens = [self._gradient_coords(t, c, i)
-                for i in self._active([k.value(t, c) for k in self.constraints])]
+        gens = [self._gradient_coords(t, c, i) for i in self._active(vals)]
         best = self.backend.norm(c, grad)
         for k in range(1, min(len(gens), self.backend.dim) + 1):
             for support in itertools.combinations(gens, k):
                 gram = [[self.backend.inner(c, a, b) for b in support] for a in support]
                 try:
-                    mu = np.linalg.solve(gram, [self.backend.inner(c, a, grad) for a in support])
+                    mu = _solve(gram, [self.backend.inner(c, a, grad) for a in support])
                 except np.linalg.LinAlgError:
                     continue  # dependent gradients: a smaller support covers them
-                if np.all(mu >= 0.0):
+                if all(m >= 0.0 for m in mu):
                     r = grad
                     for m, g in zip(mu, support):
                         r = r - float(m) * g
@@ -280,15 +302,21 @@ class MovingSet:
         polished back onto their boundary so the projector's alternating
         iteration has a clean fixed point.
         """
-        return self.backend._moved(x, self._restore(t, x.coords))
+        return self.backend._moved(x, self._restore(t, x.coords)[0])
 
-    def _restore(self, t, c):
-        """``restore_feasibility`` on coordinates: the line search builds no point."""
+    def _restore(self, t, c, vals=None):
+        """``restore_feasibility`` on coordinates: the line search builds no point.
+
+        ``vals`` are the constraint values at (t, c) when the caller has
+        them.  Returns the restored coordinates and the constraint values
+        there; each accepted candidate's values carry into the next round.
+        """
         backend = self.backend
         rho = backend.budget().rho
         touched: set = set()
-        for _ in range(60):
+        if vals is None:
             vals = [k.value(t, c) for k in self.constraints]
+        for _ in range(60):
             viol = [i for i, v in enumerate(vals) if v < -0.1 * self.tolerances.feasibility]
             if not viol:
                 break
@@ -307,52 +335,85 @@ class MovingSet:
             alpha = min(1.0, 0.45 * rho / max(backend.norm(c, direction), 1e-300))
             for _ in range(40):
                 cand = backend._exp_coords(c, alpha * direction)
-                cmerit = _violation([k.value(t, cand) for k in self.constraints])
-                if cmerit < merit * (1.0 - 1e-4 * alpha):
-                    c = cand
+                cand_vals = [k.value(t, cand) for k in self.constraints]
+                if _violation(cand_vals) < merit * (1.0 - 1e-4 * alpha):
+                    c, vals = cand, cand_vals
                     break
                 alpha *= 0.5
             else:
                 break
-        if not self._contains(t, c):
+        if not self._holds(vals):
             raise NumericsError(
                 "could not restore feasibility; the set may be empty near this point",
-                residual=float(-np.min([k.value(t, c) for k in self.constraints])),
+                residual=float(-np.min(vals)),
                 best=Point(backend, c),
             )
         if touched:
-            c = self._polish_onto_boundary(t, c, sorted(touched))
-        return c
+            return self._polish_onto_boundary(t, c, vals, sorted(touched))
+        return c, vals
 
-    def _polish_onto_boundary(self, t, c, indices):
+    def _polish_onto_boundary(self, t, c, vals, indices):
         """Newton steps driving g_i(t, c) to zero for the given constraints, on coordinates.
 
-        Intermediate iterates may dip microscopically onto the infeasible
-        side; the last iterate that is still a member is returned.
+        ``vals`` are all constraint values at (t, c), a member.  Intermediate
+        iterates may dip microscopically onto the infeasible side; the last
+        iterate that is still a member is returned with its constraint values.
         """
         backend = self.backend
-        best_member = c
+        best = c, vals
+        sub = [vals[i] for i in indices]
         for _ in range(6):
-            vals = [self.constraints[i].value(t, c) for i in indices]
-            worst = _max_abs(vals)
+            worst = _max_abs(sub)
             if worst <= 1e-12:
                 break
             grads = [self._gradient_coords(t, c, i) for i in indices]
-            gram = np.array([[backend.inner(c, a, b) for b in grads] for a in grads])
+            gram = [[backend.inner(c, a, b) for b in grads] for a in grads]
             try:
-                lam = np.linalg.solve(gram, vals)
+                lam = _solve(gram, sub)
             except np.linalg.LinAlgError:
                 break
             step = -float(lam[0]) * grads[0]
             for l, g in zip(lam[1:], grads[1:]):
                 step = step + -float(l) * g
             cand = backend._exp_coords(c, step)
-            if _max_abs([self.constraints[i].value(t, cand) for i in indices]) >= worst:
+            cand_sub = [self.constraints[i].value(t, cand) for i in indices]
+            if _max_abs(cand_sub) >= worst:
                 break
-            c = cand
-            if self._contains(t, c):
-                best_member = c
-        return best_member
+            c, sub = cand, cand_sub
+            member_vals = self._member_values(t, c, dict(zip(indices, sub)))
+            if member_vals is not None:
+                best = c, member_vals
+        return best
+
+    def _member_values(self, t, c, known):
+        """All constraint values at (t, c) if c is a member, else None.
+
+        ``known`` maps constraint indices to values already evaluated at
+        (t, c).  The constraints are walked in order and the walk stops at
+        the first failure, as ``_contains`` does.
+        """
+        feasibility = -self.tolerances.feasibility
+        vals = []
+        for i, k in enumerate(self.constraints):
+            v = known[i] if i in known else k.value(t, c)
+            if not v >= feasibility:  # a NaN fails
+                return None
+            vals.append(v)
+        return vals
+
+
+def _solve(gram, rhs):
+    """``np.linalg.solve(gram, rhs)``; a 1x1 system is one division, bit for bit the same.
+
+    LAPACK's solve divides a single right-hand side by a single pivot, and
+    raises ``LinAlgError`` only for an exactly zero one; a NaN pivot gives NaN.
+    """
+    if len(rhs) == 1:
+        pivot = gram[0][0]
+        if pivot == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return (float(rhs[0]) / pivot,)
+    return np.linalg.solve(gram, rhs)
 
 
 def _violation(values) -> float:

@@ -395,7 +395,7 @@ def probe_projection_uniqueness(
                 for _ in range(20):
                     cand = backend._random_coords(rng, query, scatter_radius)
                     try:
-                        restored = set_._restore(t, cand)
+                        restored = set_._restore(t, cand)[0]
                     except (NumericsError, DomainError):
                         continue
                     if backend._distance(restored, query.coords) < 0.9 * rho:

@@ -303,12 +303,13 @@ def catching_up(scenario, h: float) -> Trajectory:
             if set_._holds(values):
                 node = x if yc is xc else Point(backend, yc)
             else:
-                res = set_.project(t_next, Point(backend, yc))
+                res = set_.project(t_next, Point(backend, yc), values=values)
                 projector_iterations += res.iterations
                 if res.warning is not None:
                     warnings.append(f"step {i}: {res.warning}")
-                node = res.point
-                values = [c.value(t_next, node.coords) for c in set_.constraints]
+                node, values = res.point, res.values
+                if values is None:
+                    values = [c.value(t_next, node.coords) for c in set_.constraints]
         except (NumericsError, DomainError) as err:
             partial = Trajectory(
                 set_, pert, times[: i + 1], nodes, h, velocities[:i],

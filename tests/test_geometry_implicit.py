@@ -470,6 +470,16 @@ def test_native_kernels_equal_the_python_kernels(name):
             assert k.point(state, _norm(v), fine) == _python_point(b, state, _norm(v), fine)
 
 
+@needs_cc
+def test_native_point_rejects_a_state_of_the_wrong_length():
+    # ctypes would zero-pad a short state into a zero velocity
+    d, eqs = KERNEL_MANIFOLDS["ellipse_golden"]
+    k = ImplicitBackend(d, eqs)._native
+    for state in ((2.0, 0.0), (2.0, 0.0, 0.0, 1.0, 0.5)):
+        with pytest.raises(ValueError, match="4 values expected"):
+            k.point(state, 1.0, False)
+
+
 def _t_as_x2(e):
     """``e`` with the variable ``t`` renamed ``x2``."""
     if isinstance(e, ex.Var):
@@ -504,11 +514,21 @@ def _is_curved(e):
     return any(_is_curved(getattr(e, n)) for n in e._operands)
 
 
+def _live(b, xc):
+    """True when the equality's gradient at xc is finite and nonzero."""
+    jac = b.constraint_jacobian(xc)
+    return bool(np.isfinite(jac).all() and jac.any())
+
+
 @needs_cc
 def test_native_kernels_equal_the_python_kernels_on_grammar_trees():
     # the translator of rk4_geo, g and proj_x against the Python end point beyond
-    # KERNEL_MANIFOLDS: == wherever the native call is clean, coarse and fine
-    calls, curved = [], []
+    # KERNEL_MANIFOLDS: == wherever the native call is clean, coarse and fine, from
+    # states whose equality has a finite nonzero gradient.  From the others (a tree
+    # with no live variable or a vanishing gradient, such as 0.0, x2 - x2 or
+    # sin(2.8e16)) both languages refuse the geodesic: the C call is not clean,
+    # and the backend raises Python's typed error
+    calls, refused, curved = [], [], []
 
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(tree=_EQUALITIES, seed=st.integers(0, 2**32 - 1))
@@ -525,14 +545,25 @@ def test_native_kernels_equal_the_python_kernels_on_grammar_trees():
         for _ in range(5):
             state = tuple(rng.standard_normal(4).tolist())
             speed = math.sqrt(state[2] * state[2] + state[3] * state[3])
+            live = _live(b, state[:2])
             for fine in (False, True):
                 got = b._native.point(state, speed, fine)
-                calls.append(got is not None)
-                if got is not None:
-                    assert got == _python_point(b, state, speed, fine)
+                if live:
+                    calls.append(got is not None)
+                    if got is not None:
+                        assert got == _python_point(b, state, speed, fine)
+                    continue
+                assert got is None
+                with pytest.raises(NumericsError) as python:
+                    _python_point(b, state, speed, fine)
+                with pytest.raises(NumericsError) as backend:
+                    b._integrate_geo(np.array(state[:2]), np.array(state[2:]), speed, fine)
+                assert str(backend.value) == str(python.value)
+                refused.append(state)
 
     check()
-    assert sum(calls) > len(calls) / 3, (sum(calls), len(calls))
+    assert sum(calls) > 0.75 * len(calls), (sum(calls), len(calls))
+    assert refused  # the draws still hold degenerate trees
     assert sum(curved) > len(curved) / 2, curved
 
 

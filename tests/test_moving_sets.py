@@ -22,6 +22,7 @@ from manisweep.moving_sets import (
     Constraint,
     MovingSet,
     _rotate,
+    _solve,
     ball,
     ball_complement,
     halfline,
@@ -516,7 +517,7 @@ def _kkt_set(name, exprs):
 
 
 def _assert_kkt_matches_nnls(set_, c, grad):
-    got = set_._kkt_residual(0.0, c.coords, grad.components)
+    got = set_._kkt_residual(0.0, c.coords, grad.components, set_.constraint_values(0.0, c))
     ref = _nnls_residual(set_, 0.0, c, grad)
     assert abs(got - ref) <= 1e-12 * grad.norm(), (got, ref)
     return got
@@ -541,7 +542,8 @@ def test_kkt_residual_matches_nnls(name, n_active):
         _assert_kkt_matches_nnls(set_, x, grad)
     if n_active == 0:
         grad = gens[0].scaled(2.0)
-        assert set_._kkt_residual(0.0, x.coords, grad.components) == grad.norm()
+        vals = set_.constraint_values(0.0, x)
+        assert set_._kkt_residual(0.0, x.coords, grad.components, vals) == grad.norm()
 
 
 @pytest.mark.parametrize("name", sorted(KKT_CASES))
@@ -571,3 +573,33 @@ def test_kkt_residual_with_a_zero_optimal_multiplier(name):
     grad = g0 - ortho.scaled(0.5)
     got = _assert_kkt_matches_nnls(set_, x, grad)
     assert got == pytest.approx(0.5 * ortho.norm(), rel=1e-12, abs=1e-15)
+
+
+# every double: finite ones of every magnitude, subnormals, both zeros, the
+# infinities and NaN
+_DOUBLES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]),
+)
+
+
+def _bits(x):
+    return int(np.float64(x).view(np.int64))
+
+
+@settings(max_examples=3000, deadline=None)
+@given(pivot=_DOUBLES, rhs=_DOUBLES)
+def test_a_one_by_one_solve_is_one_division_bit_for_bit(pivot, rhs):
+    # LAPACK's solve of [[pivot]] mu = [rhs]; a zero pivot of either sign is singular
+    outcomes = []
+    for solve in (np.linalg.solve, _solve):
+        try:
+            (mu,) = solve([[pivot]], [rhs])
+        except np.linalg.LinAlgError:
+            mu = None
+        outcomes.append(mu)
+    want, got = outcomes
+    assert (want is None) == (got is None) == (pivot == 0.0)
+    if got is not None:
+        assert _bits(got) == _bits(want), (got, want)

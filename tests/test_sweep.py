@@ -17,7 +17,7 @@ from manisweep import (
     zero_perturbation,
 )
 from manisweep.errors import DomainError, NumericsError, StructuralError
-from manisweep.moving_sets import ball, halfline, sphere_cap
+from manisweep.moving_sets import MovingSet, ball, halfline, sphere_cap
 from manisweep.scenario import Scenario, bundled_scenario
 from manisweep.sweep import (
     Perturbation,
@@ -247,8 +247,33 @@ def test_csv_evaluates_each_node_once_and_projects_only_non_members(tmp_path):
                       np.zeros(2), {}, [])
     rows = traj.to_csv(tmp_path / "n.csv").splitlines()[1:]
     assert [r.split(",")[-2:] for r in rows] == [["0.0", ""], ["0.0", "0"], ["0.25", ""]]
-    # one evaluation per node, and the projection's own membership test
-    assert len(calls) == len(nodes) + 1
+    # one evaluation per node: the projection decides membership from it
+    assert len(calls) == len(nodes)
+
+
+@pytest.mark.parametrize("name, h, per_projection", [
+    ("implicit_ellipse_cap", 1e-3, 2),  # the restoration's and the polish's candidates
+    ("disk_moving_center", 2.5e-4, 1),  # the closed-form projection's node
+])
+def test_catching_up_evaluates_each_constraint_once_per_iterate(name, h, per_projection,
+                                                                monkeypatch):
+    scn = bundled_scenario(name)
+    calls, projections = [], []
+    for k in scn.moving_set.constraints:
+        monkeypatch.setattr(k, "value", lambda t, x, value=k.value: calls.append(t) or value(t, x))
+    project = MovingSet.project
+    monkeypatch.setattr(MovingSet, "project",
+                        lambda *a, **kw: projections.append(a[1]) or project(*a, **kw))
+    traj = catching_up(scn, h)
+    steps = len(traj.nodes) - 1
+    # x0's check, each drifted point once, and per projection only the values
+    # of iterates the projector had not evaluated yet
+    assert len(calls) == 1 + steps + per_projection * len(projections)
+    if name == "implicit_ellipse_cap":
+        # every step projects, at 3 evaluations a step (12 when the projector
+        # evaluated each iterate again)
+        assert len(projections) == steps == 1000
+        assert len(calls) - 1 <= 3000
 
 
 def test_oversized_step_is_warned_not_fatal():
