@@ -19,15 +19,20 @@ stage-by-stage calls do, and each stage evaluates the Jacobian once.
 Kernels run on Python floats (see ``_on_floats``).  One or two equality
 constraints are supported; more are a structural error.
 
-``native`` renders the kernels, ``_passes``, ``_restore``, ``_residual`` and
-``_shoot`` as C, built once per kernel source on the first integration, so each of
-these algorithms has its one source here and a native call equals it bit for bit.
-Two kinds of call run in C, each one ``ctypes`` crossing: a geodesic end point of
-``_integrate_geo`` and the whole shooting loop of a log-map cache miss, which calls
-numpy's own BLAS and LAPACK.  A call that Python raises on, or could, runs again in
-Python, so every error is the Python one, and without a C compiler everything runs
-in Python.  Transport (``rk4_par``) stays Python, as it runs too rarely for a native
-entry to pay for its code; each other kernel costs less than one ``ctypes`` call.
+``native`` translates this same source to C, built once per source on the
+first integration, and a native call equals the Python code it mirrors bit for
+bit.  Two kinds of call run in C, each one ``ctypes`` crossing: a geodesic end
+point of ``_integrate_geo`` (the RK4 pass, coarse or the fine Richardson pair,
+and the restoration) and the whole shooting loop of a log-map cache miss
+(``_shoot``), which calls numpy's own BLAS and LAPACK for its norms, Newton
+steps and ``c @ basis``.  An end point that Python floats could raise on runs
+again in Python (``_passes``, ``_project_point``); a log map that does not
+converge in C runs ``_shoot`` from the start, so every error is the Python
+one; and where no C compiler is found everything runs in Python.  A manifold
+of dimension 2 or more keeps the Python ``_shoot`` where the C's ``c @ basis``
+cannot be matched to numpy's.  Transport (``rk4_par``) stays Python, as it
+runs too rarely for a native entry to pay for its code; each other kernel
+costs less than one ``ctypes`` call.
 """
 
 from __future__ import annotations
@@ -247,17 +252,11 @@ class ImplicitBackend(ManifoldBackend):
         return _max_abs(self._g_fn(*coords))
 
     def _project_point(self, amb):
-        return np.array(self._restore(tuple(map(float, amb))))
-
-    def _restore(self, amb):
-        """The restoration of amb, a tuple of floats, onto the manifold: up to
-        ``RESTORE_MAX_ITER`` ``proj_x`` steps, which stop once max |g| < ``RESTORE_TOL``;
-        ``native`` renders it as C."""
-        x = amb
+        x = tuple(map(float, amb))
         try:
             for _ in range(RESTORE_MAX_ITER):
                 x = self._k_proj_x(*x)
-                resid = _max_abs(self._g_fn(*x))
+                resid = self.feasibility_residual(x)
                 if resid < RESTORE_TOL:
                     break
         except (ZeroDivisionError, OverflowError) as err:
@@ -272,7 +271,7 @@ class ImplicitBackend(ManifoldBackend):
                 residual=resid,
                 best=np.array(x),
             )
-        return x
+        return np.array(x)
 
     def _project_tangent(self, xc, amb):
         state = (*np.asarray(xc, dtype=float).tolist(), *np.asarray(amb, dtype=float).tolist())
@@ -296,7 +295,7 @@ class ImplicitBackend(ManifoldBackend):
     def _integrate_geo(self, xc, vc, speed, fine: bool):
         """The geodesic end point from xc at velocity vc of norm ``speed``: one
         native ``point_end`` call where it runs cleanly, else ``_passes`` of
-        ``rk4_geo`` and ``_project_point``, on one float tuple."""
+        ``rk4_geo`` and ``_project_point``'s ``proj_x``, on one float tuple."""
         if speed == 0.0:
             return np.array(xc)
         state = (*xc.tolist(), *vc.tolist())
@@ -326,68 +325,62 @@ class ImplicitBackend(ManifoldBackend):
         self._log_cache[key] = v.copy()
         return v
 
-    def _residual(self, xc, yc, basis, c, fine):
-        """The end point of the geodesic from xc at ``c @ basis``, minus yc."""
-        vc = c @ basis
-        return self._integrate_geo(xc, vc, _norm(vc), fine) - yc
-
-    def _shoot(self, xc, yc, basis, seed, scale):
+    def _shoot(self, xc, yc, basis, c, scale):
         """The components c, in ``basis``, of the log map of yc at xc: a damped Newton
-        iteration on ``_residual`` from ``seed``, on a frozen finite-difference
-        Jacobian; ``native`` renders both as C (``log_map``)."""
-        c = seed
-        r = self._residual(xc, yc, basis, c, False)
+        iteration on the end point residual from the seed ``c``, on a frozen
+        finite-difference Jacobian; the Python twin of the native ``log_map``."""
+
+        def resid(cvec, fine):
+            vc = cvec @ basis
+            return self._integrate_geo(xc, vc, _norm(vc), fine) - yc
+
+        r = resid(c, fine=False)
         rn = _norm(r)  # kept equal to _norm(r) wherever r changes
-        jac = np.empty((self.ambient_dim, self.dim))
-        frozen = False  # whether jac holds the Jacobian
+        jac = None
         fine = False
-        best_rn = rn
-        best_c = c.copy()
+        best = (rn, c.copy())
         for _ in range(SHOOTING_MAX_ITER):
-            if rn < best_rn:
-                best_rn = rn
-                best_c = c.copy()
+            if rn < best[0]:
+                best = (rn, c.copy())
             if fine and rn <= SHOOTING_TOL * scale:
                 break
             if not fine and rn <= 1e-8 * scale:
                 # switch to the extrapolated integrator; the frozen coarse
                 # Jacobian is still an adequate Newton model
                 fine = True
-                r = self._residual(xc, yc, basis, c, True)
+                r = resid(c, fine=True)
                 rn = _norm(r)
                 continue
-            if not frozen:
+            if jac is None:
+                jac = np.empty((self.ambient_dim, self.dim))
                 eps = 1e-6 * max(1.0, _norm(c))
                 for j in range(self.dim):
                     cp = c.copy()
                     cp[j] += eps
-                    jac[:, j] = (self._residual(xc, yc, basis, cp, fine) - r) / eps
-                frozen = True
-            step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+                    jac[:, j] = (resid(cp, fine=fine) - r) / eps
+            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
             damp = 1.0
             for _ in range(8):
                 cand = c + damp * step
-                r_cand = self._residual(xc, yc, basis, cand, fine)
+                r_cand = resid(cand, fine=fine)
                 rn_cand = _norm(r_cand)
                 if rn_cand < rn:
-                    c = cand
-                    r = r_cand
-                    rn = rn_cand
+                    c, r, rn = cand, r_cand, rn_cand
                     break
                 damp *= 0.5
             else:
-                frozen = False  # refresh the frozen Jacobian and retry
+                jac = None  # refresh the frozen Jacobian and retry
                 if not fine:
                     fine = True
-                    r = self._residual(xc, yc, basis, c, True)
+                    r = resid(c, fine=True)
                     rn = _norm(r)
                 else:
                     break
         else:
             raise NumericsError(
                 "shooting iteration for the log map did not converge",
-                residual=best_rn,
-                best=best_c @ basis,
+                residual=best[0],
+                best=best[1] @ basis,
             )
         if rn > SHOOTING_TOL * scale * 10.0:
             raise NumericsError(
@@ -471,8 +464,7 @@ def _passes(kernel, state, speed, fine):
     """``kernel``'s end state over s in [0, 1] at ``speed``, on floats: ``n`` RK4 steps
     of ``1/n``, ``n`` the steps per unit times the speed rounded up, at least 6; when
     ``fine``, at least 8, and also ``2n`` steps of ``0.5/n`` and their Richardson
-    combine.  ``native`` renders it as C for ``rk4_geo``: this is the only source of
-    the step rule."""
+    combine.  The native ``point_end`` mirrors this step rule."""
     if fine:
         n = max(8, math.ceil(speed * FINE_STEPS_PER_UNIT))
     else:

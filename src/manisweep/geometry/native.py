@@ -1,61 +1,72 @@
 """Native builds of the implicit backend's end point and shooting loop, equal to them bit for bit.
 
-``translate`` renders Python as C99, statement for statement, every operation parenthesised
-as Python groups it: the emitted kernels ``rk4_geo``, ``g`` and ``proj_x``, and, read from
-their source in ``implicit``, ``_passes``, ``ImplicitBackend._restore``, ``_residual`` and
-``_shoot``, the one source of the step rule, the restoration and the shooting loop.  The C
-written here is only glue: the entry points ``point_end`` and ``log_map``, ``end_point``,
-which composes ``passes`` and ``restore``, ``max_abs``, and the BLAS and LAPACK calls.
+``translate`` renders the emitted Python of ``rk4_geo``, ``g`` and ``proj_x`` as
+C99, statement for statement, with every operation parenthesised as Python's
+parser groups it.  Two hand-written entry points use them and mirror the
+implicit backend's Python: ``point_end``, one geodesic end point of
+``_integrate_geo`` (``_passes``'s RK4 pass, coarse or the fine Richardson pair,
+and ``_project_point``'s restoration), and ``log_map``, the whole Newton loop of
+``_shoot`` with one end point per residual.  ``load`` compiles that C once per
+kernel source and loads it with ``ctypes``.
 
-The C makes the same IEEE operations in the same order: ``-ffp-contract=off`` forbids fused
-multiply-adds, ``-fno-builtin`` keeps each libm call a call, as Python's, and nothing
-reorders a sum.  ``_norm``'s dot, ``np.linalg.lstsq`` and ``c @ basis`` call the ddot,
-dgelsd and dgemv that numpy calls (``numpy_blas``); where they are not found, or ``_probe``
-sees one differ from numpy, there is no native log map (``Kernels.shoots``), or none on
-manifolds of dimension 2 and more where only the dgemv does.
+The C performs the same IEEE double operations in the same order, and ``**``,
+``sqrt``, ``sin``, ``cos`` and ``exp`` call the libm that Python's floats and
+``math`` call, so a clean native result equals the Python kernel's:
 
-A call is clean when its input is finite and it raises no divide-by-zero, invalid or
-overflow flag, as each operation Python raises on does.  Where Python raises or may, the C
-returns nonzero and the call runs again in Python, so every error is Python's.  Nothing here
-is an option: a construct ``translate`` does not render, a missing, failing or slow compiler
-and a library that will not load all make ``load`` return None, silently, and Python runs.
+* ``-ffp-contract=off`` keeps ``a*b + c`` two roundings, not one fused multiply-add;
+* ``-fno-builtin`` keeps each libm call a call, so the compiler neither rewrites
+  ``pow(x, 2.0)`` as ``x*x`` nor evaluates a call its own way;
+* there is no ``-ffast-math``, which would reorder sums and drop inf and nan.
+
+The loop's three numpy operations whose bits depend on the library, the norm's
+``ndarray.dot``, the Newton step's ``np.linalg.lstsq`` and ``c @ basis`` of two
+rows and more, are calls of the very routines numpy calls: ``numpy_blas`` finds
+ddot, dgelsd and dgemv through the numpy extensions that call them, in numpy's
+own BLAS library, and the C passes the arguments numpy passes.  A BLAS kernel
+picks its own summation order and a closed-form solve rounds differently, so
+nothing else gives numpy's bits.  When those routines are not found, or a probe
+at load sees the C's dot, lstsq or one-row ``c @ basis`` differ from numpy's on
+fixed inputs, there is no native log map (``Kernels.shoots``); when only the
+``c @ basis`` of two rows and more differs, there is none for manifolds of
+dimension 2 and more.
+
+An end point is clean when its input is finite and it raises none of the
+divide-by-zero, invalid and overflow flags; otherwise ``point_end`` returns nonzero
+and ``Kernels.point`` returns None.  From a finite state every operation that
+Python floats would raise on (a division by zero, an overflowing or complex power,
+a math domain or range error) raises one of those flags, so callers repeat exactly
+those calls in Python, and every error and numpy fallback stays as it was.  The
+log map has two exits: it converges, or it hands back, and ``_log`` runs the Python
+loop from the start, which raises every error itself.
+
+Nothing here is an option: a source with a construct the translator does not
+know, a missing, failing or slow compiler and a library that will not load all
+make ``load`` return None, without a warning, and the Python kernels run.
 """
 
 from __future__ import annotations
 
 import ast
-import builtins
-import collections
 import ctypes
 import functools
 import hashlib
 import importlib
-import inspect
-import math
 import os
 import shlex
 import string
 import subprocess
 import sysconfig
 import tempfile
-import textwrap
 
 import numpy as np
-
-from .. import expressions as ex
-from . import implicit
-from .base import _max_abs, _norm
 
 FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
 
-_LIBM = ((math.sqrt, "sqrt"), (math.sin, "sin"), (math.cos, "cos"), (math.exp, "exp"),
-         (abs, "fabs"))
-_ARITH = {ast.Add: "({} + {})", ast.Sub: "({} - {})", ast.Mult: "({} * {})", ast.Div: "({} / {})",
-          ast.Pow: "pow({}, {})"}
-_COMPARE = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">"}
-_BOOL = {ast.And: " && ", ast.Or: " || "}
-_SCALARS = ("double", "long")
+_LIBM = {"sqrt": "sqrt", "sin": "sin", "cos": "cos", "exp": "exp", "abs": "fabs"}
+_CONSTANTS = {"inf": "INFINITY", "nan": "NAN"}
+_ARITH = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_COMPARE = {ast.Lt: "<", ast.Gt: ">"}
 
 _PRELUDE = """\
 #include <fenv.h>
@@ -78,43 +89,6 @@ static int settle(const fexcept_t *saved, const double *out, int width)
     int bad = fetestexcept(RAISED) || !all_finite(out, width);
     fesetexceptflag(saved, FE_ALL_EXCEPT);
     return bad;
-}
-
-/* _max_abs: the largest absolute value, a NaN staying the maximum */
-static double max_abs(const double *v, int n)
-{
-    double worst = 0.0;
-    for (int i = 0; i < n; i++)
-        if (fabs(v[i]) > worst || v[i] != v[i])
-            worst = fabs(v[i]);
-    return worst;
-}
-"""
-
-# ``_integrate_geo``'s end point, by the rendered ``passes`` and ``restore``, and its entry
-_END_POINT = """
-/* the end point from x at v of norm speed: 0, or 1 where Python must compute it */
-static int end_point(const double *x, const double *v, double speed, int fine, double *out)
-{
-    double state[2 * $AMBIENT], end[2 * $AMBIENT];
-    for (int i = 0; i < $AMBIENT; i++) {
-        state[i] = out[i] = x[i];
-        state[$AMBIENT + i] = v[i];
-    }
-    return speed != 0.0 && (passes(state, speed, fine, end) || restore(end, out));
-}
-
-/* the end point from state = (x, v) into out: 0, or nonzero where Python must compute it */
-int point_end(const double *state, double speed, int fine, double *out)
-{
-    fexcept_t saved;
-    int bad;
-    if (!all_finite(state, 2 * $AMBIENT))
-        return 1;
-    fegetexceptflag(&saved, FE_ALL_EXCEPT);
-    feclearexcept(FE_ALL_EXCEPT);
-    bad = end_point(state, state + $AMBIENT, speed, fine, out);
-    return settle(&saved, out, $AMBIENT) | bad;
 }
 """
 
@@ -195,408 +169,340 @@ int blas_lstsq(const struct blas *blas, long m, long n, const double *a, const d
 }
 """
 
-# the entry of the rendered ``shoot``
-_LOG_MAP = """
-/* the components from in = (x, y, basis, c, scale) into out: 0 where the loop converges,
-   else nonzero, and Python runs it */
-int log_map(const struct blas *blas, const double *in, double *out)
+# ``ImplicitBackend._integrate_geo``'s end point: ``_passes``'s RK4 pass of ``rk4_geo``
+# and ``_project_point``'s restoration with the kernels ``proj_x`` and ``g``
+_POINT = """
+enum { AMBIENT = $AMBIENT, CONSTRAINTS = $CONSTRAINTS, TANGENT = $TANGENT };
+
+/* _max_abs: the largest absolute value, a NaN staying the maximum */
+static double max_abs(const double *v, int n)
 {
-    const double *basis = in + 2 * $AMBIENT, *c = basis + $TANGENT * $AMBIENT;
+    double worst = 0.0;
+    for (int i = 0; i < n; i++) {
+        double a = fabs(v[i]);
+        if (a > worst || a != a)
+            worst = a;
+    }
+    return worst;
+}
+
+/* the end point from state = (x, v) at speed = |v| > 0: n steps of rk4_geo, with
+   the fine Richardson pair as _passes, then up to $RESTORE_MAX_ITER proj_x steps that stop
+   once max |g| < $RESTORE_TOL; 0, or 1 where the restoration leaves max |g| above
+   $FEASIBILITY_TOL or the steps would not fit a long */
+static int point(const double *state, double speed, int fine, double *out)
+{
+    double a[2 * AMBIENT], b[2 * AMBIENT], gv[CONSTRAINTS], resid = 0.0;
+    double steps = ceil(speed * (fine ? $FINE_STEPS_PER_UNIT : $COARSE_STEPS_PER_UNIT));
+    long n;
+    if (!(steps < 1e9))
+        return 1;
+    n = (long)steps;
+    if (n < (fine ? 8 : 6))
+        n = fine ? 8 : 6;
+    rk4_geo(state, n, 1.0 / n, a);
+    if (fine) {
+        rk4_geo(state, 2 * n, 0.5 / n, b);
+        for (int i = 0; i < AMBIENT; i++)
+            a[i] = ((16.0 * b[i]) - a[i]) / 15.0;
+    }
+    for (int k = 0; k < $RESTORE_MAX_ITER; k++) {
+        proj_x(a, a);
+        g(a, gv);
+        resid = max_abs(gv, CONSTRAINTS);
+        if (resid < $RESTORE_TOL)
+            break;
+    }
+    for (int i = 0; i < AMBIENT; i++)
+        out[i] = a[i];
+    return !(resid <= $FEASIBILITY_TOL);
+}
+
+/* _integrate_geo's end point into out: 0, or nonzero where Python must compute it */
+int point_end(const double *state, double speed, int fine, double *out)
+{
     fexcept_t saved;
     int bad;
-    if (!all_finite(in, 2 * $AMBIENT + $TANGENT * $AMBIENT + $TANGENT + 1))
+    if (!all_finite(state, 2 * AMBIENT))
         return 1;
     fegetexceptflag(&saved, FE_ALL_EXCEPT);
     feclearexcept(FE_ALL_EXCEPT);
-    bad = shoot(blas, in, in + $AMBIENT, basis, c, c[$TANGENT], out);
-    return settle(&saved, out, $TANGENT) | bad;
+    bad = point(state, speed, fine, out);
+    return settle(&saved, out, AMBIENT) | bad;
 }
 """
+
+# ``ImplicitBackend._shoot``, statement for statement
+_SHOOT = """
+static double norm(const struct blas *blas, long n, const double *a)
+{
+    return sqrt(blas_dot(blas, n, a, a));
+}
+
+/* resid(c, fine) into r: the end point of the geodesic from x at c @ basis, as
+   _integrate_geo, minus y; 0, or 1 where Python must compute it */
+static int residual(const struct blas *blas, const double *x, const double *y,
+                    const double *basis, const double *c, int fine, double *r)
+{
+    double state[2 * AMBIENT], end[AMBIENT], speed;
+    blas_combine(blas, TANGENT, AMBIENT, c, basis, state + AMBIENT);
+    speed = norm(blas, AMBIENT, state + AMBIENT);
+    for (int i = 0; i < AMBIENT; i++)
+        state[i] = end[i] = x[i];
+    if (speed != 0.0 && point(state, speed, fine, end))
+        return 1;
+    for (int i = 0; i < AMBIENT; i++)
+        r[i] = end[i] - y[i];
+    return 0;
+}
+
+/* the shooting loop from in = (x, y, basis, c, scale): 0 where it converges, with out
+   = c; 1 where it hands back, and Python runs the whole loop again to raise its error:
+   after $SHOOTING_MAX_ITER iterations, when the last residual fails the final test, on a
+   raised flag, a failed restoration or dgelsd, or a non-finite input.  So the C keeps
+   no best iterate: only the Python loop reports it */
+int log_map(const struct blas *blas, const double *in, double *out)
+{
+    const double *x = in, *y = in + AMBIENT, *basis = in + 2 * AMBIENT;
+    const double scale = in[2 * AMBIENT + TANGENT * AMBIENT + TANGENT];
+    double c[TANGENT], cp[TANGENT], cand[TANGENT], step[TANGENT];
+    double r[AMBIENT], r_cand[AMBIENT], minus_r[AMBIENT], jac[AMBIENT * TANGENT];
+    double rn, rn_cand, eps, damp;
+    int fine = 0, have_jac = 0, it, k, bad;
+    fexcept_t saved;
+    if (!all_finite(in, 2 * AMBIENT + TANGENT * AMBIENT + TANGENT + 1))
+        return 1;
+    fegetexceptflag(&saved, FE_ALL_EXCEPT);
+    feclearexcept(FE_ALL_EXCEPT);
+    for (int j = 0; j < TANGENT; j++)
+        c[j] = in[2 * AMBIENT + TANGENT * AMBIENT + j];
+    if (residual(blas, x, y, basis, c, 0, r))
+        goto hand_back;
+    rn = norm(blas, AMBIENT, r);
+    for (it = 0; it < $SHOOTING_MAX_ITER; it++) {
+        if (fine && rn <= $SHOOTING_TOL * scale)
+            break;
+        if (!fine && rn <= 1e-08 * scale) {
+            fine = 1;
+            if (residual(blas, x, y, basis, c, 1, r))
+                goto hand_back;
+            rn = norm(blas, AMBIENT, r);
+            continue;
+        }
+        if (!have_jac) {
+            double size = norm(blas, TANGENT, c);
+            eps = 1e-06 * (size > 1.0 ? size : 1.0);
+            for (int j = 0; j < TANGENT; j++) {
+                for (int i = 0; i < TANGENT; i++)
+                    cp[i] = c[i];
+                cp[j] = c[j] + eps;
+                if (residual(blas, x, y, basis, cp, fine, r_cand))
+                    goto hand_back;
+                for (int i = 0; i < AMBIENT; i++)
+                    jac[j * AMBIENT + i] = (r_cand[i] - r[i]) / eps;
+            }
+            have_jac = 1;
+        }
+        for (int i = 0; i < AMBIENT; i++)
+            minus_r[i] = -r[i];
+        /* a raised flag hands back anyway; without one, jac and r are finite */
+        if (fetestexcept(RAISED) || blas_lstsq(blas, AMBIENT, TANGENT, jac, minus_r, step))
+            goto hand_back;
+        damp = 1.0;
+        for (k = 0; k < 8; k++) {
+            for (int j = 0; j < TANGENT; j++)
+                cand[j] = c[j] + (damp * step[j]);
+            if (residual(blas, x, y, basis, cand, fine, r_cand))
+                goto hand_back;
+            rn_cand = norm(blas, AMBIENT, r_cand);
+            if (rn_cand < rn) {
+                for (int j = 0; j < TANGENT; j++)
+                    c[j] = cand[j];
+                for (int i = 0; i < AMBIENT; i++)
+                    r[i] = r_cand[i];
+                rn = rn_cand;
+                break;
+            }
+            damp *= 0.5;
+        }
+        if (k == 8) {
+            have_jac = 0;
+            if (fine)
+                break;
+            fine = 1;
+            if (residual(blas, x, y, basis, c, 1, r))
+                goto hand_back;
+            rn = norm(blas, AMBIENT, r);
+        }
+    }
+    bad = it == $SHOOTING_MAX_ITER || rn > (($SHOOTING_TOL * scale) * 10.0);
+    for (int j = 0; j < TANGENT; j++)
+        out[j] = c[j];
+    return settle(&saved, out, TANGENT) | bad;
+hand_back:
+    fesetexceptflag(&saved, FE_ALL_EXCEPT);
+    return 1;
+}
+"""
+
 
 class _Unknown(Exception):
     """A construct ``translate`` does not render."""
 
 
-#: a C function the rendered ones call: its name, (name, type) parameters, the type it
-#: writes to ``out`` and whether it takes ``blas``
-_Callee = collections.namedtuple("_Callee", "name params returns blas")
-
-
-def _is(t, kind):
-    return isinstance(t, tuple) and t[0] == kind
-
-
-def _number(v):
-    """(type, C text) of a bool, int or float of the source."""
-    if type(v) not in (bool, int, float):
-        raise _Unknown(repr(v))
-    if type(v) is not float:
-        return "long", str(int(v))
-    return "double", repr(v) if math.isfinite(v) else "NAN" if v != v else (
-        f"({'-' * (v < 0)}INFINITY)")
-
-
 class _Function:
-    """C for one Python function, ``static int NAME(...)``: 0, or 1 where Python raises
-    or may raise, which hands the call back to Python.
+    """C for one emitted kernel: ``text`` and its state ``width``.
 
-    ``types`` types the parameters, and a local takes its first assignment's type:
-    ``"double"``, ``"long"`` (an int or a bool), an int n (n floats in an ndarray, tuple
-    or list, whose value is its elements' C texts, so that numpy's arithmetic renders
-    element by element), ``("rows", r, c)`` or ``("cols", r, c)`` (a matrix by rows or by
-    columns), a kernel's ``_Function`` or ``"self"``, whose attributes ``attrs`` looks
-    up.  Other names resolve in ``names`` as Python resolves them.
+    A loop ``def NAME(state, n, h)`` becomes ``NAME(state, n, h, out)``: ``state``
+    is a ``const double *`` unpacked by one tuple assignment, ``n`` a ``long``
+    read only as a ``range`` bound, and it returns a tuple of ``width`` values.
+    A kernel ``def NAME(x1, ..., xd)`` of doubles, such as ``g`` and ``proj_x``,
+    becomes ``NAME(in, out)``, reading its arguments from ``in`` (``width`` of
+    them) and returning a tuple of ``returned`` values.  Every argument and
+    assigned name is a ``double`` (``v_NAME``), a ``for`` variable a ``long``
+    counter, and the returned tuple is written to ``out``.
     """
 
-    def __init__(self, node, name, types, names, attrs=None):
+    def __init__(self, node):
         a = node.args
+        params = [p.arg for p in a.args]
         if (a.posonlyargs or a.vararg or a.kwonlyargs or a.kwarg or a.defaults
-                or node.decorator_list or [p.arg for p in a.args] != list(types)):
+                or node.decorator_list):
             raise _Unknown(node.name)
-        self.name, self.names, self.attrs, self.types = name, names, attrs, dict(types)
-        self.blas, self.returns, self.count, self.decls, self.elements = False, None, 0, {}, {}
-        self.params = [(n, t) for n, t in types.items()
-                       if t in _SCALARS or isinstance(t, (int, tuple))]  # not a kernel or self
-        nodes = list(ast.walk(node))
-        self.stored = {n.value.id for n in nodes if isinstance(n, ast.Subscript)
-                       and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name)}
-        if any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
-               and types.get(n.id, "double") not in _SCALARS for n in nodes):
-            raise _Unknown(f"{node.name} rebinds a parameter that is not a number")
-        body = self.block(node.body, "    ", None)
-        if not self.returns:
-            raise _Unknown(f"{node.name} returns no vector")
-        args = ", ".join(["const struct blas *blas"] * self.blas + [
-            f"{t} v_{n}" if t in _SCALARS else f"{'const ' * (n not in self.stored)}double *v_{n}"
-            for n, t in self.params] + ["double *out"])
-        # where it falls off its end, Python's None fails the caller
-        self.text = "\n".join([f"static int {name}({args})", "{",
-                               *(f"    {d}" for d in self.decls.values()), *body,
-                               "    return 1;", "}", ""])
-
-    def block(self, stmts, ind, loop):
-        return [line for s in stmts for line in self.statement(s, ind, loop)]
-
-    def statement(self, s, ind, loop):
-        """C lines for ``s``; ``loop`` is None outside a loop, else the flag its ``break``
-        sets, "" where it has no ``else``.  A call in a test is made before it, even where
-        Python would skip it: where it hands back, Python computes the whole call."""
-        self.pre, inner = [], ind + "    "
-        if isinstance(s, ast.If):
-            head = f"{ind}if {self.condition(s.test)} {{"
-            lines = [*(ind + p for p in self.pre), head, *self.block(s.body, inner, loop)]
-            if s.orelse:
-                lines += [f"{ind}}} else {{", *self.block(s.orelse, inner, loop)]
-            return lines + [f"{ind}}}"]
-        if isinstance(s, ast.Try) and not (s.orelse or s.finalbody):  # a raise in it hands back
-            return self.block(s.body, ind, loop)
-        if isinstance(s, ast.For):  # a counter of its own: as in Python, the body may rebind var
-            (stop,), var = [self.value(a) for a in s.iter.args], s.target.id
-            if stop[0] != "long" or self.resolve(s.iter.func) is not range:
-                raise _Unknown(ast.unparse(s.iter))
-            self.local(var, "long")
-            self.count += 1
-            k, pre, flag = self.count, self.pre, f"b_{self.count}" * bool(s.orelse)
-            lines = [*(ind + p for p in pre), *[f"{ind}{flag} = 0;"] * bool(flag),
-                     f"{ind}for (long i_{k} = 0, e_{k} = {stop[1]}; i_{k} < e_{k}; i_{k}++) {{",
-                     f"{inner}v_{var} = i_{k};", *self.block(s.body, inner, flag), f"{ind}}}"]
-            if flag:
-                self.decls[flag] = f"int {flag};"
-                lines += [f"{ind}if (!{flag}) {{", *self.block(s.orelse, inner, loop), f"{ind}}}"]
-            return lines
-        if isinstance(s, ast.Assign) and len(s.targets) == 1:
-            code = self.assign(s.targets[0], s.value)
-        elif isinstance(s, ast.AugAssign) and self.value(s.target)[0] in _SCALARS:  # not in place
-            code = self.assign(s.target, ast.BinOp(s.target, s.op, s.value))
-        elif isinstance(s, ast.Break) and loop is not None:
-            code = [f"{loop} = 1;"] * bool(loop) + ["break;"]
-        elif isinstance(s, ast.Continue) and loop is not None:
-            code = ["continue;"]
-        elif isinstance(s, ast.Raise):
-            code = ["return 1;"]
-        elif isinstance(s, ast.Return) and s.value:
-            t, x = self.value(s.value)
-            if not (isinstance(t, int) and t and self.returns in (None, t)):
-                raise _Unknown(ast.unparse(s))
-            self.returns, code = t, [" ".join(f"out[{k}] = {v};" for k, v in enumerate(x)),
-                                     "return 0;"]
-        elif isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant):
-            code = []  # a docstring
+        self.loop = loop = params == ["state", "n", "h"]
+        self.doubles = {"h"} if loop else set(params)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Assign):
+                self.doubles |= {t.id for t in ast.walk(sub) if isinstance(t, ast.Name)
+                                 and isinstance(t.ctx, ast.Store)}
+        if loop and self.doubles & {"state", "n"}:
+            raise _Unknown(f"{node.name} assigns to an argument")
+        self.width = None if loop else len(params)
+        self.returned = None
+        body = self.block(node.body, "    ", in_loop=False)
+        if self.width is None or self.returned is None or loop and self.returned != self.width:
+            raise _Unknown(f"{node.name} does not return its state's width")
+        if loop:
+            head = (f"static void {node.name}"
+                    "(const double *state, long v_n, double v_h, double *out)")
+            names, unpack = sorted(self.doubles - {"h"}), []
         else:
-            raise _Unknown(ast.unparse(s))
-        return [ind + line for line in self.pre + code]
+            head = f"static void {node.name}(const double *in, double *out)"
+            names = sorted(self.doubles)
+            unpack = [f"    v_{p} = in[{i}];" for i, p in enumerate(params)]
+        self.text = "\n".join([
+            head, "{", *[f"    double v_{name};" for name in names], *unpack, *body, "}", "",
+        ])
 
-    def assign(self, target, e):
-        t, x = self.value(e)
-        if not isinstance(target, ast.Tuple):
-            return self.store(target, t, x, e)
-        if not isinstance(e, ast.Name) or t != len(target.elts):  # unpacking a vector
-            raise _Unknown(ast.unparse(target))
-        return [line for n, v in zip(target.elts, x) for line in self.store(n, "double", v, e)]
+    def block(self, stmts, ind, in_loop):
+        lines = []
+        for s in stmts:
+            lines += self.statement(s, ind, in_loop)
+        return lines
 
-    def store(self, target, t, x, e):
-        if isinstance(target, ast.Name):
-            fresh = isinstance(e, ast.Call) and ast.unparse(e.func).endswith((".copy", "np.empty"))
-            if target.id in self.stored and not fresh or getattr(e, "id", None) in self.stored:
-                raise _Unknown(f"{target.id}: an alias of an array changed in place")
-            self.local(target.id, t)
-            if x is None:  # np.empty
-                return []
-        lt, lhs = self.value(target)
-        if lt != t or _is(t, "cols"):
-            raise _Unknown(ast.unparse(target))
-        if t in _SCALARS:
-            return [f"{lhs} = {x};"]
-        if any(lhs[0].partition("[")[0] + "[" in v for v in x):  # it reads the target
-            x = self.result(t, " ".join(f"@[{k}] = {v};" for k, v in enumerate(x)))[1]
-        return [" ".join(f"{a} = {v};" for a, v in zip(lhs, x))]
+    def statement(self, s, ind, in_loop):
+        if isinstance(s, ast.Assign) and len(s.targets) == 1:
+            target = s.targets[0]
+            if isinstance(target, ast.Name):
+                return [f"{ind}v_{target.id} = {self.expr(s.value)};"]
+            unpack = isinstance(s.value, ast.Name) and s.value.id == "state"
+            if (unpack and self.width is None and isinstance(target, ast.Tuple)
+                    and all(isinstance(t, ast.Name) for t in target.elts)):
+                self.width = len(target.elts)
+                return [f"{ind}v_{t.id} = state[{i}];" for i, t in enumerate(target.elts)]
+        if isinstance(s, ast.For) and isinstance(s.target, ast.Name) and not s.orelse:
+            i, it = s.target.id, s.iter
+            ranged = (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                      and it.func.id == "range" and len(it.args) == 1 and not it.keywords)
+            if ranged and i not in self.doubles:
+                bound = it.args[0]
+                if isinstance(bound, ast.Name) and bound.id == "n" and self.loop:
+                    stop = "v_n"
+                elif isinstance(bound, ast.Constant) and type(bound.value) is int:
+                    stop = repr(bound.value)
+                else:
+                    raise _Unknown(ast.unparse(it))
+                head = f"{ind}for (long v_{i} = 0; v_{i} < {stop}; v_{i}++) {{"
+                return [head, *self.block(s.body, ind + "    ", in_loop=True), f"{ind}}}"]
+        if isinstance(s, ast.If) and not s.orelse:
+            body = self.block(s.body, ind + "    ", in_loop)
+            return [f"{ind}if {self.condition(s.test)} {{", *body, f"{ind}}}"]
+        if isinstance(s, ast.Break) and in_loop:
+            return [f"{ind}break;"]
+        if isinstance(s, ast.Return) and isinstance(s.value, ast.Tuple):
+            if self.returned not in (None, len(s.value.elts)):
+                raise _Unknown("returns of two widths")
+            self.returned = len(s.value.elts)
+            out = [f"{ind}out[{i}] = {self.expr(e)};" for i, e in enumerate(s.value.elts)]
+            return out + [f"{ind}return;"]
+        raise _Unknown(ast.unparse(s))
 
-    def local(self, name, t):
-        if self.types.setdefault(name, t) != t:
-            raise _Unknown(f"{name} changes type")
-        if all(name != n for n, _ in self.params):
-            size = t[1] * t[2] if isinstance(t, tuple) else t
-            self.decls[name] = f"{t} v_{name};" if t in _SCALARS else f"double v_{name}[{size}];"
+    def expr(self, e):
+        """A double-valued expression, parenthesised as the AST groups it."""
+        if isinstance(e, ast.BinOp):
+            lhs, rhs = self.expr(e.left), self.expr(e.right)
+            if isinstance(e.op, ast.Pow):
+                return f"pow({lhs}, {rhs})"
+            if type(e.op) in _ARITH:
+                return f"({lhs} {_ARITH[type(e.op)]} {rhs})"
+        if isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.USub):
+            return f"(-{self.expr(e.operand)})"
+        if isinstance(e, ast.Name) and e.id in self.doubles:
+            return f"v_{e.id}"
+        if isinstance(e, ast.Name) and e.id in _CONSTANTS:
+            return _CONSTANTS[e.id]
+        if isinstance(e, ast.Constant) and type(e.value) is float:
+            return repr(e.value)
+        if (isinstance(e, ast.Call) and isinstance(e.func, ast.Name) and e.func.id in _LIBM
+                and e.func.id not in self.doubles and len(e.args) == 1 and not e.keywords):
+            return f"{_LIBM[e.func.id]}({self.expr(e.args[0])})"
+        raise _Unknown(ast.unparse(e))
 
     def condition(self, e):
-        if isinstance(e, ast.BoolOp):
-            return "(" + _BOOL[type(e.op)].join(map(self.condition, e.values)) + ")"
-        if isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.Not):
-            return f"(!{self.condition(e.operand)})"
-        t, x = self.value(e)
-        if t not in _SCALARS:
-            raise _Unknown(ast.unparse(e))
-        return f"({x})"  # its truth: nonzero, NaN included
-
-    def value(self, e):
-        """(type, C text) of ``e``: a scalar's text, a vector's element texts or a
-        matrix's address."""
-        if isinstance(e, ast.Name) and e.id in self.elements:
-            return "double", self.elements[e.id]
-        t = self.types.get(e.id) if isinstance(e, ast.Name) else None
-        if t in _SCALARS or isinstance(t, (int, tuple)):
-            return t, [f"v_{e.id}[{k}]" for k in range(t)] if isinstance(t, int) else f"v_{e.id}"
-        if isinstance(e, (ast.Constant, ast.Name)):
-            return _number(e.value if isinstance(e, ast.Constant) else self.resolve(e))
-        if isinstance(e, ast.Attribute) and self.types.get(getattr(e.value, "id", None)) == "self":
-            return _number(self.attrs(e.attr))
-        if isinstance(e, ast.BinOp):
-            return self.binop(e.op, self.value(e.left), self.value(e.right))
+        """A test: one ``<`` or ``>`` of doubles, or an ``and`` of tests."""
         if isinstance(e, ast.Compare) and len(e.ops) == 1 and type(e.ops[0]) in _COMPARE:
-            (lt, lhs), (rt, rhs) = self.value(e.left), self.value(e.comparators[0])
-            if {lt, rt} <= set(_SCALARS):
-                return "long", f"({lhs} {_COMPARE[type(e.ops[0])]} {rhs})"
-        if isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.USub):
-            t, x = self.value(e.operand)
-            if t in _SCALARS or isinstance(t, int):
-                return t, [f"(-{v})" for v in x] if isinstance(t, int) else f"(-{x})"
-        if isinstance(e, ast.Tuple) and e.elts:  # floats into a vector
-            items = [self.value(v) for v in e.elts]
-            if all(t == "double" for t, _ in items):
-                return len(items), [x for _, x in items]
-        if isinstance(e, ast.Call):
-            return self.call(e)
-        if isinstance(e, ast.Subscript):
-            return self.subscript(e)
+            op = _COMPARE[type(e.ops[0])]
+            return f"({self.expr(e.left)} {op} {self.expr(e.comparators[0])})"
+        if isinstance(e, ast.BoolOp) and isinstance(e.op, ast.And):
+            return "(" + " && ".join(map(self.condition, e.values)) + ")"
         raise _Unknown(ast.unparse(e))
-
-    def resolve(self, e):
-        """The object a global name or an attribute of one is bound to, as Python finds it."""
-        if isinstance(e, ast.Attribute):
-            return getattr(self.resolve(e.value), e.attr, None)
-        if isinstance(e, ast.Name) and e.id not in self.types and e.id not in self.elements:
-            return self.names[e.id] if e.id in self.names else getattr(builtins, e.id, None)
-        raise _Unknown(ast.unparse(e))
-
-    def binop(self, op, left, right):
-        (lt, lhs), (rt, rhs) = left, right
-        if isinstance(op, ast.MatMult) and isinstance(lt, int) and _is(rt, "rows") and lt == rt[1]:
-            self.blas = True  # c @ basis
-            return self.result(rt[2], f"blas_combine(blas, {lt}, {rt[2]}, {self.array(lt, lhs)}, "
-                                      f"{rhs}, @);")
-        sizes = {t for t in (lt, rt) if t not in _SCALARS}
-        if (type(op) not in _ARITH or lt == rt == "long" and isinstance(op, (ast.Div, ast.Pow))
-                or sizes and (len(sizes) > 1 or not isinstance(min(sizes), int)
-                              or isinstance(op, ast.Pow))):  # numpy's ** is not pow
-            raise _Unknown(type(op).__name__)
-        if not sizes:
-            return "long" if lt == rt == "long" else "double", _ARITH[type(op)].format(lhs, rhs)
-        n = sizes.pop()
-        return n, [_ARITH[type(op)].format(lhs[k] if lt == n else lhs, rhs[k] if rt == n else rhs)
-                   for k in range(n)]
-
-    def call(self, e):
-        """``A.copy()`` of a vector, ``self.NAME(...)``, a kernel through ``_on_floats``,
-        ``tuple`` of a generator, ``np.empty``, ``_norm``, ``_max_abs``, ``max``,
-        ``math.ceil`` and libm's functions."""
-        f, args = e.func, e.args
-        if isinstance(f, ast.Attribute) and self.types.get(getattr(f.value, "id", 0)) == "self":
-            return self.invoke(self.attrs(f.attr), args)
-        if isinstance(f, ast.Attribute) and f.attr == "copy" and not args:
-            t, x = self.value(f.value)
-            if isinstance(t, int):
-                return t, x  # the store makes the copy
-        fn = None if e.keywords else self.resolve(f)
-        if fn is implicit._on_floats and isinstance(self.types.get(args[0].id), _Function):
-            return self.invoke(self.types[args[0].id], args[1:])
-        if fn is tuple and len(args) == 1 and isinstance(args[0], ast.GeneratorExp):
-            return self.generator(args[0])
-        shape = [self.value(v) for v in args[0].elts] if fn is np.empty and len(args) == 1 else []
-        if len(shape) == 2 and all(t == "long" and x.isdigit() for t, x in shape):
-            return ("cols", int(shape[0][1]), int(shape[1][1])), None
-        values = [self.value(a) for a in args] if fn is not None else []
-        t, x = tuple(v[0] for v in values), [v[1] for v in values]
-        libm = next((c for py, c in _LIBM if py is fn), None)
-        if libm and t == ("double",):
-            return "double", f"{libm}({x[0]})"
-        if (fn is _norm or fn is _max_abs) and len(t) == 1 and isinstance(t[0], int):
-            p, self.blas = self.array(t[0], x[0]), self.blas or fn is _norm
-            return "double", f"sqrt(blas_dot(blas, {t[0]}, {p}, {p}))" if fn is _norm else (
-                f"max_abs({p}, {t[0]})")
-        if fn is max and t in (("double", "double"), ("long", "long")):  # a unless b > a
-            a, b = (self.temp(t[0], f"@ = {v};") for v in x)
-            return t[0], f"({b} > {a} ? {b} : {a})"
-        if fn is math.ceil and t == ("double",):  # handed back where it would not fit below 1e9
-            c = self.temp("double", f"@ = ceil({x[0]}); if (!(@ > -1e9 && @ < 1e9)) return 1;")
-            return "long", f"(long){c}"
-        raise _Unknown(ast.unparse(e))
-
-    def generator(self, gen):
-        """``tuple(ELT for x, y, ... in zip(a, b, ...))`` of vectors of n floats."""
-        (comp,), outer, elements = gen.generators, self.elements, []
-        names = [n.id for n in getattr(comp.target, "elts", [comp.target])]
-        vectors = [self.value(a) for a in comp.iter.args]
-        n = vectors[0][0]
-        if (comp.ifs or self.resolve(comp.iter.func) is not zip or not isinstance(n, int)
-                or len(names) != len(vectors) or any(t != n for t, _ in vectors)):
-            raise _Unknown(ast.unparse(gen))
-        for k in range(n):
-            self.elements = {**outer, **{name: x[k] for name, (_, x) in zip(names, vectors)}}
-            t, x = self.value(gen.elt)
-            if t != "double":
-                raise _Unknown(ast.unparse(gen.elt))
-            elements.append(x)
-        self.elements = outer
-        return n, elements
-
-    def subscript(self, e):
-        """``a[j]`` of a vector, ``m[:, j]`` of a matrix by columns as a target, or
-        ``np.linalg.lstsq(m, b, rcond=None)[0]`` of one with more rows than columns."""
-        base, index, store = e.value, ast.unparse(e.slice), isinstance(e.ctx, ast.Store)
-        t = self.types.get(base.id) if isinstance(base, ast.Name) else None
-        if (isinstance(base, ast.Call) and index == "0" and len(base.args) == 2
-                and self.resolve(base.func) is np.linalg.lstsq
-                and [ast.unparse(k) for k in base.keywords] == ["rcond=None"]):
-            (mt, m), (bt, b) = map(self.value, base.args)
-            if _is(mt, "cols") and mt[1] > mt[2] and bt == mt[1]:
-                self.blas = True  # a raised flag hands back: m, b are finite
-                return self.result(mt[2], f"if (fetestexcept(RAISED) || blas_lstsq(blas, {mt[1]}, "
-                                          f"{mt[2]}, {m}, {self.array(bt, b)}, @)) return 1;")
-        elif isinstance(t, int):
-            return "double", f"v_{base.id}[{self.index(e.slice, t)}]"
-        elif _is(t, "cols") and store and index.startswith("(:, ") and len(e.slice.elts) == 2:
-            j = self.index(e.slice.elts[1], t[2])
-            return t[1], [f"v_{base.id}[{j} * {t[1]} + {k}]" for k in range(t[1])]
-        raise _Unknown(ast.unparse(e))
-
-    def index(self, e, n):
-        t, j = self.value(e)
-        if t != "long":
-            raise _Unknown(ast.unparse(e))
-        check = f"if (!({j} >= 0 && {j} < {n})) return 1;"
-        self.pre += [check] * (check not in self.pre)
-        return j
-
-    def invoke(self, callee, args):
-        """A call, into a temporary, of a ``_Function`` or a ``_Callee``."""
-        values = []
-        for a in args:
-            starred = isinstance(a, ast.Starred)
-            t, x = self.value(a.value if starred else a)
-            if starred and not isinstance(t, int):
-                raise _Unknown(ast.unparse(a))
-            values += ([("double", v) for v in x] if starred  # a kernel's floats
-                       else [(t, self.array(t, x) if isinstance(t, int) else x)])
-        if (not isinstance(callee, (_Function, _Callee))
-                or [t for t, _ in values] != [t for _, t in callee.params]):
-            raise _Unknown(getattr(callee, "name", repr(callee)))
-        self.blas |= callee.blas
-        args = ", ".join(["blas"] * callee.blas + [x for _, x in values])
-        return self.result(callee.returns, f"if ({callee.name}({args}, @)) return 1;")
-
-    def array(self, n, x):
-        """The address of the n elements x: their own array, or a temporary."""
-        base = x[0].rpartition("[")[0]
-        if x == [f"{base}[{k}]" for k in range(n)]:
-            return base
-        return self.temp(n, " ".join(f"@[{k}] = {v};" for k, v in enumerate(x)))
-
-    def temp(self, t, line):
-        """A new temporary of type ``t``, set by ``line``, where ``@`` stands for its name."""
-        self.count += 1
-        name = f"t_{self.count}"
-        self.decls[name] = f"{t} {name};" if t in _SCALARS else f"double {name}[{t}];"
-        self.pre.append(line.replace("@", name))
-        return name
-
-    def result(self, n, line):
-        """The elements of a new temporary of n doubles, set by ``line``."""
-        name = self.temp(n, line)
-        return n, [f"{name}[{k}]" for k in range(n)]
-
-
-@functools.cache
-def _parsed(fn):
-    """The ``def`` of ``fn``, parsed from its source once per process."""
-    return ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
 
 
 def translate(src, library):
-    """(C source, (d, m)) for an emitted kernel source whose ``g`` and ``proj_x`` take
-    d variables and ``g`` gives m constraints, or None where ``rk4_geo``, ``g`` or
-    ``proj_x`` is missing, or it or a function below holds a construct not rendered.
+    """(C source, (d, m)) for an emitted kernel source whose ``g`` and ``proj_x``
+    take d variables and give m constraints, or None when ``rk4_geo``, ``g`` or
+    ``proj_x`` is missing or holds a construct not rendered here.
 
-    The C holds ``point_end``, by ``_passes`` and ``ImplicitBackend._restore``; where
-    ``library`` names numpy's BLAS library (``numpy_blas``), it adds ``log_map``, by
-    ``ImplicitBackend._shoot`` and ``_residual``, and the BLAS and LAPACK calls that
-    ``_probe`` checks.  Each function is read from its source as it is bound now.
+    The C holds ``point_end``, ``_integrate_geo``'s end point; where ``library``
+    names numpy's BLAS library (``numpy_blas``), it adds ``log_map``, ``_shoot``'s
+    loop, and the BLAS and LAPACK calls the probe in ``Kernels`` checks.
     """
-    cls = implicit.ImplicitBackend
+    from . import implicit  # imported here: implicit imports this module on first use
+
     defs = {f.name: f for f in ast.parse(src).body if isinstance(f, ast.FunctionDef)}
-    emitted = ex.run_emitted("")  # the names the kernels see
     try:
-        g, proj_x = (_Function(defs[k], k, {a.arg: "double" for a in defs[k].args.args}, emitted)
-                     for k in ("g", "proj_x"))
-        d, m = len(g.params), g.returns
-        kernel = {"state": 2 * d, "n": "long", "h": "double"}
-        rk4_geo, basis = _Function(defs["rk4_geo"], "rk4_geo", kernel, emitted), ("rows", d - m, d)
-        attrs = {"ambient_dim": d, "dim": d - m, "_k_proj_x": proj_x, "_g_fn": g,
-                 "_integrate_geo": _Callee("end_point", [("x", d), ("v", d), ("speed", "double"),
-                                                         ("fine", "long")], d, False)}
-
-        def render(fn, *types):
-            node = _parsed(fn)
-            return _Function(node, fn.__name__.strip("_"),
-                             dict(zip((p.arg for p in node.args.args), types)), fn.__globals__,
-                             lambda name: attrs.get(name, getattr(cls, name, None)))
-
-        parts = [g, proj_x, rk4_geo, render(implicit._passes, rk4_geo, 2 * d, "double", "long"),
-                 render(cls._restore, "self", d)]
-        if library is not None:
-            attrs["_residual"] = render(cls._residual, "self", d, d, basis, d - m, "long")
-            parts += [attrs["_residual"], render(cls._shoot, "self", d, d, basis, d - m, "double")]
-    # a node of a shape not rendered raises one of the first three as it is read
-    except (LookupError, AttributeError, ValueError, OSError, _Unknown):  # OSError: no source
+        rk4_geo, g, proj_x = (_Function(defs[name]) for name in ("rk4_geo", "g", "proj_x"))
+    except (KeyError, _Unknown):
         return None
-    expected = [(2 * d, False), (d, False), (d, True), (d - m, True)]  # what C calls
-    if [(f.returns, f.blas) for f in parts[3:]] != expected[:len(parts) - 3] or not 0 < m < d:
-        return None
-    constants = {"AMBIENT": d, "TANGENT": d - m, "LIBRARY": str(library).replace("*/", "*_/"),
-                 "SYMBOLS": ", ".join(name for _, name in BLAS_SYMBOLS)}  # LIBRARY: in a C comment
-    texts = [_PRELUDE, *(f.text for f in parts[:5]), _END_POINT]
+    d, m = g.width, g.returned
+    if proj_x.width != d or proj_x.returned != d:
+        return None  # g and proj_x of different points
+    constants = {
+        "AMBIENT": d, "CONSTRAINTS": m, "TANGENT": d - m,
+        "FINE_STEPS_PER_UNIT": float(implicit.FINE_STEPS_PER_UNIT),
+        "COARSE_STEPS_PER_UNIT": float(implicit.COARSE_STEPS_PER_UNIT),
+        "RESTORE_MAX_ITER": implicit.RESTORE_MAX_ITER, "RESTORE_TOL": implicit.RESTORE_TOL,
+        "FEASIBILITY_TOL": implicit.ImplicitBackend.feasibility_tol,
+        "SHOOTING_TOL": implicit.SHOOTING_TOL, "SHOOTING_MAX_ITER": implicit.SHOOTING_MAX_ITER,
+        "LIBRARY": str(library).replace("*/", "*_/"),  # a path inside a C comment
+        "SYMBOLS": ", ".join(name for _, name in BLAS_SYMBOLS),
+    }
+    constants = {k: v if isinstance(v, str) else repr(v) for k, v in constants.items()}
+    parts = [_PRELUDE, rk4_geo.text, g.text, proj_x.text,
+             string.Template(_POINT).substitute(constants)]
     if library is not None:
-        texts += [_BLAS, *(f.text for f in parts[5:]), _LOG_MAP]
-    return "\n".join(string.Template(p).substitute(constants) for p in texts), (d, m)
+        parts += [string.Template(t).substitute(constants) for t in (_BLAS, _SHOOT)]
+    return "\n".join(parts), (d, m)
 
 
 _DOUBLES = ctypes.POINTER(ctypes.c_double)
@@ -643,9 +549,9 @@ class Kernels:
             entry = getattr(lib, name)  # memoized by name, unlike lib[name]
             entry.argtypes, entry.restype = argtypes, restype
         dim = d - m
-        self._log_shapes = ((d,), (d,), (dim, d), (dim,))
         self._log_in = ctypes.c_double * (2 * d + dim * d + dim + 1)
         self._log_out = ctypes.c_double * dim
+        self._log_shapes = ((d,), (d,), (dim, d), (dim,))
         core, gemv = _probe(lib, self._blas)
         self.shoots = core and (dim == 1 or gemv)
 
@@ -659,12 +565,12 @@ class Kernels:
         return None if self._point(self._state(*state), speed, fine, out) else out[:]
 
     def log(self, xc, yc, basis, c, scale):
-        """``_shoot``'s components, as an array, from the chord seed ``c`` where the
-        native loop converges; None where it hands the loop back to Python, and
-        without a native log map (``shoots``)."""
+        """The components of ``log_map`` from the chord seed ``c`` where the loop
+        converges; None where it hands the loop back to ``_shoot``, and without a
+        native log map (``shoots``)."""
         if not self.shoots:
             return None
-        shapes = (xc.shape, yc.shape, basis.shape, c.shape)
+        shapes = tuple(np.shape(a) for a in (xc, yc, basis, c))
         if shapes != self._log_shapes:  # ctypes would zero-pad a short array
             raise ValueError(f"arrays of shapes {self._log_shapes} expected, not {shapes}")
         out = self._log_out()
