@@ -21,18 +21,20 @@ constraints are supported; more are a structural error.
 
 ``native`` translates this same source to C, built once per source on the
 first integration, and a native call equals the Python code it mirrors bit for
-bit.  Two kinds of call run in C, each one ``ctypes`` crossing: a geodesic end
-point of ``_integrate_geo`` (the RK4 pass, coarse or the fine Richardson pair,
-and the restoration) and the whole shooting loop of a log-map cache miss
-(``_shoot``), which calls numpy's own BLAS and LAPACK for its norms, Newton
-steps and ``c @ basis``.  An end point that Python floats could raise on runs
-again in Python (``_passes``, ``_project_point``); a log map that does not
-converge in C runs ``_shoot`` from the start, so every error is the Python
-one; and where no C compiler is found everything runs in Python.  A manifold
-of dimension 2 or more keeps the Python ``_shoot`` where the C's ``c @ basis``
-cannot be matched to numpy's.  Transport (``rk4_par``) stays Python, as it
-runs too rarely for a native entry to pay for its code; each other kernel
-costs less than one ``ctypes`` call.
+bit.  Three kinds of call run in C, each one ``ctypes`` crossing: a geodesic
+end point of ``_integrate_geo`` (the RK4 pass, coarse or the fine Richardson
+pair, and the restoration), a tangent basis (``jac`` and numpy's own LAPACK
+``svd``) and a whole log-map cache miss of ``_log`` from the two points (the
+basis, the seed, the shooting loop of ``_shoot`` and ``v = c @ basis``), which
+calls numpy's own BLAS and LAPACK for its products, norms and Newton steps.  An
+end point that Python floats could raise on runs again in Python (``_passes``,
+``_project_point``), and so does a basis whose Jacobian raises a flag or is not
+finite; a miss that does not converge in C runs again in Python from the
+start, so every error is the Python one; and where no C compiler is found
+everything runs in Python.  A manifold of dimension 2 or more keeps the Python
+miss where the C's products of two rows and more cannot be matched to numpy's.
+Transport (``rk4_par``) stays Python, as it runs too rarely for a native entry
+to pay for its code; each other kernel costs less than one ``ctypes`` call.
 """
 
 from __future__ import annotations
@@ -278,9 +280,14 @@ class ImplicitBackend(ManifoldBackend):
         return np.array(_on_floats(lambda s: self._k_proj_t(*s), state))
 
     def tangent_basis(self, x: Point):
-        J = self.constraint_jacobian(x.coords)
-        _, _, vt = np.linalg.svd(J, full_matrices=True)
-        return vt[self.n_constraints :]
+        # the native basis once an integration has built it; never built here, so
+        # loading a scenario compiles nothing
+        native = vars(self).get("_native")
+        basis = None if native is None else native.basis(x.coords)
+        if basis is None:
+            J = self.constraint_jacobian(x.coords)
+            basis = np.linalg.svd(J, full_matrices=True)[2][self.n_constraints :]
+        return basis
 
     # -- integration --------------------------------------------------------
 
@@ -313,13 +320,11 @@ class ImplicitBackend(ManifoldBackend):
         hit = self._log_cache.get(key)
         if hit is not None:
             return hit.copy()
-        basis = self._basis_at(xc)
-        c = basis @ (yc - xc)  # seed: ambient chord projected onto T_x
-        scale = 1.0 + _norm(yc)
-        shot = None if self._native is None else self._native.log(xc, yc, basis, c, scale)
-        # a native loop that does not converge hands back: this one runs, to raise its error
-        c = self._shoot(xc, yc, basis, c, scale) if shot is None else shot
-        v = c @ basis
+        v = None if self._native is None else self._native.log(xc, yc)
+        if v is None:  # a native miss that does not converge hands back: this one raises
+            basis = self._basis_at(xc)
+            c = basis @ (yc - xc)  # seed: ambient chord projected onto T_x
+            v = self._shoot(xc, yc, basis, c, 1.0 + _norm(yc)) @ basis
         if len(self._log_cache) >= 8192:
             self._log_cache.popitem(last=False)
         self._log_cache[key] = v.copy()

@@ -1,13 +1,15 @@
-"""Native builds of the implicit backend's end point and shooting loop, equal to them bit for bit.
+"""Native builds of the implicit end point, tangent basis and log map, equal to them bit for bit.
 
-``translate`` renders the emitted Python of ``rk4_geo``, ``g`` and ``proj_x`` as
-C99, statement for statement, with every operation parenthesised as Python's
-parser groups it.  Two hand-written entry points use them and mirror the
-implicit backend's Python: ``point_end``, one geodesic end point of
+``translate`` renders the emitted Python of ``rk4_geo``, ``g``, ``proj_x`` and
+``jac`` as C99, statement for statement, with every operation parenthesised as
+Python's parser groups it.  Three hand-written entry points use them and mirror
+the implicit backend's Python: ``point_end``, one geodesic end point of
 ``_integrate_geo`` (``_passes``'s RK4 pass, coarse or the fine Richardson pair,
-and ``_project_point``'s restoration), and ``log_map``, the whole Newton loop of
-``_shoot`` with one end point per residual.  ``load`` compiles that C once per
-kernel source and loads it with ``ctypes``.
+and ``_project_point``'s restoration); ``basis_at``, ``tangent_basis``; and
+``log_map``, a whole log-map cache miss of ``_log``: the basis, the chord seed,
+the Newton loop of ``_shoot`` with one end point per residual, and ``v = c @
+basis``.  ``load`` compiles that C once per kernel source and loads it with
+``ctypes``.
 
 The C performs the same IEEE double operations in the same order, and ``**``,
 ``sqrt``, ``sin``, ``cos`` and ``exp`` call the libm that Python's floats and
@@ -18,26 +20,29 @@ The C performs the same IEEE double operations in the same order, and ``**``,
   ``pow(x, 2.0)`` as ``x*x`` nor evaluates a call its own way;
 * there is no ``-ffast-math``, which would reorder sums and drop inf and nan.
 
-The loop's three numpy operations whose bits depend on the library, the norm's
-``ndarray.dot``, the Newton step's ``np.linalg.lstsq`` and ``c @ basis`` of two
-rows and more, are calls of the very routines numpy calls: ``numpy_blas`` finds
-ddot, dgelsd and dgemv through the numpy extensions that call them, in numpy's
-own BLAS library, and the C passes the arguments numpy passes.  A BLAS kernel
-picks its own summation order and a closed-form solve rounds differently, so
-nothing else gives numpy's bits.  When those routines are not found, or a probe
-at load sees the C's dot, lstsq or one-row ``c @ basis`` differ from numpy's on
-fixed inputs, there is no native log map (``Kernels.shoots``); when only the
-``c @ basis`` of two rows and more differs, there is none for manifolds of
-dimension 2 and more.
+The miss's numpy operations whose bits depend on the library, the basis's
+``np.linalg.svd``, the seed's ``basis @ w``, the norm's ``ndarray.dot``, the
+Newton step's ``np.linalg.lstsq`` and ``c @ basis`` of two rows and more, are
+calls of the very routines numpy calls: ``numpy_blas`` finds ddot, dgelsd, dgemv
+and dgesdd through the numpy extensions that call them, in numpy's own BLAS
+library, and the C passes the arguments numpy passes.  A BLAS kernel picks its
+own summation order and a closed-form solve rounds differently, so nothing else
+gives numpy's bits.  When those routines are not found, or a probe at load sees
+the C's basis differ from numpy's svd on fixed inputs, there is no native basis
+(``Kernels.bases``) and no native log map (``Kernels.shoots``); where its dot,
+lstsq or one-row ``c @ basis`` or ``basis @ w`` differs, there is no native log
+map; when only a product of two rows and more differs, there is none for
+manifolds of dimension 2 and more.
 
 An end point is clean when its input is finite and it raises none of the
 divide-by-zero, invalid and overflow flags; otherwise ``point_end`` returns nonzero
 and ``Kernels.point`` returns None.  From a finite state every operation that
 Python floats would raise on (a division by zero, an overflowing or complex power,
 a math domain or range error) raises one of those flags, so callers repeat exactly
-those calls in Python, and every error and numpy fallback stays as it was.  The
+those calls in Python, and every error and numpy fallback stays as it was.  A
+basis is clean when ``jac`` raises no flag and is finite and dgesdd succeeds.  The
 log map has two exits: it converges, or it hands back, and ``_log`` runs the Python
-loop from the start, which raises every error itself.
+miss from the start, which raises every error itself.
 
 Nothing here is an option: a source with a construct the translator does not
 know, a missing, failing or slow compiler and a library that will not load all
@@ -107,6 +112,9 @@ struct blas {
                   bint *, bint *);
     void (*gemv)(int, int, bint, bint, double, const double *, bint, const double *, bint,
                  double, double *, bint);
+    void (*gesdd)(const char *, const bint *, const bint *, double *, const bint *, double *,
+                  double *, const bint *, double *, const bint *, double *, const bint *,
+                  bint *, bint *);
 };
 
 /* a.dot(b) of two vectors of n doubles, as numpy's DOUBLE_dot: 0.0 plus one ddot */
@@ -128,6 +136,62 @@ void blas_combine(const struct blas *blas, long dim, long d, const double *c,
     }
     blas->gemv(101 /* CblasRowMajor */, 112 /* CblasTrans */, dim, d, 1.0, basis, d, c, 1,
                0.0, out, 1);
+}
+
+/* basis @ w, basis dim x d in rows and w of d doubles, as numpy's matmul: for one
+   row its dot, 0.0 plus one ddot; for more, one dgemv of the basis by columns */
+void blas_apply(const struct blas *blas, long dim, long d, const double *basis,
+                const double *w, double *out)
+{
+    if (dim == 1) {
+        out[0] = blas_dot(blas, d, basis, w);
+        return;
+    }
+    blas->gemv(102 /* CblasColMajor */, 112 /* CblasTrans */, d, dim, 1.0, basis, d, w, 1,
+               0.0, out, 1);
+}
+
+/* np.linalg.svd(a, full_matrices=True)[2][m:] into the (d - m) x d values basis, in
+   rows, for an m x d matrix a in rows, m < d, all finite; 0, or 1 where dgesdd fails.
+   As numpy's svd: dgesdd with jobz 'A' on a copy of a by columns, lda = ldu = m,
+   ldvt = d, the workspace its query asks for and 8 min(m, d) integers; the flags
+   raised inside are dropped, as numpy clears them */
+int blas_basis(const struct blas *blas, long m, long d, const double *a, double *basis)
+{
+    bint rows = m, cols = d, lwork = -1, info, *iwork;
+    double query, *s, *u, *vt, *work = NULL;
+    double *copy = malloc(sizeof(double) * (size_t)(m * d + m + m * m + d * d)
+                          + sizeof(bint) * 8 * (size_t)m);
+    int bad;
+    fexcept_t flags;
+    if (copy == NULL)
+        return 1;
+    s = copy + m * d;
+    u = s + m;
+    vt = u + m * m;
+    iwork = (bint *)(vt + d * d);
+    for (long i = 0; i < m; i++)
+        for (long j = 0; j < d; j++)
+            copy[j * m + i] = a[i * d + j];
+    fegetexceptflag(&flags, FE_ALL_EXCEPT);
+    blas->gesdd("A", &rows, &cols, copy, &rows, s, u, &rows, vt, &cols, &query, &lwork, iwork,
+                &info);
+    if (info == 0) {
+        lwork = (bint)query ? (bint)query : 1;
+        work = malloc((size_t)lwork * sizeof(double));
+    }
+    if (work != NULL) {
+        blas->gesdd("A", &rows, &cols, copy, &rows, s, u, &rows, vt, &cols, work, &lwork,
+                    iwork, &info);
+        for (long i = m; i < d; i++)
+            for (long j = 0; j < d; j++)
+                basis[(i - m) * d + j] = vt[j * d + i];
+    }
+    fesetexceptflag(&flags, FE_ALL_EXCEPT);
+    bad = work == NULL || info != 0;
+    free(work);
+    free(copy);
+    return bad;
 }
 
 /* np.linalg.lstsq(a, b, rcond=None)[0] into the n values x, for an m x n matrix a
@@ -232,11 +296,34 @@ int point_end(const double *state, double speed, int fine, double *out)
 }
 """
 
-# ``ImplicitBackend._shoot``, statement for statement
+# ``ImplicitBackend._log``'s miss: ``tangent_basis``, the chord seed and ``_shoot``,
+# statement for statement, and ``v = c @ basis``
 _SHOOT = """
 static double norm(const struct blas *blas, long n, const double *a)
 {
     return sqrt(blas_dot(blas, n, a, a));
+}
+
+/* tangent_basis at x into basis: blas_basis of jac at x; 0, or 1 where Python must
+   compute it: jac raised a flag or is not finite, or dgesdd failed */
+static int tangent_basis(const struct blas *blas, const double *x, double *basis)
+{
+    double j[CONSTRAINTS * AMBIENT];
+    jac(x, j);
+    if (fetestexcept(RAISED) || !all_finite(j, CONSTRAINTS * AMBIENT))
+        return 1;
+    return blas_basis(blas, CONSTRAINTS, AMBIENT, j, basis);
+}
+
+/* ImplicitBackend.tangent_basis at x into out: 0, or nonzero where Python must compute it */
+int basis_at(const struct blas *blas, const double *x, double *out)
+{
+    fexcept_t saved;
+    int bad;
+    fegetexceptflag(&saved, FE_ALL_EXCEPT);
+    feclearexcept(FE_ALL_EXCEPT);
+    bad = tangent_basis(blas, x, out);
+    return settle(&saved, out, TANGENT * AMBIENT) | bad;
 }
 
 /* resid(c, fine) into r: the end point of the geodesic from x at c @ basis, as
@@ -256,26 +343,31 @@ static int residual(const struct blas *blas, const double *x, const double *y,
     return 0;
 }
 
-/* the shooting loop from in = (x, y, basis, c, scale): 0 where it converges, with out
-   = c; 1 where it hands back, and Python runs the whole loop again to raise its error:
+/* the log map of y at x, in = (x, y): the basis at x, the seed c = basis @ (y - x) and
+   scale = 1 + |y|, then the shooting loop; 0 where it converges, with out = c @ basis;
+   1 where it hands back, and Python runs the whole miss again to raise its error:
    after $SHOOTING_MAX_ITER iterations, when the last residual fails the final test, on a
-   raised flag, a failed restoration or dgelsd, or a non-finite input.  So the C keeps
-   no best iterate: only the Python loop reports it */
+   raised flag, a failed basis, restoration or dgelsd, or a non-finite input.  So the C
+   keeps no best iterate: only the Python loop reports it */
 int log_map(const struct blas *blas, const double *in, double *out)
 {
-    const double *x = in, *y = in + AMBIENT, *basis = in + 2 * AMBIENT;
-    const double scale = in[2 * AMBIENT + TANGENT * AMBIENT + TANGENT];
+    const double *x = in, *y = in + AMBIENT;
+    double basis[TANGENT * AMBIENT], chord[AMBIENT], scale;
     double c[TANGENT], cp[TANGENT], cand[TANGENT], step[TANGENT];
-    double r[AMBIENT], r_cand[AMBIENT], minus_r[AMBIENT], jac[AMBIENT * TANGENT];
+    double r[AMBIENT], r_cand[AMBIENT], minus_r[AMBIENT], jr[AMBIENT * TANGENT];
     double rn, rn_cand, eps, damp;
     int fine = 0, have_jac = 0, it, k, bad;
     fexcept_t saved;
-    if (!all_finite(in, 2 * AMBIENT + TANGENT * AMBIENT + TANGENT + 1))
+    if (!all_finite(in, 2 * AMBIENT))
         return 1;
     fegetexceptflag(&saved, FE_ALL_EXCEPT);
     feclearexcept(FE_ALL_EXCEPT);
-    for (int j = 0; j < TANGENT; j++)
-        c[j] = in[2 * AMBIENT + TANGENT * AMBIENT + j];
+    if (tangent_basis(blas, x, basis))
+        goto hand_back;
+    for (int i = 0; i < AMBIENT; i++)
+        chord[i] = y[i] - x[i];
+    blas_apply(blas, TANGENT, AMBIENT, basis, chord, c);
+    scale = 1.0 + norm(blas, AMBIENT, y);
     if (residual(blas, x, y, basis, c, 0, r))
         goto hand_back;
     rn = norm(blas, AMBIENT, r);
@@ -299,14 +391,14 @@ int log_map(const struct blas *blas, const double *in, double *out)
                 if (residual(blas, x, y, basis, cp, fine, r_cand))
                     goto hand_back;
                 for (int i = 0; i < AMBIENT; i++)
-                    jac[j * AMBIENT + i] = (r_cand[i] - r[i]) / eps;
+                    jr[j * AMBIENT + i] = (r_cand[i] - r[i]) / eps;
             }
             have_jac = 1;
         }
         for (int i = 0; i < AMBIENT; i++)
             minus_r[i] = -r[i];
-        /* a raised flag hands back anyway; without one, jac and r are finite */
-        if (fetestexcept(RAISED) || blas_lstsq(blas, AMBIENT, TANGENT, jac, minus_r, step))
+        /* a raised flag hands back anyway; without one, jr and r are finite */
+        if (fetestexcept(RAISED) || blas_lstsq(blas, AMBIENT, TANGENT, jr, minus_r, step))
             goto hand_back;
         damp = 1.0;
         for (k = 0; k < 8; k++) {
@@ -336,9 +428,8 @@ int log_map(const struct blas *blas, const double *in, double *out)
         }
     }
     bad = it == $SHOOTING_MAX_ITER || rn > (($SHOOTING_TOL * scale) * 10.0);
-    for (int j = 0; j < TANGENT; j++)
-        out[j] = c[j];
-    return settle(&saved, out, TANGENT) | bad;
+    blas_combine(blas, TANGENT, AMBIENT, c, basis, out);
+    return settle(&saved, out, AMBIENT) | bad;
 hand_back:
     fesetexceptflag(&saved, FE_ALL_EXCEPT);
     return 1;
@@ -471,22 +562,27 @@ class _Function:
 def translate(src, library):
     """(C source, (d, m)) for an emitted kernel source whose ``g`` and ``proj_x``
     take d variables and give m constraints, or None when ``rk4_geo``, ``g`` or
-    ``proj_x`` is missing or holds a construct not rendered here.
+    ``proj_x`` is missing or holds a construct not rendered here; where ``library``
+    is given, also ``jac``, of the m x d Jacobian in rows.
 
     The C holds ``point_end``, ``_integrate_geo``'s end point; where ``library``
-    names numpy's BLAS library (``numpy_blas``), it adds ``log_map``, ``_shoot``'s
-    loop, and the BLAS and LAPACK calls the probe in ``Kernels`` checks.
+    names numpy's BLAS library (``numpy_blas``), it adds ``basis_at``, the
+    tangent basis, ``log_map``, a whole log-map miss, and the BLAS and LAPACK calls
+    the probe in ``Kernels`` checks.
     """
     from . import implicit  # imported here: implicit imports this module on first use
 
     defs = {f.name: f for f in ast.parse(src).body if isinstance(f, ast.FunctionDef)}
+    names = ("rk4_geo", "g", "proj_x") + (() if library is None else ("jac",))
     try:
-        rk4_geo, g, proj_x = (_Function(defs[name]) for name in ("rk4_geo", "g", "proj_x"))
+        rk4_geo, g, proj_x, *jac = (_Function(defs[name]) for name in names)
     except (KeyError, _Unknown):
         return None
     d, m = g.width, g.returned
     if proj_x.width != d or proj_x.returned != d:
         return None  # g and proj_x of different points
+    if jac and (jac[0].width != d or jac[0].returned != m * d):
+        return None  # not the Jacobian of g
     constants = {
         "AMBIENT": d, "CONSTRAINTS": m, "TANGENT": d - m,
         "FINE_STEPS_PER_UNIT": float(implicit.FINE_STEPS_PER_UNIT),
@@ -500,8 +596,8 @@ def translate(src, library):
     constants = {k: v if isinstance(v, str) else repr(v) for k, v in constants.items()}
     parts = [_PRELUDE, rk4_geo.text, g.text, proj_x.text,
              string.Template(_POINT).substitute(constants)]
-    if library is not None:
-        parts += [string.Template(t).substitute(constants) for t in (_BLAS, _SHOOT)]
+    if jac:
+        parts += [jac[0].text, *(string.Template(t).substitute(constants) for t in (_BLAS, _SHOOT))]
     return "\n".join(parts), (d, m)
 
 
@@ -509,9 +605,9 @@ _DOUBLES = ctypes.POINTER(ctypes.c_double)
 
 
 class _Blas(ctypes.Structure):
-    """The C's ``struct blas``: the addresses of numpy's ddot, dgelsd and dgemv."""
+    """The C's ``struct blas``: the addresses of numpy's ddot, dgelsd, dgemv and dgesdd."""
 
-    _fields_ = [("dot", ctypes.c_void_p), ("gelsd", ctypes.c_void_p), ("gemv", ctypes.c_void_p)]
+    _fields_ = [(name, ctypes.c_void_p) for name in ("dot", "gelsd", "gemv", "gesdd")]
 
 
 class Kernels:
@@ -522,8 +618,9 @@ class Kernels:
     during a call: so nothing here is mutable, and each call allocates its own
     arrays.
 
-    ``shoots`` tells whether ``log`` runs: the library holds ``log_map``, and
-    ``_probe`` found its BLAS and LAPACK calls equal to numpy's.
+    ``bases`` tells whether ``basis`` runs, and ``shoots`` whether ``log`` does:
+    the library holds ``basis_at`` and ``log_map``, and ``_probe`` found the BLAS
+    and LAPACK calls of each equal to numpy's.
     """
 
     def __init__(self, lib, shape, blas):
@@ -533,27 +630,29 @@ class Kernels:
         self._point.argtypes = (_DOUBLES, ctypes.c_double, ctypes.c_int, _DOUBLES)
         self._point.restype = ctypes.c_int
         self._state, self._end_point = ctypes.c_double * (2 * d), ctypes.c_double * d
-        self.shoots = False
+        self.bases = self.shoots = False
         if blas is None:
             return
         self._blas = _Blas(*blas)
         for name, argtypes, restype in (
             ("log_map", (ctypes.POINTER(_Blas), _DOUBLES, _DOUBLES), ctypes.c_int),
+            ("basis_at", (ctypes.POINTER(_Blas), _DOUBLES, _DOUBLES), ctypes.c_int),
             ("blas_dot", (ctypes.POINTER(_Blas), ctypes.c_long, _DOUBLES, _DOUBLES),
              ctypes.c_double),
             ("blas_combine", (ctypes.POINTER(_Blas), ctypes.c_long, ctypes.c_long, _DOUBLES,
                               _DOUBLES, _DOUBLES), None),
+            ("blas_apply", (ctypes.POINTER(_Blas), ctypes.c_long, ctypes.c_long, _DOUBLES,
+                            _DOUBLES, _DOUBLES), None),
             ("blas_lstsq", (ctypes.POINTER(_Blas), ctypes.c_long, ctypes.c_long, _DOUBLES,
                             _DOUBLES, _DOUBLES), ctypes.c_int),
+            ("blas_basis", (ctypes.POINTER(_Blas), ctypes.c_long, ctypes.c_long, _DOUBLES,
+                            _DOUBLES), ctypes.c_int),
         ):
             entry = getattr(lib, name)  # memoized by name, unlike lib[name]
             entry.argtypes, entry.restype = argtypes, restype
-        dim = d - m
-        self._log_in = ctypes.c_double * (2 * d + dim * d + dim + 1)
-        self._log_out = ctypes.c_double * dim
-        self._log_shapes = ((d,), (d,), (dim, d), (dim,))
-        core, gemv = _probe(lib, self._blas)
-        self.shoots = core and (dim == 1 or gemv)
+        self._basis_shape, self._basis = (d - m, d), ctypes.c_double * ((d - m) * d)
+        core, gemv, self.bases = _probe(lib, self._blas)
+        self.shoots = core and self.bases and (d - m == 1 or gemv)
 
     def point(self, state, speed, fine):
         """``_integrate_geo``'s end point from ``state`` = (x, v) at ``speed`` = |v| > 0,
@@ -564,26 +663,42 @@ class Kernels:
         out = self._end_point()
         return None if self._point(self._state(*state), speed, fine, out) else out[:]
 
-    def log(self, xc, yc, basis, c, scale):
-        """The components of ``log_map`` from the chord seed ``c`` where the loop
-        converges; None where it hands the loop back to ``_shoot``, and without a
-        native log map (``shoots``)."""
+    def basis(self, xc):
+        """``ImplicitBackend.tangent_basis`` at coordinates ``xc``, numpy's
+        ``svd`` of the Jacobian there; None where the call was not clean, and
+        Python must compute it, and without a native basis (``bases``)."""
+        if not self.bases:
+            return None
+        if np.shape(xc) != self._basis_shape[1:]:  # ctypes would zero-pad a short array
+            raise ValueError(f"{self._basis_shape[1]} coordinates expected, not {np.shape(xc)}")
+        out = self._basis()
+        if self._lib.basis_at(self._blas, self._end_point(*xc.tolist()), out):
+            return None
+        return np.array(out[:]).reshape(self._basis_shape)
+
+    def log(self, xc, yc):
+        """``ImplicitBackend._log`` of ``yc`` at ``xc``: the vector ``log_map``
+        gives where its loop converges; None where it hands the miss back to
+        Python, and without a native log map (``shoots``)."""
         if not self.shoots:
             return None
-        shapes = tuple(np.shape(a) for a in (xc, yc, basis, c))
-        if shapes != self._log_shapes:  # ctypes would zero-pad a short array
-            raise ValueError(f"arrays of shapes {self._log_shapes} expected, not {shapes}")
-        out = self._log_out()
-        args = self._log_in(*xc.tolist(), *yc.tolist(), *basis.ravel().tolist(), *c.tolist(), scale)
+        shapes = (np.shape(xc), np.shape(yc))
+        if shapes != (self._basis_shape[1:],) * 2:  # ctypes would zero-pad a short array
+            raise ValueError(f"arrays of shapes {(self._basis_shape[1:],) * 2} expected, "
+                             f"not {shapes}")
+        out = self._end_point()
+        args = self._state(*xc.tolist(), *yc.tolist())
         return None if self._lib.log_map(self._blas, args, out) else np.array(out[:])
 
 
 def _probe(lib, blas):
     """(whether the C's dot and lstsq equal numpy's ``ndarray.dot`` and
-    ``np.linalg.lstsq``, and its ``c @ basis`` numpy's for one row, on fixed
-    inputs; whether its ``c @ basis`` does for two rows and more), bit for bit."""
+    ``np.linalg.lstsq``, and its ``c @ basis`` and ``basis @ w`` numpy's for one
+    row; whether its ``c @ basis`` and ``basis @ w`` do for two rows and more;
+    whether its tangent basis equals ``np.linalg.svd``'s), on fixed inputs, bit
+    for bit."""
     rng = np.random.default_rng(20241)
-    core = gemv = True
+    core = gemv = svd = True
     for m, n in ((2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (5, 2), (4, 3), (6, 4)):
         for scale in (1e-9, 1.0, 1e3):
             a = rng.standard_normal((m, n)) * scale
@@ -594,13 +709,26 @@ def _probe(lib, blas):
             bad = lib.blas_lstsq(blas, m, n, _doubles(a.T.ravel()), _doubles(b), x)
             core &= (not bad and x[:] == np.linalg.lstsq(a, b, rcond=None)[0].tolist()
                      and lib.blas_dot(blas, m, _doubles(b), _doubles(b)) == b.dot(b))
-            combined = (ctypes.c_double * m)()
+            combined, applied = (ctypes.c_double * m)(), (ctypes.c_double * n)()
             lib.blas_combine(blas, n, m, _doubles(c), _doubles(basis.ravel()), combined)
+            lib.blas_apply(blas, n, m, _doubles(basis.ravel()), _doubles(b), applied)
+            rows = _same(combined, c @ basis) and _same(applied, basis @ b)
             if n == 1:
-                core &= combined[:] == (c @ basis).tolist()
+                core &= rows
             else:
-                gemv &= combined[:] == (c @ basis).tolist()
-    return core, gemv
+                gemv &= rows
+    for m, d in ((1, 2), (1, 3), (2, 3), (2, 4)):
+        for scale in (1e-9, 1.0, 1e3):
+            a = rng.standard_normal((m, d)) * scale
+            out = (ctypes.c_double * ((d - m) * d))()
+            bad = lib.blas_basis(blas, m, d, _doubles(a.ravel()), out)
+            svd &= not bad and _same(out, np.linalg.svd(a, full_matrices=True)[2][m:])
+    return core, gemv, svd
+
+
+def _same(values, a):
+    """True when the ctypes ``values`` hold the bits of the array ``a``."""
+    return np.array(values[:]).tobytes() == a.tobytes()
 
 
 def _doubles(a):
@@ -608,11 +736,12 @@ def _doubles(a):
 
 
 #: the routines ``log_map`` calls, as numpy's scipy-openblas64 build names them,
-#: each with the numpy extension that calls it: ``ndarray.dot``, ``np.linalg.lstsq``
-#: and ``@``
+#: each with the numpy extension that calls it: ``ndarray.dot``, ``np.linalg.lstsq``,
+#: ``@`` and ``np.linalg.svd``
 BLAS_SYMBOLS = (("numpy._core._multiarray_umath", "scipy_cblas_ddot64_"),
                 ("numpy.linalg._umath_linalg", "scipy_dgelsd_64_"),
-                ("numpy._core._multiarray_umath", "scipy_cblas_dgemv64_"))
+                ("numpy._core._multiarray_umath", "scipy_cblas_dgemv64_"),
+                ("numpy.linalg._umath_linalg", "scipy_dgesdd_64_"))
 
 
 class _DlInfo(ctypes.Structure):

@@ -429,21 +429,28 @@ def _violation(values) -> float:
 # -- catalog ----------------------------------------------------------------
 
 
-def _rotate(vec, axis, angle):
+def _rotation(vec, axis):
+    """``angle -> vec`` rotated by ``angle`` about ``axis``, which must be nonzero; the
+    unit axis, its dot with ``vec`` and the cross product are taken once."""
     axis = np.asarray(axis, dtype=float)
     n = _norm(axis)
     if n == 0:
         raise StructuralError("rotation axis must be nonzero")
     k = axis / n
-    kd, c, s = float(k.dot(vec)), math.cos(angle), math.sin(angle)
+    kd = float(k.dot(vec))  # numpy's dot
     (k0, k1, k2), (v0, v1, v2) = k.tolist(), vec.tolist()
-    # vec cos + (k x vec) sin + k <k, vec> (1 - cos) on floats, each operation
-    # rounded as numpy's elementwise one; the dot stays numpy's
-    return np.array([
-        v0 * c + (k1 * v2 - k2 * v1) * s + k0 * kd * (1.0 - c),
-        v1 * c + (k2 * v0 - k0 * v2) * s + k1 * kd * (1.0 - c),
-        v2 * c + (k0 * v1 - k1 * v0) * s + k2 * kd * (1.0 - c),
-    ])
+    x0, x1, x2 = k1 * v2 - k2 * v1, k2 * v0 - k0 * v2, k0 * v1 - k1 * v0
+    p0, p1, p2 = k0 * kd, k1 * kd, k2 * kd
+
+    def rotate(angle):
+        # vec cos + (k x vec) sin + k <k, vec> (1 - cos) on floats, each operation
+        # rounded as numpy's elementwise one
+        c, s = math.cos(angle), math.sin(angle)
+        return np.array([v0 * c + x0 * s + p0 * (1.0 - c),
+                         v1 * c + x1 * s + p1 * (1.0 - c),
+                         v2 * c + x2 * s + p2 * (1.0 - c)])
+
+    return rotate
 
 
 def halfline(backend, offset: float = 0.0, speed: float = 0.0, **kw):
@@ -568,6 +575,7 @@ def sphere_cap(
         raise StructuralError("cap axis must be nonzero")
     axis0 = axis0 / np.linalg.norm(axis0)
     axis0.setflags(write=False)
+    rotate = _rotation(axis0, rotation_axis) if omega != 0.0 else None
     last = [None, None]  # one-entry memo: the last t and a(t)
 
     def axis_at(t):
@@ -575,7 +583,7 @@ def sphere_cap(
             return axis0
         # t = 0 is not memoized: -0.0 == 0.0, yet they may round differently
         if t != last[0] or t == 0.0:
-            a = _rotate(axis0, np.asarray(rotation_axis, dtype=float), omega * t)
+            a = rotate(omega * t)
             a.setflags(write=False)
             last[:] = t, a
         return last[1]

@@ -130,15 +130,17 @@ def boundary_point(
     Returns the member-side boundary point, or None if the ray never
     leaves the set within ``max_length``.  Each probe is the coordinates
     ``exp`` gives at ``member`` for the scaled direction, tested on its
-    constraint values; only the returned point is built.
+    constraint values; only the returned point is built, at the last probe
+    inside, or ``member`` itself when none was.
     """
     check_same_base(direction, member)
     backend, xc, u = set_.backend, member.coords, direction.components
-    s_in, s_out = 0.0, None
+    s_in, s_out, inside = 0.0, None, xc
     for k in range(1, 9):
         s = max_length * k / 8.0
-        if set_._contains(t, backend._exp_coords(xc, s * u)):
-            s_in = s
+        yc = backend._exp_coords(xc, s * u)
+        if set_._contains(t, yc):
+            s_in, inside = s, yc
         else:
             s_out = s
             break
@@ -146,11 +148,12 @@ def boundary_point(
         return None
     while s_out - s_in > BOUNDARY_BISECTION_TOL:
         mid = 0.5 * (s_in + s_out)
-        if set_._contains(t, backend._exp_coords(xc, mid * u)):
-            s_in = mid
+        yc = backend._exp_coords(xc, mid * u)
+        if set_._contains(t, yc):
+            s_in, inside = mid, yc
         else:
             s_out = mid
-    return backend._moved(member, backend._exp_coords(xc, s_in * u))
+    return backend._moved(member, inside)
 
 
 def sample_boundary_points(set_: MovingSet, t: float, region: Region, rng, n: int):

@@ -30,9 +30,11 @@ from manisweep import expressions as ex
 from manisweep.cli import main
 from manisweep.errors import ExpressionError, NumericsError, StructuralError
 from manisweep.geometry import implicit, native
-from manisweep.geometry.base import _norm
+from manisweep.geometry.base import Point, _norm
 from manisweep.geometry.implicit import _emit_kernels, _on_floats, _passes
 from manisweep.scenario import bundled_scenario
+from manisweep.studies import certify_scenario
+from manisweep.sweep import catching_up
 
 
 @pytest.fixture(scope="module")
@@ -487,13 +489,12 @@ def test_native_log_rejects_arrays_of_the_wrong_length():
     b = ImplicitBackend(d, eqs)
     x = b._project_point([2.0, 0.1])
     y = b._integrate_geo(x, b._project_tangent(x, [0.0, 0.3]), 0.3, True)
-    basis = b._basis_at(x)
-    args = [x, y, basis, basis @ (y - x)]
-    assert b._native.log(*args, 1.0 + _norm(y)) is not None
+    args = [x, y]
+    assert b._native.log(*args) is not None
     for k, a in enumerate(args):
         for wrong in (a[..., :-1], np.concatenate([a, a], axis=-1)):
-            with pytest.raises(ValueError, match=r"shapes \(\(2,\), \(2,\), \(1, 2\), \(1,\)\)"):
-                b._native.log(*args[:k], wrong, *args[k + 1:], 1.0)
+            with pytest.raises(ValueError, match=r"shapes \(\(2,\), \(2,\)\)"):
+                b._native.log(*args[:k], wrong, *args[k + 1:])
 
 
 def _t_as_x2(e):
@@ -656,6 +657,9 @@ def g(x1, x2):
 
 def proj_x(x1, x2):
     return (x1, x2 * x2)
+
+def jac(x1, x2):
+    return (0.0, 1.0)
 """
 
 
@@ -765,10 +769,9 @@ def _log_or_error(b, xc, yc):
 
 
 def _native_shot(b, xc, yc):
-    """The basis at xc, and the components of ``b``'s native ``log_map`` from ``_log``'s
-    seed, or None where it hands the loop back."""
-    basis = b._basis_at(xc)
-    return basis, b._native.log(xc, yc, basis, basis @ (yc - xc), 1.0 + _norm(yc))
+    """The vector of ``b``'s native ``log_map`` of yc at xc, or None where it hands the
+    miss back."""
+    return b._native.log(xc, yc)
 
 
 def _python_twin(b, monkeypatch=None):
@@ -821,11 +824,11 @@ def _shooting_pairs(b, rng, n):
     return pairs
 
 
-def _check_shot(basis, shot, python):
-    """A native log map that ends as the Python loop: its components where that loop
+def _check_shot(shot, python):
+    """A native log map that ends as the Python loop: its vector where that loop
     converges, handed back where it raises; returns whether it converged."""
     if isinstance(python, bytes):
-        assert shot is not None and (shot @ basis).tobytes() == python
+        assert shot is not None and shot.tobytes() == python
     else:
         assert shot is None
     return shot is not None
@@ -842,12 +845,12 @@ def test_the_native_log_map_equals_the_python_loop(name, monkeypatch):
     twin, events = _python_twin(b, monkeypatch)
     exits, seen = [], set()
     for xc, yc in _shooting_pairs(b, np.random.default_rng(60), 24):
-        basis, shot = _native_shot(b, xc, yc)
+        shot = _native_shot(b, xc, yc)
         events.clear()
         python = _log_or_error(twin, xc, yc)
         seen |= _branches(events, b.dim)
         assert _log_or_error(b, xc, yc) == python
-        exits.append(_check_shot(basis, shot, python))
+        exits.append(_check_shot(shot, python))
     assert seen == {"chord", "newton", "halving", "refresh", "switch"}
     assert exits.count(True) >= 16 and False in exits
 
@@ -863,10 +866,10 @@ def test_an_exhausted_native_log_map_hands_back_to_the_python_loop(empty_kernel_
     twin, _ = _python_twin(b)
     exits = []
     for xc, yc in _shooting_pairs(b, np.random.default_rng(61), 16):
-        basis, shot = _native_shot(b, xc, yc)
+        shot = _native_shot(b, xc, yc)
         python = _log_or_error(twin, xc, yc)
         assert _log_or_error(b, xc, yc) == python
-        exits.append(_check_shot(basis, shot, python))
+        exits.append(_check_shot(shot, python))
     assert exits.count(False) >= 4 and True in exits
 
 
@@ -880,7 +883,7 @@ def test_a_restoration_failure_hands_the_log_map_back_to_python(empty_kernel_cac
     b = ImplicitBackend(d, eqs)
     twin, _ = _python_twin(b)
     xc, yc = np.array([2.0, 0.0]), np.array([0.0, 1.0])
-    basis, shot = _native_shot(b, xc, yc)
+    shot = _native_shot(b, xc, yc)
     assert shot is None
     python = _log_or_error(twin, xc, yc)
     message = "could not restore feasibility from the given ambient point"
@@ -912,7 +915,7 @@ def test_the_native_log_map_equals_the_python_loop_on_grammar_trees():
                     yc = b._integrate_geo(xc, vc, _norm(vc), True)
                 except (NumericsError, ArithmeticError, ValueError, TypeError):
                     continue
-            shots.append(_native_shot(b, xc, yc)[1] is not None)
+            shots.append(_native_shot(b, xc, yc) is not None)
             assert _log_or_error(b, xc, yc) == _log_or_error(twin, xc, yc)
 
     check()
@@ -940,7 +943,164 @@ def test_without_numpys_blas_the_python_log_map_runs(empty_kernel_cache, monkeyp
     b = ImplicitBackend(d, eqs)
     assert b._native is not None and not b._native.shoots
     zeros = np.zeros(d)
-    assert b._native.log(zeros, zeros, np.zeros((d - 2, d)), zeros[2:], 1.0) is None
+    assert b._native.log(zeros, zeros) is None
     twin, _ = _python_twin(b)
     for xc, yc in _shooting_pairs(b, np.random.default_rng(62), 8):
         assert _log_or_error(b, xc, yc) == _log_or_error(twin, xc, yc)
+
+
+# -- the native tangent basis ---------------------------------------------------
+
+
+def _python_basis(b, xc):
+    """The Python ``tangent_basis``: numpy's ``svd`` of the Jacobian at xc, or its error."""
+    try:
+        with np.errstate(all="ignore"):
+            J = b.constraint_jacobian(xc)
+            return np.linalg.svd(J, full_matrices=True)[2][b.n_constraints:]
+    except (np.linalg.LinAlgError, ArithmeticError, ValueError, TypeError) as err:
+        return type(err), str(err)
+
+
+def _basis_or_error(b, xc):
+    """``b.tangent_basis`` at xc as (shape, bytes), or its error's type and message."""
+    try:
+        with np.errstate(all="ignore"):
+            basis = b.tangent_basis(Point(b, xc))
+        return basis.shape, basis.tobytes()
+    except (np.linalg.LinAlgError, ArithmeticError, ValueError, TypeError) as err:
+        return type(err), str(err)
+
+
+def _renamed(e, names):
+    """``e`` with its variables x1, x2 and t renamed ``names``."""
+    if isinstance(e, ex.Var):
+        return ex.Var(names[("x1", "x2", "t").index(e.name)])
+    return dataclasses.replace(e, **{n: _renamed(getattr(e, n), names) for n in e._operands})
+
+
+@needs_cc
+def test_the_native_basis_equals_numpys_svd_on_grammar_trees():
+    # Kernels.basis against np.linalg.svd(J, full_matrices=True)[2][m:], byte for byte,
+    # on 1 x 2, 1 x 3, 2 x 3 and 2 x 4 Jacobians of the grammar's trees at points of
+    # scales 1e-9 to 1e3; where the C hands back (a non-finite J or a raised flag), the
+    # backend's basis or error is numpy's all the same
+    shapes, clean = set(), []
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(shape=st.sampled_from([(2, 1), (3, 1), (3, 2), (4, 2)]),
+           trees=st.lists(_EQUALITIES, min_size=2, max_size=2),
+           picks=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def check(shape, trees, picks, seed):
+        d, m = shape
+        names = [f"x{k % d + 1}" for k in picks]
+        try:
+            b = ImplicitBackend(d, [_text(_renamed(t, names[3 * i:3 * i + 3]))[0]
+                                    for i, t in enumerate(trees[:m])])
+        except (ExpressionError, StructuralError, ArithmeticError, ValueError):
+            reject()
+        assert b._native.bases
+        shapes.add(shape)
+        rng = np.random.default_rng(seed)
+        for scale in (1e-9, 1e-3, 1.0, 1e3):
+            xc = rng.standard_normal(d) * scale
+            got, python = b._native.basis(xc), _python_basis(b, xc)
+            if got is not None:
+                assert isinstance(python, np.ndarray)
+                assert got.shape == python.shape and got.tobytes() == python.tobytes()
+            clean.append(got is not None)
+            assert _basis_or_error(b, xc) == _basis_or_error(_python_twin(b)[0], xc)
+
+    check()
+    assert shapes == {(2, 1), (3, 1), (3, 2), (4, 2)}
+    assert sum(clean) > 0.75 * len(clean), (sum(clean), len(clean))
+
+
+@needs_cc
+def test_every_log_map_miss_of_an_implicit_certify_is_the_python_miss(monkeypatch):
+    # each native miss (basis, seed, loop and v = c @ basis in one call) against the
+    # Python miss on the same pair: numpy's svd of the Jacobian, basis @ (y - x),
+    # _shoot and c @ basis, byte for byte
+    scn = bundled_scenario("implicit_ellipse_cap")
+    b = scn.backend
+    assert b._native.shoots and b._native.bases
+    misses, log = [], native.Kernels.log
+
+    def recorded(kernels, xc, yc):
+        v = log(kernels, xc, yc)
+        misses.append((xc.copy(), yc.copy(), v))
+        return v
+
+    monkeypatch.setattr(native.Kernels, "log", recorded)
+    certify_scenario(scn)
+    monkeypatch.undo()
+    assert len(misses) > 1000
+    converged = 0
+    for xc, yc, v in misses:
+        basis = _python_basis(b, xc)
+        c = basis @ (yc - xc)
+        try:
+            python = (b._shoot(xc, yc, basis, c, 1.0 + _norm(yc)) @ basis).tobytes()
+        except NumericsError:
+            python = None
+        assert (None if v is None else v.tobytes()) == python
+        converged += v is not None
+    assert converged > 0.9 * len(misses)
+
+
+@needs_cc
+@pytest.mark.parametrize("mutation", [
+    # ldvt = m in the query and the call: dgesdd rejects it
+    ("vt, &cols,", "vt, &rows,"),
+    # no workspace query: dgesdd is given a workspace of one double, and rejects it
+    ('blas->gesdd("A", &rows, &cols, copy, &rows, s, u, &rows, vt, &cols, &query, &lwork, iwork,\n'
+     '                &info);', "query = 1.0;\n    info = 0;"),
+    # the Jacobian copied in rows: a basis of other bits for two rows
+    ("copy[j * m + i] = a[i * d + j];", "copy[i * d + j] = a[i * d + j];"),
+], ids=["ldvt", "no_workspace_query", "copy_in_rows"])
+def test_a_mutated_dgesdd_call_turns_the_native_basis_and_log_map_off(empty_kernel_cache,
+                                                                      monkeypatch, mutation):
+    # the probe compares the C's basis with numpy's svd on fixed 1 x d and 2 x d
+    # matrices: any of these mutations leaves the Python basis and loop running
+    assert mutation[0] in native._BLAS
+    monkeypatch.setattr(native, "_BLAS", native._BLAS.replace(*mutation))
+    for name in ("ellipse_golden", "two_equalities"):
+        d, eqs = KERNEL_MANIFOLDS[name]
+        b = ImplicitBackend(d, eqs)
+        assert b._native is not None and not b._native.bases and not b._native.shoots
+        assert b._native.basis(np.ones(d)) is None and b._native.log(np.ones(d), np.ones(d)) is None
+        twin, _ = _python_twin(b)
+        for xc, yc in _shooting_pairs(b, np.random.default_rng(63), 4):
+            assert _basis_or_error(b, xc) == _basis_or_error(twin, xc)
+            assert _log_or_error(b, xc, yc) == _log_or_error(twin, xc, yc)
+
+
+@needs_cc
+def test_a_non_finite_jacobian_hands_the_basis_back_to_numpy():
+    # 3 x1^2 overflows at x1 = 1e160, where numpy's svd still gives a basis, and is NaN
+    # at x1 = NaN, where it raises LinAlgError: the C hands the basis and the log map
+    # back, and the backend gives numpy's basis or error, as without a native basis
+    b = ImplicitBackend(2, ["x1^3 + x2^2 - 1"])
+    twin, _ = _python_twin(b)
+    yc = np.array([1.0, 0.0])
+    for x1, error in ((1e160, False), (math.nan, True)):
+        xc = np.array([x1, 0.0])
+        assert b._native.bases and b._native.basis(xc) is None
+        assert b._native.log(xc, yc) is None
+        python = _basis_or_error(twin, xc)
+        assert _basis_or_error(b, xc) == python
+        assert (python[0] is np.linalg.LinAlgError) == error
+        python = _log_or_error(twin, xc, yc)
+        assert _log_or_error(b, xc, yc) == python
+        assert (python[0] is np.linalg.LinAlgError) == error
+
+
+@needs_cc
+def test_an_implicit_catching_up_takes_no_numpy_svd_with_the_native_basis(monkeypatch):
+    scn = bundled_scenario("implicit_ellipse_cap")
+    assert scn.backend._native.bases  # built as a first integration builds it
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    catching_up(scn, 1e-3)
+    assert calls == []

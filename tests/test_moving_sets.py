@@ -21,7 +21,7 @@ from manisweep.moving_sets import (
     CATALOG,
     Constraint,
     MovingSet,
-    _rotate,
+    _rotation,
     _solve,
     ball,
     ball_complement,
@@ -207,7 +207,7 @@ def test_rotating_cap_interleaved_times_match_a_fresh_set():
 
 
 def numpy_rotate(vec, axis, angle):
-    """The rotation as written with np.cross: the reference for ``_rotate``."""
+    """The rotation as written with np.cross: the reference for ``_rotation``."""
     axis = np.asarray(axis, dtype=float)
     k = axis / np.linalg.norm(axis)
     return (
@@ -227,7 +227,20 @@ def test_rotation_matches_the_cross_product_formula_bit_for_bit(vec, axis, angle
     assume(np.linalg.norm(axis) > 0.0)
     vec = np.array(vec)
     with np.errstate(all="ignore"):
-        assert _rotate(vec, axis, angle).tobytes() == numpy_rotate(vec, axis, angle).tobytes()
+        assert _rotation(vec, axis)(angle).tobytes() == numpy_rotate(vec, axis, angle).tobytes()
+
+
+def test_a_rotating_caps_axis_is_the_cross_product_formula_at_every_time():
+    # the axis a(t) as the set computes it, unit axis and cross product taken once,
+    # against the formula evaluated afresh at 1,001 times, forward and back
+    for rotation_axis in ([0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.3, -2.0, 0.7]):
+        s = sphere_cap(SphereBackend(2), axis=[0, 0, 1], height=0.2, omega=0.7,
+                       rotation_axis=rotation_axis)
+        x = np.array([0.0, 0.0, 1.0])
+        times = np.linspace(0.0, 10.0, 1001).tolist()
+        for t in times + times[::-1]:
+            want = numpy_rotate(np.array([0.0, 0.0, 1.0]), rotation_axis, 0.7 * t)
+            assert s.constraints[0].ambient_gradient(t, x).tobytes() == want.tobytes()
 
 
 def test_a_rotating_cap_requires_the_2_sphere():

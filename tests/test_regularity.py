@@ -555,6 +555,44 @@ def test_coordinate_boundary_point_is_the_point_level_march(kind, seed):
 
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_SETS))
+def test_boundary_point_is_its_last_probe_inside(kind, monkeypatch):
+    # one exp per membership probe: the result is the last probe inside, as the
+    # point-level march finds it, and the member itself where no probe got inside
+    # (from the boundary point outward, on each backend whose membership tolerance
+    # is finer than the bisection's)
+    set_, x, radius = _oracle(kind)
+    backend = set_.backend
+    rng = np.random.default_rng(5)
+    exps, inside = [], []
+    exp_coords, contains = backend._exp_coords, set_._contains
+
+    def counted(xc, vc):
+        exps.append(1)
+        return exp_coords(xc, vc)
+
+    monkeypatch.setattr(set_, "_contains", lambda t, xc: inside.append(contains(t, xc))
+                        or inside[-1])
+    outward = set_.constraint_gradient(0.0, x, 0)
+    cases = [(x, outward.scaled(-1.0 / outward.norm()))]
+    for m in members_in_region(set_, 0.0, Region(x, radius), rng, 4):
+        u = backend.random_tangent(rng, m, 1.0)
+        cases.append((m, u.scaled(1.0 / u.norm())))
+    missed = []
+    for m, u in cases:
+        exps.clear()
+        inside.clear()
+        monkeypatch.setattr(backend, "_exp_coords", counted)
+        got = boundary_point(set_, 0.0, m, u, radius)
+        monkeypatch.setattr(backend, "_exp_coords", exp_coords)
+        assert len(exps) == len(inside) > 0
+        assert _same_point(got, reference_boundary_point(set_, 0.0, m, u, radius))
+        missed.append(True not in inside)
+        if missed[-1]:
+            assert got is m
+    assert missed[0] or kind == "implicit"  # the march from the boundary point outward
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_SETS))
 def test_hypomonotonicity_report_is_the_point_level_pair_loop(kind):
     set_, x, radius = _oracle(kind)
     region = Region(x, radius)

@@ -258,6 +258,12 @@ HALFLINE_FLOW = {
           "set": {"kind": "sphere_cap", "axis": [0.0, 0.0, 0.0]},
           "initial_point": [0.0, 0.0, 1.0]},
          "StructuralError", "cap axis must be nonzero"),
+        # nor a zero rotation axis, once the cap rotates
+        ({"manifold": {"kind": "sphere", "dim": 2},
+          "set": {"kind": "sphere_cap", "axis": [0.0, 0.0, 1.0], "omega": 0.3,
+                  "rotation_axis": [0.0, 0.0, 0.0]},
+          "initial_point": [0.0, 0.0, 1.0]},
+         "StructuralError", "rotation axis must be nonzero"),
         # a constant without a finite real value, rejected where it is written
         (e2_inequality("1 - x1^(10^400)"), "ExpressionError", "'10^400' has no finite real"),
         (e2_inequality("1 - x1^2 - x2^2 + 0*exp(1000)"), "ExpressionError", "'exp(1000)'"),
@@ -301,7 +307,7 @@ HALFLINE_FLOW = {
          "normal_wrong_length", "radius_a_list", "set_a_list",
          "horizon_infinite", "initial_point_bool", "seed_bool", "dim_bool",
          "negation_3000", "sum_300", "overflowing_literal",
-         "cap_axis_zero", "constant_power_overflows", "constant_exp_overflows",
+         "cap_axis_zero", "rotation_axis_zero", "constant_power_overflows", "constant_exp_overflows",
          "constant_divides_by_zero", "constant_sin_of_inf", "constant_complex",
          "constant_complex_exponent", "implicit_constant_divides_by_zero",
          "simulate_step_infinite", "simulate_step_too_small",

@@ -28,9 +28,10 @@ src/manisweep/geometry/*.py`` gives it, is printed and kept as
 ``parent_src_lines`` and ``change_src_lines``, so a file records
 "smaller" beside "faster".  Beside it, one short probe in each checkout
 records whether that side's native kernels load on the implicit golden,
-whether its native log map is on, and how many lines the golden's emitted C
-has (``parent_native``, ``change_native``): without a compiler, or with the
-log map off, the implicit calls run in Python and time differently, and the
+whether its native log map and tangent basis are on, and how many lines
+the golden's emitted C has (``parent_native``, ``change_native``): without
+a compiler, or with the log map off, the implicit calls run in Python and
+time differently, and the
 C's size sets the cold build time.  Each run also records ``cpus``, the usable CPU
 count (``len(os.sched_getaffinity(0))``), and ``load1``, the 1-minute load
 average, both read as the run starts: a parallel gain is only as large as
@@ -106,8 +107,9 @@ def src_lines(checkout: Path) -> int:
 
 
 #: run in a checkout: whether the implicit golden's native kernels load, whether
-#: their log map runs natively (``Kernels.shoots``; absent before it existed) and
-#: the line count of the C they are built from (``translate``'s first item)
+#: their log map and tangent basis run natively (``Kernels.shoots`` and
+#: ``Kernels.bases``; absent before they existed) and the line count of the C they
+#: are built from (``translate``'s first item)
 NATIVE_PROBE = """
 import json
 from manisweep.geometry import native
@@ -117,13 +119,14 @@ blas = native.numpy_blas()
 c = native.translate(b._kernel_src, None if blas is None else blas[0])
 print(json.dumps({"kernels": b._native is not None,
                   "log_map": bool(getattr(b._native, "shoots", False)),
+                  "basis": bool(getattr(b._native, "bases", False)),
                   "c_lines": None if c is None else c[0].count("\\n")}))
 """
 
 
 def native_state(checkout: Path) -> dict:
-    """``{"kernels": bool, "log_map": bool, "c_lines": int or None}`` of ``NATIVE_PROBE``
-    in a checkout."""
+    """``{"kernels": bool, "log_map": bool, "basis": bool, "c_lines": int or None}`` of
+    ``NATIVE_PROBE`` in a checkout."""
     done = subprocess.run([sys.executable, "-c", NATIVE_PROBE], cwd=checkout, check=True,
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(checkout / "src")})
@@ -235,7 +238,8 @@ def main(argv=None) -> int:
           f"golden C lines {natives['parent']['c_lines']} -> {natives['change']['c_lines']}")
     for side in SIDES:
         print(f"{side}: native kernels {'load' if natives[side]['kernels'] else 'do not load'}, "
-              f"native log map {'on' if natives[side]['log_map'] else 'off'}")
+              f"native log map {'on' if natives[side]['log_map'] else 'off'}, "
+              f"native basis {'on' if natives[side]['basis'] else 'off'}")
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     names = {}
