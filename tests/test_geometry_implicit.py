@@ -768,12 +768,6 @@ def _log_or_error(b, xc, yc):
                 None if best is None else best.tobytes())
 
 
-def _native_shot(b, xc, yc):
-    """The vector of ``b``'s native ``log_map`` of yc at xc, or None where it hands the
-    miss back."""
-    return b._native.log(xc, yc)
-
-
 def _python_twin(b, monkeypatch=None):
     """A backend with ``b``'s equalities on the Python kernels and the Python loop,
     and the ``('r', fine)`` events of its end points; with ``monkeypatch``, also the
@@ -845,7 +839,7 @@ def test_the_native_log_map_equals_the_python_loop(name, monkeypatch):
     twin, events = _python_twin(b, monkeypatch)
     exits, seen = [], set()
     for xc, yc in _shooting_pairs(b, np.random.default_rng(60), 24):
-        shot = _native_shot(b, xc, yc)
+        shot = b._native.log(xc, yc)
         events.clear()
         python = _log_or_error(twin, xc, yc)
         seen |= _branches(events, b.dim)
@@ -866,7 +860,7 @@ def test_an_exhausted_native_log_map_hands_back_to_the_python_loop(empty_kernel_
     twin, _ = _python_twin(b)
     exits = []
     for xc, yc in _shooting_pairs(b, np.random.default_rng(61), 16):
-        shot = _native_shot(b, xc, yc)
+        shot = b._native.log(xc, yc)
         python = _log_or_error(twin, xc, yc)
         assert _log_or_error(b, xc, yc) == python
         exits.append(_check_shot(shot, python))
@@ -883,7 +877,7 @@ def test_a_restoration_failure_hands_the_log_map_back_to_python(empty_kernel_cac
     b = ImplicitBackend(d, eqs)
     twin, _ = _python_twin(b)
     xc, yc = np.array([2.0, 0.0]), np.array([0.0, 1.0])
-    shot = _native_shot(b, xc, yc)
+    shot = b._native.log(xc, yc)
     assert shot is None
     python = _log_or_error(twin, xc, yc)
     message = "could not restore feasibility from the given ambient point"
@@ -915,7 +909,7 @@ def test_the_native_log_map_equals_the_python_loop_on_grammar_trees():
                     yc = b._integrate_geo(xc, vc, _norm(vc), True)
                 except (NumericsError, ArithmeticError, ValueError, TypeError):
                     continue
-            shots.append(_native_shot(b, xc, yc) is not None)
+            shots.append(b._native.log(xc, yc) is not None)
             assert _log_or_error(b, xc, yc) == _log_or_error(twin, xc, yc)
 
     check()
